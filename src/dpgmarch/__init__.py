@@ -2,8 +2,7 @@
 problems on the unit square, with convergence-study tooling."""
 
 from .assembly import (CondensedSystem, PdeCoefficients, apply_trial_to_test,
-                       assemble_condensed, condense_load, local_gram,
-                       local_trial_to_test)
+                       assemble_condensed, condense_load)
 from .basis import QuadRule, ShapeTable, edge_rule, lagrange_edge, lagrange_triangle, \
     triangle_rule
 from .cases import CASE_IDS, PdeCase, make_case
@@ -23,7 +22,7 @@ __all__ = [
     "assemble_condensed", "build_dofmap", "build_structured_mesh", "cg_solve",
     "condense_load", "edge_orientation_sign", "edge_rule", "eoc", "field_error",
     "galerkin_march", "initial_field", "lagrange_edge", "lagrange_triangle",
-    "local_gram", "local_trial_to_test", "lu_solve", "make_case", "march",
+    "lu_solve", "make_case", "march",
     "mesh_from_arrays", "project", "project_mixed", "refine_uniform", "step",
     "trace_dual_error", "triangle_rule",
 ]

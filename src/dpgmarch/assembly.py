@@ -80,7 +80,7 @@ class LocalBlocks:
 
     chol / chol_inv: Cholesky factor of G_K and its inverse, (ne, nt, nt).
     B_a, B_b: trial-to-test blocks, (ne, nt, nc).
-    Bt_a, Bt_b: chol_inv @ B, so that B^T G^{-1} B = Bt^T Bt.
+    Bt_a: chol_inv @ B_a, so that B_a^T G^{-1} B_a = Bt_a^T Bt_a.
     mass_field: test-against-field mass block, (ne, nt, nfl).
     cols: global column index per local trial slot, -1 where eliminated.
     quad_points / quad_wdet: physical volume quadrature, (ne, nq, 2) / (ne, nq).
@@ -96,7 +96,6 @@ class LocalBlocks:
     B_a: np.ndarray
     B_b: np.ndarray
     Bt_a: np.ndarray
-    Bt_b: np.ndarray
     mass_field: np.ndarray
     cols: np.ndarray
     quad_points: np.ndarray
@@ -127,8 +126,7 @@ class LocalBlocks:
 
     def gather_local(self, u: np.ndarray) -> np.ndarray:
         """Local trial coefficients per element; eliminated slots read as zero."""
-        safe = np.clip(self.cols, 0, None)
-        return np.where(self.cols >= 0, u[safe], 0.0)
+        return gather(u, self.cols)
 
 
 @dataclass
@@ -158,9 +156,37 @@ def _geometry(mesh: Mesh):
     return v, J, invJ, detJ
 
 
+def volume_quadrature(mesh: Mesh, degree: int):
+    """Triangle rule of the given degree mapped to every element.
+
+    Returns (rule, physical points (ne, nq, 2), weights times det J (ne, nq),
+    J^{-1} (ne, 2, 2)).
+    """
+    rule = triangle_rule(degree)
+    v, J, invJ, detJ = _geometry(mesh)
+    points = v[:, 0, None, :] + np.einsum("eab,qb->eqa", J, rule.points)
+    wdet = rule.weights[None, :] * detJ[:, None]
+    return rule, points, wdet, invJ
+
+
 def _physical_gradients(invJ, table):
     # grad_x phi = J^{-T} grad_ref phi
     return np.einsum("eba,mqb->emqa", invJ, table.gradients)
+
+
+def gather(vector: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entries of vector per element slot, 0.0 where the column is -1."""
+    if not vector.size:
+        return np.zeros(cols.shape)
+    return np.where(cols >= 0, vector[np.clip(cols, 0, None)], 0.0)
+
+
+def _gram(grads, values, wdet, coeffs: PdeCoefficients) -> np.ndarray:
+    """G_K = (1/k) mass + A-weighted stiffness of a tabulated test basis."""
+    a_grads = np.einsum("ab,emqb->emqa", coeffs.A, grads)
+    gram = np.einsum("emqa,enqa,eq->emn", grads, a_grads, wdet)
+    gram += (1.0 / coeffs.k) * np.einsum("mq,nq,eq->emn", values, values, wdet)
+    return gram
 
 
 def _edge_test_tables(test_degree: int, rule):
@@ -184,15 +210,9 @@ def _edge_test_tables(test_degree: int, rule):
 def gram_blocks(mesh: Mesh, p: int, coeffs: PdeCoefficients, test_degree: int | None = None) -> np.ndarray:
     """All Gram matrices G_K = (1/k) mass + A-weighted stiffness, (ne, nt, nt)."""
     deg = test_degree if test_degree is not None else p + 2
-    rule = triangle_rule(2 * deg)
+    rule, _, wdet, invJ = volume_quadrature(mesh, 2 * deg)
     table = lagrange_triangle(deg, rule.points)
-    _, _, invJ, detJ = _geometry(mesh)
-    wdet = rule.weights[None, :] * detJ[:, None]
-    grads = _physical_gradients(invJ, table)
-    a_grads = np.einsum("ab,emqb->emqa", coeffs.A, grads)
-    gram = np.einsum("emqa,enqa,eq->emn", grads, a_grads, wdet)
-    gram += (1.0 / coeffs.k) * np.einsum("mq,nq,eq->emn", table.values, table.values, wdet)
-    return gram
+    return _gram(_physical_gradients(invJ, table), table.values, wdet, coeffs)
 
 
 def _cholesky_blocks(gram: np.ndarray) -> np.ndarray:
@@ -214,7 +234,7 @@ def _build_blocks(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> LocalB
     p = dofmap.p
     k = coeffs.k
     test_degree = p + 2
-    vol = triangle_rule(2 * test_degree)
+    vol, qpoints, wdet, invJ = volume_quadrature(mesh, 2 * test_degree)
     erule = edge_rule(2 * p + 2)
 
     test_tab = lagrange_triangle(test_degree, vol.points)
@@ -222,21 +242,17 @@ def _build_blocks(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> LocalB
     trace_tab = lagrange_edge(p, erule.points)
     edge_tables = _edge_test_tables(test_degree, erule)
 
-    v, J, invJ, detJ = _geometry(mesh)
+    v = mesh.vertices[mesh.elements]
     ne = mesh.n_elements
     nt = test_tab.n_basis
     nfl = field_tab.n_basis
     n_per_edge = p + 1
-    wdet = vol.weights[None, :] * detJ[:, None]
-    qpoints = v[:, 0, None, :] + np.einsum("eab,qb->eqa", J, vol.points)
 
     test_grads = _physical_gradients(invJ, test_tab)
     field_grads = _physical_gradients(invJ, field_tab)
     a_field_grads = np.einsum("ab,ejqb->ejqa", coeffs.A, field_grads)
 
-    gram = np.einsum("emqa,enqa,eq->emn",
-                     test_grads, np.einsum("ab,emqb->emqa", coeffs.A, test_grads), wdet)
-    gram += (1.0 / k) * np.einsum("mq,nq,eq->emn", test_tab.values, test_tab.values, wdet)
+    gram = _gram(test_grads, test_tab.values, wdet, coeffs)
 
     B_field = np.einsum("emqa,ejqa,eq->emj", test_grads, a_field_grads, wdet)
     B_field += np.einsum("a,ejqa,mq,eq->emj", coeffs.beta, field_grads, test_tab.values, wdet)
@@ -271,8 +287,7 @@ def _build_blocks(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> LocalB
     return LocalBlocks(
         p=p, k=k, n_field=dofmap.n_field, n_trace=dofmap.n_trace,
         chol=chol, chol_inv=chol_inv,
-        B_a=B_a, B_b=B_b,
-        Bt_a=chol_inv @ B_a, Bt_b=chol_inv @ B_b,
+        B_a=B_a, B_b=B_b, Bt_a=chol_inv @ B_a,
         mass_field=mass_field, cols=cols,
         quad_points=qpoints, quad_wdet=wdet, test_values=test_tab.values,
     )
@@ -309,25 +324,6 @@ def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> C
                            jacobi_diag=S.diagonal())
 
 
-def local_gram(mesh: Mesh, p: int, element: int, coeffs: PdeCoefficients) -> np.ndarray:
-    """Gram matrix of one element on the degree p+2 test basis."""
-    if not 0 <= element < mesh.n_elements:
-        raise IndexError(f"element index {element} out of range")
-    return gram_blocks(mesh, p, coeffs)[element]
-
-
-def local_trial_to_test(mesh: Mesh, dofmap: DofMap, element: int, coeffs: PdeCoefficients,
-                        which: str) -> np.ndarray:
-    """Element block of the form `a` or `b`: rows test basis, columns local
-    field nodes then local trace slots."""
-    if which not in ("a", "b"):
-        raise ValueError(f"form selector must be 'a' or 'b', got {which!r}")
-    if not 0 <= element < mesh.n_elements:
-        raise IndexError(f"element index {element} out of range")
-    blocks = _build_blocks(mesh, dofmap, coeffs)
-    return (blocks.B_a if which == "a" else blocks.B_b)[element]
-
-
 def local_test_loads(blocks: LocalBlocks, g, w_field, coeffs: PdeCoefficients) -> np.ndarray:
     """Element test-space loads (g + w/k, psi_m)_K, shape (ne, nt)."""
     loads = np.zeros((blocks.n_elements, blocks.n_test))
@@ -338,23 +334,25 @@ def local_test_loads(blocks: LocalBlocks, g, w_field, coeffs: PdeCoefficients) -
         w_field = np.asarray(w_field, dtype=float)
         if w_field.shape != (blocks.n_field,):
             raise ValueError(f"field coefficient vector has wrong length {w_field.shape}")
-        nfl = blocks.mass_field.shape[2]
-        fcols = blocks.cols[:, :nfl]
-        if w_field.size:
-            w_loc = np.where(fcols >= 0, w_field[np.clip(fcols, 0, None)], 0.0)
-            loads += (1.0 / coeffs.k) * np.einsum("emj,ej->em", blocks.mass_field, w_loc)
+        w_loc = gather(w_field, blocks.cols[:, :blocks.mass_field.shape[2]])
+        loads += (1.0 / coeffs.k) * np.einsum("emj,ej->em", blocks.mass_field, w_loc)
     return loads
 
 
-def condense_load(blocks: LocalBlocks, g, w_field, coeffs: PdeCoefficients) -> np.ndarray:
-    """Condensed right-hand side sum_K B_{a,K}^T G_K^{-1} (g + w/k, psi)_K."""
-    loads = local_test_loads(blocks, g, w_field, coeffs)
-    y = blocks.gram_apply_inv(loads)
-    contrib = np.einsum("emc,em->ec", blocks.B_a, y)
+def condense_element_loads(blocks: LocalBlocks, loads: np.ndarray) -> np.ndarray:
+    """Condensed right-hand side sum_K B_{a,K}^T G_K^{-1} l_K of element test
+    loads l, shape (ne, nt)."""
+    y = np.einsum("emn,en->em", blocks.chol_inv, loads)
+    contrib = np.einsum("emc,em->ec", blocks.Bt_a, y)
     out = np.zeros(blocks.n_dof)
     mask = blocks.cols >= 0
     np.add.at(out, blocks.cols[mask], contrib[mask])
     return out
+
+
+def condense_load(blocks: LocalBlocks, g, w_field, coeffs: PdeCoefficients) -> np.ndarray:
+    """Condensed right-hand side sum_K B_{a,K}^T G_K^{-1} (g + w/k, psi)_K."""
+    return condense_element_loads(blocks, local_test_loads(blocks, g, w_field, coeffs))
 
 
 def apply_trial_to_test(system: CondensedSystem, u: np.ndarray) -> np.ndarray:

@@ -6,9 +6,13 @@ Usage:
 Commands: run, converge-space, converge-time, converge-projection,
 heat-identity.  The JSON config uses flat keys (see RunConfig); trailing
 key=value pairs override config entries, with values parsed as JSON when
-possible.  Studies write a CSV table with the ErrorReport columns and print
-an EOC table; `run` can additionally dump the field as a legacy ASCII VTK
-snapshot.  Exit codes: 0 success, 2 validation error, 3 solver failure.
+possible.  `p`, `n_steps` and the entries of the `levels` list must be
+integral numbers (4 and 4.0 are accepted, 4.6 and true are not), and
+`snapshot` must be a JSON boolean; nothing is coerced.  Studies write a CSV
+table with the ErrorReport columns and print an EOC table; `run` can
+additionally dump the field as a legacy ASCII VTK snapshot.  Exit codes:
+0 success, 1 verification failed (heat-identity FAIL), 2 validation error,
+3 solver failure.
 """
 
 from __future__ import annotations
@@ -24,12 +28,11 @@ from .assembly import assemble_condensed
 from .cases import CASE_IDS, make_case
 from .dofmap import build_dofmap
 from .elliptic import project
-from .errors import ErrorReport, SpatialFields, eoc, field_error, trace_dual_error, \
-    trace_seminorm_discrete
+from .errors import ErrorReport, SpatialFields, eoc, field_error, trace_dual_error
 from .galerkin import galerkin_march
 from .linalg import SolverError
 from .mesh import build_structured_mesh
-from .timestep import march
+from .timestep import TrialVector, march
 
 COMMANDS = ("run", "converge-space", "converge-time", "converge-projection", "heat-identity")
 
@@ -99,7 +102,7 @@ class RunConfig:
             raise ConfigError(f"p must be 0 or 1, got {self.p}")
         if not self.levels:
             raise ConfigError("levels must be a nonempty list of mesh subdivisions")
-        if any(int(n) != n or n < 1 for n in self.levels):
+        if any(n < 1 for n in self.levels):
             raise ConfigError("levels must be positive integers")
         if list(self.levels) != sorted(set(self.levels)):
             raise ConfigError("levels must be strictly increasing")
@@ -107,6 +110,14 @@ class RunConfig:
             raise ConfigError("converge-time requires a fixed mesh and k_policy 'list:...'")
         if self.command != "converge-time" and self.k_policy.kind == "list":
             raise ConfigError(f"k_policy 'list' is only valid for converge-time, not {self.command}")
+
+
+def _integer(key: str, value) -> int:
+    """An integral JSON number (4 or 4.0) as int; bools and fractions are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def load_config(path: str, overrides=(), command: str | None = None) -> RunConfig:
@@ -140,18 +151,24 @@ def load_config(path: str, overrides=(), command: str | None = None) -> RunConfi
         raise ConfigError("config requires at least 'command' and 'case_id'")
     if "k_policy" not in data:
         raise ConfigError("config requires 'k_policy'")
+    levels = data.get("levels", [])
+    if not isinstance(levels, list):
+        raise ConfigError(f"levels must be a list of integers, got {levels!r}")
+    snapshot = data.get("snapshot", False)
+    if not isinstance(snapshot, bool):
+        raise ConfigError(f"snapshot must be true or false, got {snapshot!r}")
 
     cfg = RunConfig(
         command=str(data["command"]),
         case_id=str(data["case_id"]),
-        p=int(data.get("p", 0)),
-        levels=[int(n) for n in data.get("levels", [])],
+        p=_integer("p", data.get("p", 0)),
+        levels=[_integer("levels", n) for n in levels],
         k_policy=KPolicy.parse(data["k_policy"]),
         T_end=float(data.get("T_end", 1.0)),
-        n_steps=int(data["n_steps"]) if data.get("n_steps") is not None else None,
+        n_steps=None if data.get("n_steps") is None else _integer("n_steps", data["n_steps"]),
         k_ref=float(data["k_ref"]) if data.get("k_ref") is not None else None,
         output_path=str(data.get("output_path", "study.csv")),
-        snapshot=bool(data.get("snapshot", False)),
+        snapshot=snapshot,
     )
     cfg.validate()
     return cfg
@@ -208,28 +225,33 @@ def write_vtk(path: str, mesh, dofmap, field_coeffs) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _level_timestep(cfg: RunConfig, h_max: float):
-    k = cfg.k_policy.k_for(h_max)
+def _level(cfg: RunConfig, n: int):
+    """Mesh, dofmap and case of one study level, with k from the policy."""
+    mesh = build_structured_mesh(n)
+    dofmap = build_dofmap(mesh, cfg.p)
+    k = cfg.k_policy.k_for(mesh.h_max)
     if k <= 0.0:
         raise ConfigError(f"k_policy produced nonpositive time step {k}")
     T_end = cfg.n_steps * k if cfg.n_steps is not None else cfg.T_end
-    return k, T_end
+    return mesh, dofmap, make_case(cfg.case_id, k, T_end)
+
+
+def _error_report(level: int, mesh, dofmap, coeffs, trial: TrialVector,
+                  exact: SpatialFields) -> ErrorReport:
+    return ErrorReport(
+        level=level, h_max=mesh.h_max, k=coeffs.k, n_field=dofmap.n_field,
+        n_trace=dofmap.n_trace,
+        err_L2=field_error(mesh, dofmap, trial.field, exact, "L2"),
+        err_H1_semi=field_error(mesh, dofmap, trial.field, exact, "H1semi"),
+        err_trace_dual=trace_dual_error(mesh, dofmap, coeffs, trial.trace, exact.grad_u),
+    )
 
 
 def _march_report(cfg: RunConfig, level: int, n: int):
-    mesh = build_structured_mesh(n)
-    dofmap = build_dofmap(mesh, cfg.p)
-    k, T_end = _level_timestep(cfg, mesh.h_max)
-    case = make_case(cfg.case_id, k, T_end)
+    mesh, dofmap, case = _level(cfg, n)
     state = march(case, mesh, dofmap)
-    u_fn, grad_fn = case.spatial_u(state.time)
-    exact = SpatialFields(u=u_fn, grad_u=grad_fn)
-    report = ErrorReport(
-        level=level, h_max=mesh.h_max, k=k, n_field=dofmap.n_field, n_trace=dofmap.n_trace,
-        err_L2=field_error(mesh, dofmap, state.current.field, exact, "L2"),
-        err_H1_semi=field_error(mesh, dofmap, state.current.field, exact, "H1semi"),
-        err_trace_dual=trace_dual_error(mesh, dofmap, case.coeffs, state.current.trace, grad_fn),
-    )
+    exact = SpatialFields(*case.spatial_u(state.time))
+    report = _error_report(level, mesh, dofmap, case.coeffs, state.current, exact)
     return mesh, dofmap, state, report
 
 
@@ -265,15 +287,9 @@ def cmd_converge_time(cfg: RunConfig) -> int:
     for level, k in enumerate(k_values):
         case = make_case(cfg.case_id, k, cfg.T_end)
         state = march(case, mesh, dofmap)
-        dfield = state.current.field - ref_state.current.field
-        dtrace = state.current.trace - ref_state.current.trace
-        reports.append(ErrorReport(
-            level=level, h_max=mesh.h_max, k=k, n_field=dofmap.n_field,
-            n_trace=dofmap.n_trace,
-            err_L2=field_error(mesh, dofmap, dfield, zero, "L2"),
-            err_H1_semi=field_error(mesh, dofmap, dfield, zero, "H1semi"),
-            err_trace_dual=trace_seminorm_discrete(mesh, dofmap, case.coeffs, dtrace),
-        ))
+        diff = TrialVector(field=state.current.field - ref_state.current.field,
+                           trace=state.current.trace - ref_state.current.trace)
+        reports.append(_error_report(level, mesh, dofmap, case.coeffs, diff, zero))
     _attach_rates(reports, list(k_values))
     write_csv(cfg.output_path, reports)
     print_table(reports)
@@ -283,20 +299,10 @@ def cmd_converge_time(cfg: RunConfig) -> int:
 def cmd_converge_projection(cfg: RunConfig) -> int:
     reports = []
     for level, n in enumerate(cfg.levels):
-        mesh = build_structured_mesh(n)
-        dofmap = build_dofmap(mesh, cfg.p)
-        k, T_end = _level_timestep(cfg, mesh.h_max)
-        case = make_case(cfg.case_id, k, T_end)
-        u_fn, grad_fn = case.spatial_u(0.0)
-        exact = SpatialFields(u=u_fn, grad_u=grad_fn)
+        mesh, dofmap, case = _level(cfg, n)
+        exact = SpatialFields(*case.spatial_u(0.0))
         result = project(mesh, dofmap, case.coeffs, exact)
-        reports.append(ErrorReport(
-            level=level, h_max=mesh.h_max, k=k, n_field=dofmap.n_field,
-            n_trace=dofmap.n_trace,
-            err_L2=field_error(mesh, dofmap, result.field, exact, "L2"),
-            err_H1_semi=field_error(mesh, dofmap, result.field, exact, "H1semi"),
-            err_trace_dual=trace_dual_error(mesh, dofmap, case.coeffs, result.trace, grad_fn),
-        ))
+        reports.append(_error_report(level, mesh, dofmap, case.coeffs, result, exact))
     _attach_rates(reports, [r.h_max for r in reports])
     write_csv(cfg.output_path, reports)
     print_table(reports)
@@ -304,19 +310,16 @@ def cmd_converge_projection(cfg: RunConfig) -> int:
 
 
 def cmd_heat_identity(cfg: RunConfig) -> int:
-    n = cfg.levels[0]
-    mesh = build_structured_mesh(n)
-    dofmap = build_dofmap(mesh, cfg.p)
-    k, T_end = _level_timestep(cfg, mesh.h_max)
-    case = make_case(cfg.case_id, k, T_end)
+    mesh, dofmap, case = _level(cfg, cfg.levels[0])
     state = march(case, mesh, dofmap)
-    oracle = galerkin_march(mesh, dofmap, k, T_end, case.f, case.u0, coeffs=case.coeffs)
+    oracle = galerkin_march(mesh, dofmap, case.coeffs.k, case.coeffs.T_end, case.f, case.u0,
+                            coeffs=case.coeffs)
     deviation = float(np.abs(state.current.field - oracle).max()
                       / max(np.abs(oracle).max(), 1e-300))
-    verdict = "PASS" if deviation <= HEAT_IDENTITY_TOL else "FAIL"
+    passed = deviation <= HEAT_IDENTITY_TOL
     print(f"max relative DOF deviation: {deviation:.3e} "
-          f"({verdict} vs {HEAT_IDENTITY_TOL:.0e})")
-    return 0
+          f"({'PASS' if passed else 'FAIL'} vs {HEAT_IDENTITY_TOL:.0e})")
+    return 0 if passed else 1
 
 
 _DISPATCH = {
@@ -361,3 +364,7 @@ def main(argv=None) -> int:
 
 def cli_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    cli_main()

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (LocalBlocks, PdeCoefficients, _build_blocks, _geometry,
-                       scatter_condensed)
-from .basis import lagrange_triangle, triangle_rule
+from .assembly import (LocalBlocks, PdeCoefficients, _build_blocks, _physical_gradients,
+                       condense_element_loads, scatter_condensed, volume_quadrature)
+from .basis import lagrange_triangle
 from .dofmap import DofMap
 from .errors import SpatialFields, _trace_residuals
 from .linalg import lu_solve
@@ -57,7 +57,8 @@ class ProjectionSystem:
 
 def build_projection_system(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> ProjectionSystem:
     blocks = _build_blocks(mesh, dofmap, coeffs)
-    N = scatter_condensed(blocks.Bt_a, blocks.Bt_b, blocks.cols, dofmap.n_dof)
+    Bt_b = blocks.chol_inv @ blocks.B_b
+    N = scatter_condensed(blocks.Bt_a, Bt_b, blocks.cols, dofmap.n_dof)
     return ProjectionSystem(N=N, blocks=blocks, mesh=mesh, dofmap=dofmap, coeffs=coeffs)
 
 
@@ -65,13 +66,9 @@ def exact_b_load(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
                  exact: SpatialFields) -> np.ndarray:
     """Element test loads l_b[m] = b((u, A grad u . n), psi_m) for exact data."""
     p = dofmap.p
-    rule = triangle_rule(2 * (p + 2) + 2)
+    rule, qp, wdet, invJ = volume_quadrature(mesh, 2 * (p + 2) + 2)
     table = lagrange_triangle(p + 2, rule.points)
-    v, J, invJ, detJ = _geometry(mesh)
-    wdet = rule.weights[None, :] * detJ[:, None]
-    qp = v[:, 0, None, :] + np.einsum("eab,qb->eqa", J, rule.points)
-
-    grads = np.einsum("eba,mqb->emqa", invJ, table.gradients)
+    grads = _physical_gradients(invJ, table)
     g = np.moveaxis(np.asarray(exact.grad_u(qp[..., 0], qp[..., 1])), 0, -1)
     a_grad = g @ coeffs.A.T
     loads = np.einsum("emqa,eqa,eq->em", grads, a_grad, wdet)
@@ -86,16 +83,6 @@ def exact_b_load(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     return loads
 
 
-def condense_b_load(blocks: LocalBlocks, loads: np.ndarray) -> np.ndarray:
-    """Condensed projection right-hand side from element test loads."""
-    y = np.einsum("emn,en->em", blocks.chol_inv, loads)
-    contrib = np.einsum("emc,em->ec", blocks.Bt_a, y)
-    out = np.zeros(blocks.n_dof)
-    mask = blocks.cols >= 0
-    np.add.at(out, blocks.cols[mask], contrib[mask])
-    return out
-
-
 def discrete_b_load(blocks: LocalBlocks, coefficients: np.ndarray) -> np.ndarray:
     """Element test loads b(u_h, psi_m) of a discrete trial vector."""
     u_loc = blocks.gather_local(np.asarray(coefficients, dtype=float))
@@ -107,7 +94,7 @@ def project(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     """Elliptic projection of exact data (u, grad_u); the flux trace is taken
     from grad_u and is single-valued for smooth u."""
     system = build_projection_system(mesh, dofmap, coeffs)
-    rhs = condense_b_load(system.blocks, exact_b_load(mesh, dofmap, coeffs, exact))
+    rhs = condense_element_loads(system.blocks, exact_b_load(mesh, dofmap, coeffs, exact))
     x = lu_solve(system.N, rhs)
     return TrialVector.from_vector(x, dofmap.n_field)
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import PdeCoefficients, _edge_test_tables, _geometry, gram_blocks
-from .basis import edge_rule, lagrange_edge, lagrange_triangle, triangle_rule
+from .assembly import (PdeCoefficients, _edge_test_tables, _geometry, _physical_gradients,
+                       gather, gram_blocks, volume_quadrature)
+from .basis import edge_rule, lagrange_edge, lagrange_triangle
 from .dofmap import DofMap
 from .mesh import Mesh
 
@@ -62,26 +63,15 @@ def field_error(mesh: Mesh, dofmap: DofMap, coeffs_vector, exact: SpatialFields,
     """L2 or H1-seminorm distance between the discrete field and exact data."""
     if mode not in ("L2", "H1semi"):
         raise ValueError(f"mode must be 'L2' or 'H1semi', got {mode!r}")
-    p = dofmap.p
-    rule = triangle_rule(_norm_rule_degree(p))
-    table = lagrange_triangle(p + 1, rule.points)
-    v, J, invJ, detJ = _geometry(mesh)
-    wdet = rule.weights[None, :] * detJ[:, None]
-    qp = v[:, 0, None, :] + np.einsum("eab,qb->eqa", J, rule.points)
-
-    coeffs_vector = np.asarray(coeffs_vector, dtype=float)
-    fcols = dofmap.element_field_dofs
-    if coeffs_vector.size:
-        u_loc = np.where(fcols >= 0, coeffs_vector[np.clip(fcols, 0, None)], 0.0)
-    else:
-        u_loc = np.zeros(fcols.shape)
+    rule, qp, wdet, invJ = volume_quadrature(mesh, _norm_rule_degree(dofmap.p))
+    table = lagrange_triangle(dofmap.p + 1, rule.points)
+    u_loc = gather(np.asarray(coeffs_vector, dtype=float), dofmap.element_field_dofs)
 
     if mode == "L2":
         uh = np.einsum("ej,jq->eq", u_loc, table.values)
         diff = exact.u(qp[..., 0], qp[..., 1]) - uh
         return float(np.sqrt(np.sum(wdet * diff**2)))
-    grads = np.einsum("eba,jqb->ejqa", invJ, table.gradients)
-    gh = np.einsum("ej,ejqa->eqa", u_loc, grads)
+    gh = np.einsum("ej,ejqa->eqa", u_loc, _physical_gradients(invJ, table))
     g = np.moveaxis(np.asarray(exact.grad_u(qp[..., 0], qp[..., 1])), 0, -1)
     diff = g - gh
     return float(np.sqrt(np.sum(wdet * np.sum(diff**2, axis=-1))))
@@ -89,7 +79,7 @@ def field_error(mesh: Mesh, dofmap: DofMap, coeffs_vector, exact: SpatialFields,
 
 def _trace_residuals(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients, sigma_h,
                      grad_u, test_degree: int) -> np.ndarray:
-    """r_K[m] = <sigma - sigma_h, psi_m>_K; grad_u None means sigma = 0."""
+    """r_K[m] = <sigma - sigma_h, psi_m>_K with sigma = A grad_u . n."""
     p = dofmap.p
     erule = edge_rule(min(2 * p + 4, 8))
     trace_tab = lagrange_edge(p, erule.points)
@@ -111,17 +101,13 @@ def _trace_residuals(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients, sigma_
         tdofs = edge_idx[:, None] * n_per_edge + np.arange(n_per_edge)[None, :]
         sig_vals = np.einsum("er,rq->eq", sigma_h[tdofs], trace_tab.values)
 
-        if grad_u is not None:
-            lo = mesh.vertices[mesh.edges[edge_idx, 0]]
-            hi = mesh.vertices[mesh.edges[edge_idx, 1]]
-            tangent = (hi - lo) / length[:, None]
-            normal = np.column_stack((tangent[:, 1], -tangent[:, 0]))
-            pts = lo[:, None, :] + erule.points[None, :, None] * (hi - lo)[:, None, :]
-            g = np.moveaxis(np.asarray(grad_u(pts[..., 0], pts[..., 1])), 0, -1)
-            flux = np.einsum("eqa,ea->eq", g @ coeffs.A.T, normal)
-            diff = flux - sig_vals
-        else:
-            diff = -sig_vals
+        lo = mesh.vertices[mesh.edges[edge_idx, 0]]
+        hi = mesh.vertices[mesh.edges[edge_idx, 1]]
+        tangent = (hi - lo) / length[:, None]
+        normal = np.column_stack((tangent[:, 1], -tangent[:, 0]))
+        pts = lo[:, None, :] + erule.points[None, :, None] * (hi - lo)[:, None, :]
+        g = np.moveaxis(np.asarray(grad_u(pts[..., 0], pts[..., 1])), 0, -1)
+        diff = np.einsum("eqa,ea->eq", g @ coeffs.A.T, normal) - sig_vals
 
         psi = np.where((s == 1)[:, None, None], edge_tables[(l, 1)][None],
                        edge_tables[(l, -1)][None])
@@ -134,16 +120,6 @@ def trace_dual_error(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients, sigma_
     """Discrete dual-norm surrogate of || A grad u . n - sigma_h ||_{-1/2,k}."""
     deg = test_degree if test_degree is not None else dofmap.p + 2
     r = _trace_residuals(mesh, dofmap, coeffs, sigma_h, grad_u, deg)
-    gram = gram_blocks(mesh, dofmap.p, coeffs, test_degree=deg)
-    y = np.linalg.solve(gram, r[:, :, None])[:, :, 0]
-    return float(np.sqrt(np.sum(r * y)))
-
-
-def trace_seminorm_discrete(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
-                            sigma_coeffs, test_degree: int | None = None) -> float:
-    """Surrogate norm of a discrete trace, ||Theta_h(0, sigma)||_{V,k}."""
-    deg = test_degree if test_degree is not None else dofmap.p + 2
-    r = _trace_residuals(mesh, dofmap, coeffs, sigma_coeffs, None, deg)
     gram = gram_blocks(mesh, dofmap.p, coeffs, test_degree=deg)
     y = np.linalg.solve(gram, r[:, :, None])[:, :, 0]
     return float(np.sqrt(np.sum(r * y)))
@@ -166,10 +142,7 @@ def eoc(errors, steps):
 
 def function_l2_norm(mesh: Mesh, f, degree: int = 8) -> float:
     """Quadrature L2 norm of a pointwise function over the mesh."""
-    rule = triangle_rule(degree)
-    v, J, _, detJ = _geometry(mesh)
-    wdet = rule.weights[None, :] * detJ[:, None]
-    qp = v[:, 0, None, :] + np.einsum("eab,qb->eqa", J, rule.points)
+    _, qp, wdet, _ = volume_quadrature(mesh, degree)
     vals = f(qp[..., 0], qp[..., 1])
     return float(np.sqrt(np.sum(wdet * vals**2)))
 
@@ -185,13 +158,7 @@ def evaluate_field(mesh: Mesh, dofmap: DofMap, coeffs_vector, x, y) -> np.ndarra
     inside = (local[..., 0] >= -tol) & (local[..., 1] >= -tol) \
         & (local.sum(axis=-1) <= 1.0 + tol)
 
-    coeffs_vector = np.asarray(coeffs_vector, dtype=float)
-    fcols = dofmap.element_field_dofs
-    if coeffs_vector.size:
-        u_loc = np.where(fcols >= 0, coeffs_vector[np.clip(fcols, 0, None)], 0.0)
-    else:
-        u_loc = np.zeros(fcols.shape)
-
+    u_loc = gather(np.asarray(coeffs_vector, dtype=float), dofmap.element_field_dofs)
     out = np.empty(pts.shape[0])
     for i in range(pts.shape[0]):
         hits = np.flatnonzero(inside[:, i])

@@ -15,11 +15,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import PdeCoefficients, _geometry
-from .basis import lagrange_triangle, triangle_rule
+from .assembly import PdeCoefficients, _physical_gradients, volume_quadrature
+from .basis import lagrange_triangle
 from .dofmap import DofMap
 from .mesh import Mesh
-from .timestep import initial_field
+from .timestep import initial_field, n_steps
 
 
 @dataclass
@@ -37,11 +37,9 @@ def build_galerkin_system(mesh: Mesh, dofmap: DofMap, k: float) -> GalerkinSyste
     p = dofmap.p
     # load/mass quadrature exactness matches the DPG assembly so the heat-case
     # identity holds to solver tolerance even for non-polynomial sources
-    rule = triangle_rule(2 * (p + 2))
+    rule, _, wdet, invJ = volume_quadrature(mesh, 2 * (p + 2))
     table = lagrange_triangle(p + 1, rule.points)
-    v, J, invJ, detJ = _geometry(mesh)
-    wdet = rule.weights[None, :] * detJ[:, None]
-    grads = np.einsum("eba,jqb->ejqa", invJ, table.gradients)
+    grads = _physical_gradients(invJ, table)
 
     m_loc = np.einsum("iq,jq,eq->eij", table.values, table.values, wdet)
     k_loc = np.einsum("eiqa,ejqa,eq->eij", grads, grads, wdet)
@@ -58,11 +56,8 @@ def build_galerkin_system(mesh: Mesh, dofmap: DofMap, k: float) -> GalerkinSyste
 
 
 def _source_load(mesh: Mesh, dofmap: DofMap, g) -> np.ndarray:
-    rule = triangle_rule(2 * (dofmap.p + 2))
+    rule, qp, wdet, _ = volume_quadrature(mesh, 2 * (dofmap.p + 2))
     table = lagrange_triangle(dofmap.p + 1, rule.points)
-    v, J, _, detJ = _geometry(mesh)
-    wdet = rule.weights[None, :] * detJ[:, None]
-    qp = v[:, 0, None, :] + np.einsum("eab,qb->eqa", J, rule.points)
     loc = np.einsum("jq,eq->ej", table.values, wdet * g(qp[..., 0], qp[..., 1]))
     out = np.zeros(dofmap.n_field)
     mask = dofmap.element_field_dofs >= 0
@@ -80,10 +75,7 @@ def galerkin_march(mesh: Mesh, dofmap: DofMap, k: float, T_end: float, f, u0,
     if coeffs is not None and not coeffs.is_heat():
         raise ValueError("the Galerkin oracle is only valid for the heat equation "
                          "(A = I, beta = 0, gamma = 0)")
-    count = int(round(T_end / k))
-    if count < 1 or abs(count * k - T_end) > 1e-12 * max(1.0, T_end):
-        raise ValueError(f"T_end={T_end} is not an integer multiple of k={k}")
-
+    count = n_steps(k, T_end)
     system = build_galerkin_system(mesh, dofmap, k)
     solver = spla.splu(system.step_matrix().tocsc())
     u = initial_field(u0, dofmap, mesh).field

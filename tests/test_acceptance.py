@@ -9,11 +9,11 @@ import time
 import numpy as np
 import pytest
 
-from dpgmarch.assembly import PdeCoefficients, assemble_condensed
+from dpgmarch.assembly import PdeCoefficients, assemble_condensed, condense_element_loads
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
 from dpgmarch.elliptic import (b_orthogonality_residual, build_projection_system,
-                               condense_b_load, exact_b_load, project, project_mixed)
+                               exact_b_load, project, project_mixed)
 from dpgmarch.errors import (SpatialFields, eoc, field_error, function_l2_norm,
                              trace_dual_error)
 from dpgmarch.galerkin import galerkin_march
@@ -188,7 +188,7 @@ def test_criterion_9_projection_orthogonality():
     mesh = build_structured_mesh(8)
     dofmap = build_dofmap(mesh, 0)
     system = build_projection_system(mesh, dofmap, case.coeffs)
-    rhs = condense_b_load(system.blocks, exact_b_load(mesh, dofmap, case.coeffs, exact))
+    rhs = condense_element_loads(system.blocks, exact_b_load(mesh, dofmap, case.coeffs, exact))
     solution = lu_solve(system.N, rhs)
     residual, scale = b_orthogonality_residual(system, rhs, solution)
     report(9, residual <= 1e-10 * scale,

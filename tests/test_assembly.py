@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from dpgmarch.assembly import (PdeCoefficients, apply_trial_to_test, assemble_condensed,
-                               condense_load, embed_field_in_test, local_gram,
-                               local_trial_to_test)
+                               condense_load, embed_field_in_test, gram_blocks)
 from dpgmarch.basis import lagrange_triangle, triangle_rule
 from dpgmarch.dofmap import build_dofmap
 from dpgmarch.mesh import build_structured_mesh, mesh_from_arrays
@@ -42,7 +41,7 @@ def test_gram_constant_test_function():
     # so 1^T G 1 = |K| / k
     mesh = build_structured_mesh(2)
     coeffs = coeffs_with(k=0.25)
-    gram = local_gram(mesh, 0, 3, coeffs)
+    gram = gram_blocks(mesh, 0, coeffs)[3]
     area = mesh.signed_areas()[3]
     ones = np.ones(gram.shape[0])
     assert ones @ gram @ ones == pytest.approx(area / coeffs.k, rel=1e-13)
@@ -52,7 +51,7 @@ def test_gram_matches_symbolic_on_reference_triangle():
     sympy = pytest.importorskip("sympy")
     x, y = sympy.symbols("x y")
     mesh = reference_triangle_mesh()
-    gram = local_gram(mesh, 0, 0, coeffs_with(k=1.0, T_end=1.0))
+    gram = gram_blocks(mesh, 0, coeffs_with(k=1.0, T_end=1.0))[0]
 
     from dpgmarch.basis import triangle_nodes
     nodes = [(sympy.nsimplify(px), sympy.nsimplify(py)) for px, py in triangle_nodes(2)]
@@ -71,9 +70,9 @@ def test_gram_matches_symbolic_on_reference_triangle():
 
 def test_gram_linear_in_inverse_timestep():
     mesh = build_structured_mesh(2)
-    g1 = local_gram(mesh, 0, 0, coeffs_with(k=1.0, T_end=1.0))
-    g2 = local_gram(mesh, 0, 0, coeffs_with(k=0.5, T_end=1.0))
-    g4 = local_gram(mesh, 0, 0, coeffs_with(k=0.25, T_end=1.0))
+    g1 = gram_blocks(mesh, 0, coeffs_with(k=1.0, T_end=1.0))[0]
+    g2 = gram_blocks(mesh, 0, coeffs_with(k=0.5, T_end=1.0))[0]
+    g4 = gram_blocks(mesh, 0, coeffs_with(k=0.25, T_end=1.0))[0]
     assert np.abs((g4 - g2) - 2.0 * (g2 - g1)).max() <= 1e-12 * np.abs(g4).max()
 
 
@@ -81,10 +80,10 @@ def test_gram_scaling_under_coordinate_scaling():
     # mass scales with s^2, the 2D stiffness is scale invariant
     s = 1.7
     k = 0.3
-    gram = local_gram(reference_triangle_mesh(), 0, 0, coeffs_with(k=k, T_end=1.0))
-    gram_big = local_gram(reference_triangle_mesh(1.0), 0, 0, coeffs_with(k=1.0, T_end=1.0))
+    gram = gram_blocks(reference_triangle_mesh(), 0, coeffs_with(k=k, T_end=1.0))[0]
+    gram_big = gram_blocks(reference_triangle_mesh(1.0), 0, coeffs_with(k=1.0, T_end=1.0))[0]
     mass = gram_big - local_gram_stiffness_part()
-    scaled = local_gram(reference_triangle_mesh(s), 0, 0, coeffs_with(k=k, T_end=1.0))
+    scaled = gram_blocks(reference_triangle_mesh(s), 0, coeffs_with(k=k, T_end=1.0))[0]
     expected = (s**2 / k) * mass + (gram_big - mass)
     assert np.abs(scaled - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -92,8 +91,8 @@ def test_gram_scaling_under_coordinate_scaling():
 def local_gram_stiffness_part():
     # G(k) = M/k + K  =>  M = G(1/2) - G(1), K = G(1) - M
     mesh = reference_triangle_mesh()
-    g1 = local_gram(mesh, 0, 0, coeffs_with(k=1.0, T_end=1.0))
-    g_half = local_gram(mesh, 0, 0, coeffs_with(k=0.5, T_end=1.0))
+    g1 = gram_blocks(mesh, 0, coeffs_with(k=1.0, T_end=1.0))[0]
+    g_half = gram_blocks(mesh, 0, coeffs_with(k=0.5, T_end=1.0))[0]
     mass = g_half - g1
     return g1 - mass
 
@@ -103,7 +102,7 @@ def test_trial_to_test_pure_gradient_rows_vanish():
     # leaves only the gradient term, which vanishes
     mesh = build_structured_mesh(2)
     dofmap = build_dofmap(mesh, 0)
-    B = local_trial_to_test(mesh, dofmap, 1, coeffs_with(), "b")
+    B = assemble_condensed(mesh, dofmap, coeffs_with()).blocks.B_b[1]
     ones = np.ones(B.shape[0])
     assert np.abs(ones @ B[:, :3]).max() <= 1e-13
 
@@ -112,8 +111,8 @@ def test_trial_to_test_form_difference_is_mass():
     mesh = build_structured_mesh(2)
     dofmap = build_dofmap(mesh, 0)
     coeffs = coeffs_with(beta=[1.0, 0.5], gamma=1.0, k=0.2)
-    Ba = local_trial_to_test(mesh, dofmap, 2, coeffs, "a")
-    Bb = local_trial_to_test(mesh, dofmap, 2, coeffs, "b")
+    blocks = assemble_condensed(mesh, dofmap, coeffs).blocks
+    Ba, Bb = blocks.B_a[2], blocks.B_b[2]
     diff = Ba - Bb
     assert np.abs(diff[:, 3:]).max() == 0.0  # trace columns unchanged
 
@@ -133,23 +132,13 @@ def test_trace_columns_telescope_for_constant_flux():
     dofmap = build_dofmap(mesh, 0)
     normals = mesh.edge_normals()
     sigma0 = np.array([0.3, -1.2])
+    B_b = assemble_condensed(mesh, dofmap, coeffs_with()).blocks.B_b
     for element in range(mesh.n_elements):
-        B = local_trial_to_test(mesh, dofmap, element, coeffs_with(), "b")
+        B = B_b[element]
         local_edges = mesh.element_edges[element]
         sigma_loc = normals[local_edges] @ sigma0
         ones = np.ones(B.shape[0])
         assert abs(ones @ B[:, 3:] @ sigma_loc) <= 1e-13
-
-
-def test_trial_to_test_validates_arguments():
-    mesh = build_structured_mesh(1)
-    dofmap = build_dofmap(mesh, 0)
-    with pytest.raises(ValueError):
-        local_trial_to_test(mesh, dofmap, 0, coeffs_with(), "c")
-    with pytest.raises(IndexError):
-        local_trial_to_test(mesh, dofmap, 5, coeffs_with(), "a")
-    with pytest.raises(IndexError):
-        local_gram(mesh, 0, 5, coeffs_with())
 
 
 def test_coarsest_system_rank():

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dpgmarch
+from dpgmarch import cli
 from dpgmarch.cli import KPolicy, load_config, main
 from dpgmarch.errors import ErrorReport
 
@@ -95,6 +101,16 @@ def test_heat_identity_command(tmp_path, capsys):
     assert "deviation" in out
 
 
+def test_heat_identity_failure_exits_1(tmp_path, monkeypatch, capsys):
+    oracle = cli.galerkin_march
+    monkeypatch.setattr(cli, "galerkin_march",
+                        lambda *args, **kwargs: oracle(*args, **kwargs) * (1.0 + 1e-6))
+    config = base_config(tmp_path, command="heat-identity", case_id="heat-decay",
+                         levels=[4], k_policy="fixed:0.01", n_steps=5)
+    assert main(["heat-identity", "--config", config]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_converge_time_command(tmp_path):
     config = base_config(tmp_path, command="converge-time", case_id="heat-decay",
                          levels=[4], k_policy="list:0.25,0.125", T_end=1.0,
@@ -127,6 +143,27 @@ def test_validation_exit_codes(tmp_path):
     assert main(["run", "--config", str(bad_json)]) == 2
 
 
+@pytest.mark.parametrize("override", [
+    "p=0.7", "p=true", "levels=[4.6]", "levels=[true]", "levels=8", "n_steps=2.9",
+    "n_steps=false", 'snapshot="no"', "snapshot=1",
+])
+def test_config_types_are_not_coerced(tmp_path, override):
+    config = base_config(tmp_path, command="run", levels=[4])
+    assert main(["run", "--config", config, override]) == 2
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_python_m_entry_point(tmp_path):
+    src = str(Path(dpgmarch.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "dpgmarch.cli", "run", "--config", str(tmp_path / "missing.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2
+    assert "configuration error" in result.stderr
+
+
 def test_command_line_overrides_config_command(tmp_path):
     # the positional command wins over the config entry
     config = base_config(tmp_path, command="run", levels=[4])
@@ -141,3 +178,5 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg.command == "converge-space"
     assert cfg.levels == [4, 8]
     assert cfg.k_policy.kind == "fixed"
+    # integral floats are integers
+    assert load_config(config, ["levels=[4.0, 8]", "p=1.0"]).levels == [4, 8]

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
+from dpgmarch.assembly import condense_element_loads
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
 from dpgmarch.elliptic import (b_orthogonality_residual, build_projection_system,
-                               condense_b_load, discrete_b_load, exact_b_load, project,
-                               project_mixed)
-from dpgmarch.errors import (SpatialFields, eoc, field_error, trace_dual_error,
-                             trace_seminorm_discrete)
+                               discrete_b_load, exact_b_load, project, project_mixed)
+from dpgmarch.errors import SpatialFields, eoc, field_error, trace_dual_error
 from dpgmarch.linalg import lu_solve
 from dpgmarch.mesh import build_structured_mesh
 
@@ -35,7 +34,7 @@ def test_galerkin_orthogonality_residual():
     mesh = build_structured_mesh(4)
     dofmap = build_dofmap(mesh, 0)
     system = build_projection_system(mesh, dofmap, coeffs)
-    rhs = condense_b_load(system.blocks, exact_b_load(mesh, dofmap, coeffs, exact))
+    rhs = condense_element_loads(system.blocks, exact_b_load(mesh, dofmap, coeffs, exact))
     solution = lu_solve(system.N, rhs)
     residual, scale = b_orthogonality_residual(system, rhs, solution)
     assert residual <= 1e-10 * scale
@@ -144,5 +143,5 @@ def test_discrete_b_load_matches_matrix_action():
     system = build_projection_system(mesh, dofmap, coeffs)
     rng = np.random.default_rng(2)
     data = rng.standard_normal(dofmap.n_dof)
-    condensed = condense_b_load(system.blocks, discrete_b_load(system.blocks, data))
+    condensed = condense_element_loads(system.blocks, discrete_b_load(system.blocks, data))
     assert np.abs(condensed - system.N @ data).max() <= 1e-12 * np.abs(condensed).max()

@@ -5,7 +5,7 @@ from dpgmarch.basis import edge_rule, lagrange_edge
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
 from dpgmarch.errors import (SpatialFields, eoc, evaluate_field, field_error,
-                             function_l2_norm, trace_dual_error, trace_seminorm_discrete)
+                             function_l2_norm, trace_dual_error)
 from dpgmarch.mesh import build_structured_mesh
 
 ZERO = SpatialFields(u=lambda x, y: np.zeros_like(x),
@@ -95,8 +95,8 @@ def test_trace_surrogate_homogeneity():
     coeffs = make_case("adr-decay", 0.1, 1.0).coeffs
     rng = np.random.default_rng(2)
     sigma = rng.standard_normal(dofmap.n_trace)
-    one = trace_seminorm_discrete(mesh, dofmap, coeffs, sigma)
-    three = trace_seminorm_discrete(mesh, dofmap, coeffs, 3.0 * sigma)
+    one = trace_dual_error(mesh, dofmap, coeffs, sigma, ZERO.grad_u)
+    three = trace_dual_error(mesh, dofmap, coeffs, 3.0 * sigma, ZERO.grad_u)
     assert three == pytest.approx(3.0 * one, rel=1e-12)
 
 
@@ -123,8 +123,8 @@ def test_trace_surrogate_monotone_under_test_enrichment():
     case = make_case("adr-decay", 0.1, 1.0)
     rng = np.random.default_rng(3)
     sigma = rng.standard_normal(dofmap.n_trace)
-    standard = trace_seminorm_discrete(mesh, dofmap, case.coeffs, sigma)
-    enriched = trace_seminorm_discrete(mesh, dofmap, case.coeffs, sigma, test_degree=3)
+    standard = trace_dual_error(mesh, dofmap, case.coeffs, sigma, ZERO.grad_u)
+    enriched = trace_dual_error(mesh, dofmap, case.coeffs, sigma, ZERO.grad_u, test_degree=3)
     assert standard <= enriched * (1.0 + 1e-12)
 
 
