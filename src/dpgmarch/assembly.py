@@ -160,13 +160,18 @@ def volume_quadrature(mesh: Mesh, degree: int):
     """Triangle rule of the given degree mapped to every element.
 
     Returns (rule, physical points (ne, nq, 2), weights times det J (ne, nq),
-    J^{-1} (ne, 2, 2)).
+    J^{-1} (ne, 2, 2)).  Computed once per mesh and degree and kept in
+    `mesh.quadrature`; every later call returns the same read-only arrays.
     """
-    rule = triangle_rule(degree)
-    v, J, invJ, detJ = _geometry(mesh)
-    points = v[:, 0, None, :] + np.einsum("eab,qb->eqa", J, rule.points)
-    wdet = rule.weights[None, :] * detJ[:, None]
-    return rule, points, wdet, invJ
+    if degree not in mesh.quadrature:
+        rule = triangle_rule(degree)
+        v, J, invJ, detJ = _geometry(mesh)
+        points = v[:, 0, None, :] + np.einsum("eab,qb->eqa", J, rule.points)
+        wdet = rule.weights[None, :] * detJ[:, None]
+        for array in (points, wdet, invJ):
+            array.flags.writeable = False
+        mesh.quadrature[degree] = (rule, points, wdet, invJ)
+    return mesh.quadrature[degree]
 
 
 def _physical_gradients(invJ, table):

@@ -22,39 +22,25 @@ import numpy as np
 from .assembly import PdeCoefficients
 
 
-@dataclass(frozen=True)
-class SpatialProfile:
-    """Spatial factor phi with first and second derivatives."""
-
-    u: callable
-    ux: callable
-    uy: callable
-    uxx: callable
-    uxy: callable
-    uyy: callable
+# A spatial profile maps (x, y) to the factor phi and its derivatives
+# (phi, phi_x, phi_y, phi_xx, phi_xy, phi_yy), evaluating the shared factors
+# once.  Products keep their left-to-right operand order: regrouping them
+# changes the rounding, and with it the recorded CLI outputs.
 
 
-def _sine_profile() -> SpatialProfile:
+def _sine_profile(x, y):
     pi = np.pi
-    return SpatialProfile(
-        u=lambda x, y: np.sin(pi * x) * np.sin(pi * y),
-        ux=lambda x, y: pi * np.cos(pi * x) * np.sin(pi * y),
-        uy=lambda x, y: pi * np.sin(pi * x) * np.cos(pi * y),
-        uxx=lambda x, y: -pi**2 * np.sin(pi * x) * np.sin(pi * y),
-        uxy=lambda x, y: pi**2 * np.cos(pi * x) * np.cos(pi * y),
-        uyy=lambda x, y: -pi**2 * np.sin(pi * x) * np.sin(pi * y),
-    )
+    sx, cx = np.sin(pi * x), np.cos(pi * x)
+    sy, cy = np.sin(pi * y), np.cos(pi * y)
+    second = -pi**2 * sx * sy
+    return sx * sy, pi * cx * sy, pi * sx * cy, second, pi**2 * cx * cy, second
 
 
-def _bubble_profile() -> SpatialProfile:
-    return SpatialProfile(
-        u=lambda x, y: x * (1 - x) * y * (1 - y),
-        ux=lambda x, y: (1 - 2 * x) * y * (1 - y),
-        uy=lambda x, y: x * (1 - x) * (1 - 2 * y),
-        uxx=lambda x, y: -2.0 * y * (1 - y) + 0.0 * x,
-        uxy=lambda x, y: (1 - 2 * x) * (1 - 2 * y),
-        uyy=lambda x, y: -2.0 * x * (1 - x) + 0.0 * y,
-    )
+def _bubble_profile(x, y):
+    mx, my = 1 - x, 1 - y
+    dx, dy = 1 - 2 * x, 1 - 2 * y
+    return (x * mx * y * my, dx * y * my, x * mx * dy,
+            -2.0 * y * my + 0.0 * x, dx * dy, -2.0 * x * mx + 0.0 * y)
 
 
 @dataclass(frozen=True)
@@ -81,21 +67,22 @@ def _make_case(name, coeffs, profile, time_factor, time_factor_dot) -> PdeCase:
     A, beta, gamma = coeffs.A, coeffs.beta, coeffs.gamma
 
     def u(t, x, y):
-        return time_factor(t) * profile.u(x, y)
+        return time_factor(t) * profile(x, y)[0]
 
     def grad_u(t, x, y):
         g = time_factor(t)
-        return np.stack([g * profile.ux(x, y), g * profile.uy(x, y)])
+        _, ux, uy, *_ = profile(x, y)
+        return np.stack([g * ux, g * uy])
 
     def u_t(t, x, y):
-        return time_factor_dot(t) * profile.u(x, y)
+        return time_factor_dot(t) * profile(x, y)[0]
 
     def f(t, x, y):
         g = time_factor(t)
-        diffusion = (A[0, 0] * profile.uxx(x, y) + 2.0 * A[0, 1] * profile.uxy(x, y)
-                     + A[1, 1] * profile.uyy(x, y))
-        advection = beta[0] * profile.ux(x, y) + beta[1] * profile.uy(x, y)
-        return (u_t(t, x, y) + g * (-diffusion + advection + gamma * profile.u(x, y)))
+        phi, ux, uy, uxx, uxy, uyy = profile(x, y)
+        diffusion = A[0, 0] * uxx + 2.0 * A[0, 1] * uxy + A[1, 1] * uyy
+        advection = beta[0] * ux + beta[1] * uy
+        return time_factor_dot(t) * phi + g * (-diffusion + advection + gamma * phi)
 
     return PdeCase(name=name, coeffs=coeffs, u=u, grad_u=grad_u, u_t=u_t, f=f)
 
@@ -105,11 +92,11 @@ def _catalog():
     decay = (lambda t: np.exp(-t), lambda t: -np.exp(-t))
     steady = (lambda t: 1.0, lambda t: 0.0)
     return {
-        "heat-decay": (eye, np.zeros(2), 0.0, _sine_profile(), decay),
-        "adr-decay": (eye, np.array([1.0, 0.5]), 1.0, _sine_profile(), decay),
-        "stationary-adr": (eye, np.array([1.0, 0.5]), 1.0, _sine_profile(), steady),
+        "heat-decay": (eye, np.zeros(2), 0.0, _sine_profile, decay),
+        "adr-decay": (eye, np.array([1.0, 0.5]), 1.0, _sine_profile, decay),
+        "stationary-adr": (eye, np.array([1.0, 0.5]), 1.0, _sine_profile, steady),
         "aniso": (np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.3, -0.2]), 0.5,
-                  _bubble_profile(), decay),
+                  _bubble_profile, decay),
     }
 
 

@@ -7,18 +7,19 @@ Commands: run, converge-space, converge-time, converge-projection,
 heat-identity.  The JSON config uses flat keys (see RunConfig); trailing
 key=value pairs override config entries, with values parsed as JSON when
 possible.  `p`, `n_steps` and the entries of the `levels` list must be
-integral numbers (4 and 4.0 are accepted, 4.6 and true are not), and
-`snapshot` must be a JSON boolean; nothing is coerced.  Studies write a CSV
-table with the ErrorReport columns and print an EOC table; `run` can
-additionally dump the field as a legacy ASCII VTK snapshot.  Exit codes:
-0 success, 1 verification failed (heat-identity FAIL), 2 validation error,
-3 solver failure.
+integral numbers (4 and 4.0 are accepted, 4.6 and true are not), `T_end`
+and `k_ref` finite numbers, and `snapshot` a JSON boolean; nothing is
+coerced.  Studies write a CSV table with the ErrorReport columns and print
+an EOC table; `run` can additionally dump the field as a legacy ASCII VTK
+snapshot.  Exit codes: 0 success, 1 verification failed (heat-identity
+FAIL), 2 validation error, 3 solver failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -120,6 +121,19 @@ def _integer(key: str, value) -> int:
     return int(value)
 
 
+def _number(key: str, value) -> float:
+    """A finite JSON number as float; bools, strings, infinities, NaN and
+    integers beyond the float range are rejected."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{key} must be a finite number, got {value!r}")
+
+
 def load_config(path: str, overrides=(), command: str | None = None) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -164,9 +178,9 @@ def load_config(path: str, overrides=(), command: str | None = None) -> RunConfi
         p=_integer("p", data.get("p", 0)),
         levels=[_integer("levels", n) for n in levels],
         k_policy=KPolicy.parse(data["k_policy"]),
-        T_end=float(data.get("T_end", 1.0)),
+        T_end=_number("T_end", data.get("T_end", 1.0)),
         n_steps=None if data.get("n_steps") is None else _integer("n_steps", data["n_steps"]),
-        k_ref=float(data["k_ref"]) if data.get("k_ref") is not None else None,
+        k_ref=None if data.get("k_ref") is None else _number("k_ref", data["k_ref"]),
         output_path=str(data.get("output_path", "study.csv")),
         snapshot=snapshot,
     )

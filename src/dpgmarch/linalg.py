@@ -19,12 +19,16 @@ class SolverError(RuntimeError):
     """A linear solve failed in a way that must be surfaced, never masked."""
 
 
-def cg_solve(S, rhs, rel_tol: float = 1e-12, max_iter: int | None = None, diag=None):
-    """Jacobi-preconditioned conjugate gradients.
+def cg_solve(S, rhs, rel_tol: float = 1e-12, max_iter: int | None = None, diag=None,
+             x0=None):
+    """Jacobi-preconditioned conjugate gradients started from x0 (zero if None).
 
-    Returns (x, iterations) with ||S x - rhs|| <= rel_tol * ||rhs||.
-    Raises SolverError on nonpositive curvature (S not positive definite)
-    or when max_iter is exhausted.  `diag` may pass a precomputed S.diagonal().
+    Returns (x, iterations) with ||S x - rhs|| <= rel_tol * ||rhs||.  The test
+    is relative to ||rhs||, not to the initial residual, so a good x0 saves
+    iterations without loosening the result; an x0 that already passes returns
+    with 0 iterations.  Raises SolverError on non-finite rhs or x0, on
+    nonpositive or NaN curvature (S not positive definite) or when max_iter is
+    exhausted.  `diag` may pass a precomputed S.diagonal().
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
@@ -32,6 +36,11 @@ def cg_solve(S, rhs, rel_tol: float = 1e-12, max_iter: int | None = None, diag=N
     n = rhs.shape[0]
     if S.shape != (n, n):
         raise ValueError(f"shape mismatch: matrix {S.shape}, rhs {rhs.shape}")
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"shape mismatch: rhs {rhs.shape}, initial guess {x.shape}")
+    if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(x))):
+        raise SolverError("right-hand side or initial guess has non-finite entries")
     if max_iter is None:
         max_iter = 10 * n
 
@@ -44,17 +53,18 @@ def cg_solve(S, rhs, rel_tol: float = 1e-12, max_iter: int | None = None, diag=N
         raise SolverError("matrix has a nonpositive diagonal entry; not positive definite")
     inv_diag = 1.0 / diag
 
-    x = np.zeros(n)
-    r = rhs.copy()
+    r = rhs - S @ x
+    if np.linalg.norm(r) <= rel_tol * b_norm:
+        return x, 0
     z = inv_diag * r
     p = z.copy()
     rz = r @ z
     for iteration in range(1, max_iter + 1):
         Sp = S @ p
         curvature = p @ Sp
-        if curvature <= 0.0:
+        if not curvature > 0.0:
             raise SolverError(
-                f"nonpositive curvature {curvature:.3e} at CG iteration {iteration}; "
+                f"nonpositive or NaN curvature {curvature:.3e} at CG iteration {iteration}; "
                 "matrix is not positive definite"
             )
         alpha = rz / curvature

@@ -8,7 +8,7 @@ reconciles their outward normal with that global normal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,9 @@ class Mesh:
     vertex_on_boundary, edge_on_boundary : bool arrays
     h_max : float
         Longest edge length.
+    quadrature : dict
+        Volume quadrature of this mesh by rule degree, filled on first use by
+        ``assembly.volume_quadrature``; a new mesh always starts empty.
     """
 
     vertices: np.ndarray
@@ -43,6 +46,7 @@ class Mesh:
     vertex_on_boundary: np.ndarray
     edge_on_boundary: np.ndarray
     h_max: float
+    quadrature: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:

@@ -66,9 +66,13 @@ def initial_field(u0, dofmap: DofMap, mesh: Mesh) -> TrialVector:
 
 
 def step(system: CondensedSystem, state: MarchState, f_n) -> MarchState:
-    """One backward Euler step; f_n must be the source at the new time level."""
+    """One backward Euler step; f_n must be the source at the new time level.
+
+    CG starts from the current state: u^n - u^{n-1} = O(k), so the previous
+    solution is a close guess, and it keeps each step a function of the state.
+    """
     rhs = condense_load(system.blocks, f_n, state.current.field, system.coeffs)
-    x, _ = cg_solve(system.S, rhs, diag=system.jacobi_diag)
+    x, _ = cg_solve(system.S, rhs, x0=state.current.as_vector(), diag=system.jacobi_diag)
     return MarchState(
         step_index=state.step_index + 1,
         time=(state.step_index + 1) * system.coeffs.k,

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dpgmarch.assembly import (PdeCoefficients, apply_trial_to_test, assemble_condensed,
-                               condense_load, embed_field_in_test, gram_blocks)
+                               condense_load, embed_field_in_test, gram_blocks,
+                               volume_quadrature)
 from dpgmarch.basis import lagrange_triangle, triangle_rule
 from dpgmarch.dofmap import build_dofmap
 from dpgmarch.mesh import build_structured_mesh, mesh_from_arrays
@@ -275,3 +278,38 @@ def test_condense_load_mass_path_matches_function_path():
         lambda x, y: evaluate_field(mesh, dofmap, w, x, y) / coeffs.k,
         None, coeffs)
     assert np.abs(via_mass - via_func).max() <= 1e-12 * np.abs(via_mass).max()
+
+
+def test_volume_quadrature_repeats_the_same_arrays():
+    mesh = build_structured_mesh(3)
+    first = volume_quadrature(mesh, 4)
+    again = volume_quadrature(mesh, 4)
+    assert all(a is b for a, b in zip(first, again))
+    other_degree = volume_quadrature(mesh, 6)
+    assert other_degree[1].shape[1] != first[1].shape[1]
+    # the element blocks read the cached copy
+    blocks = assemble_condensed(mesh, build_dofmap(mesh, 0), coeffs_with()).blocks
+    assert blocks.quad_points is first[1] and blocks.quad_wdet is first[2]
+
+
+def test_volume_quadrature_arrays_are_read_only():
+    _, points, wdet, invJ = volume_quadrature(build_structured_mesh(2), 4)
+    for array in (points, wdet, invJ):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_volume_quadrature_is_never_shared_between_meshes():
+    a = build_structured_mesh(3)
+    b = build_structured_mesh(3)
+    qa, qb = volume_quadrature(a, 4), volume_quadrature(b, 4)
+    assert qa[1] is not qb[1] and np.array_equal(qa[1], qb[1])
+    # a copy with other vertices starts with an empty cache
+    moved = dataclasses.replace(a, vertices=0.5 * a.vertices)
+    assert moved.quadrature == {}
+    assert np.array_equal(volume_quadrature(moved, 4)[1], 0.5 * qa[1])
+    # meshes built and dropped in turn (whose ids may repeat) see their own geometry
+    for n in (2, 3, 4, 5):
+        mesh = build_structured_mesh(n)
+        _, points, wdet, _ = volume_quadrature(mesh, 4)
+        assert wdet.shape[0] == points.shape[0] == mesh.n_elements == 2 * n * n

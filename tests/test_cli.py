@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -146,10 +147,22 @@ def test_validation_exit_codes(tmp_path):
 @pytest.mark.parametrize("override", [
     "p=0.7", "p=true", "levels=[4.6]", "levels=[true]", "levels=8", "n_steps=2.9",
     "n_steps=false", 'snapshot="no"', "snapshot=1",
+    "T_end=true", 'T_end="1"', "T_end=Infinity", "T_end=1e400", "T_end=NaN",
+    "k_ref=true", 'k_ref="0.01"', "k_ref=-Infinity",
 ])
 def test_config_types_are_not_coerced(tmp_path, override):
     config = base_config(tmp_path, command="run", levels=[4])
     assert main(["run", "--config", config, override]) == 2
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_nan_source_exits_3(tmp_path, monkeypatch, capsys):
+    make_case = cli.make_case
+    monkeypatch.setattr(cli, "make_case", lambda *args: dataclasses.replace(
+        make_case(*args), f=lambda t, x, y: np.full_like(x, np.nan)))
+    config = base_config(tmp_path, command="run", case_id="heat-decay", levels=[4])
+    assert main(["run", "--config", config]) == 3
+    assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
 
 

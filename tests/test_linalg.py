@@ -65,6 +65,77 @@ def test_cg_validates_tolerance():
         cg_solve(sp.identity(2, format="csr"), np.ones(2), rel_tol=2.0)
 
 
+class CountingMatrix:
+    """Sparse matrix stand-in that counts products."""
+
+    def __init__(self, S):
+        self.S, self.shape, self.products = S, S.shape, 0
+
+    def diagonal(self):
+        return self.S.diagonal()
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.S @ v
+
+
+def _spd(seed, n=20):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    return sp.csr_matrix(A.T @ A + np.eye(n)), rng
+
+
+@pytest.mark.parametrize("bad", ["rhs-nan", "rhs-inf", "x0-nan", "x0-inf"])
+def test_cg_nonfinite_data_raises_before_iterating(bad):
+    S, rng = _spd(5)
+    rhs, x0 = rng.standard_normal(20), rng.standard_normal(20)
+    value = np.nan if bad.endswith("nan") else np.inf
+    (rhs if bad.startswith("rhs") else x0)[3] = value
+    counting = CountingMatrix(S)
+    with pytest.raises(SolverError, match="non-finite"):
+        cg_solve(counting, rhs, x0=x0)
+    assert counting.products == 0
+
+
+def test_cg_nan_curvature_is_breakdown():
+    S = sp.csr_matrix(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(SolverError, match="curvature .* iteration 1;"):
+        cg_solve(S, np.array([1.0, 1.0]))
+
+
+def test_cg_exact_initial_guess_takes_no_iteration():
+    S, rng = _spd(6)
+    exact = rng.standard_normal(20)
+    rhs = S @ exact
+    x, iterations = cg_solve(S, rhs, x0=exact)
+    assert iterations == 0
+    assert np.array_equal(x, exact) and x is not exact
+
+
+def test_cg_warm_start_meets_the_rhs_relative_bound():
+    S, rng = _spd(7)
+    rhs = rng.standard_normal(20)
+    x0 = 1e3 * rng.standard_normal(20)  # initial residual far above ||rhs||
+    guess = x0.copy()
+    for rel_tol in (1e-8, 1e-12):
+        x, iterations = cg_solve(S, rhs, rel_tol=rel_tol, x0=x0)
+        assert iterations >= 1
+        assert np.linalg.norm(S @ x - rhs) <= rel_tol * np.linalg.norm(rhs)
+    assert np.array_equal(x0, guess)  # the guess is not written to
+
+
+def test_cg_zero_rhs_with_nonzero_guess_returns_zeros():
+    S, rng = _spd(8)
+    x, iterations = cg_solve(S, np.zeros(20), x0=rng.standard_normal(20))
+    assert iterations == 0
+    assert np.all(x == 0.0)
+
+
+def test_cg_rejects_misshapen_guess():
+    with pytest.raises(ValueError, match="initial guess"):
+        cg_solve(sp.identity(3, format="csr"), np.ones(3), x0=np.ones(2))
+
+
 def test_lu_identity():
     assert np.allclose(lu_solve(np.eye(3), np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
 

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from dpgmarch.assembly import assemble_condensed
+from dpgmarch import timestep
+from dpgmarch.assembly import assemble_condensed, condense_load
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
 from dpgmarch.errors import SpatialFields, evaluate_field, field_error, function_l2_norm
 from dpgmarch.galerkin import galerkin_march
+from dpgmarch.linalg import cg_solve
 from dpgmarch.mesh import build_structured_mesh
 from dpgmarch.timestep import MarchState, initial_field, march, n_steps, step
 
@@ -141,3 +144,39 @@ def test_temporal_self_convergence():
         diff = state.current.field - reference.current.field
         errors.append(field_error(mesh, dofmap, diff, ZERO, "L2"))
     assert errors[1] < 0.75 * errors[0]
+
+
+def test_march_matches_direct_solves():
+    # CG against the direct solve: each step of a warm-started march equals a
+    # march that solves the same step with a sparse direct factorization
+    mesh = build_structured_mesh(8)
+    dofmap = build_dofmap(mesh, 1)
+    k = 1 / 64
+    case = make_case("aniso", k, 4 * k)
+    final = march(case, mesh, dofmap).current.as_vector()
+    system = assemble_condensed(mesh, dofmap, case.coeffs)
+    S = system.S.tocsc()
+    field = initial_field(case.u0, dofmap, mesh).field
+    for n in range(1, 5):
+        rhs = condense_load(system.blocks, lambda x, y, t=n * k: case.f(t, x, y), field,
+                            case.coeffs)
+        direct = spla.spsolve(S, rhs)
+        field = direct[:dofmap.n_field]
+    assert np.linalg.norm(final - direct) <= 1e-10 * np.linalg.norm(direct)
+
+
+def test_warm_start_saves_cg_iterations(monkeypatch):
+    warm, cold = [], []
+
+    def counting(S, rhs, **kwargs):
+        assert kwargs["x0"] is not None
+        x, iterations = cg_solve(S, rhs, **kwargs)
+        warm.append(iterations)
+        cold.append(cg_solve(S, rhs, diag=kwargs["diag"])[1])
+        return x, iterations
+
+    monkeypatch.setattr(timestep, "cg_solve", counting)
+    mesh = build_structured_mesh(8)
+    march(make_case("heat-decay", 1 / 64, 8 / 64), mesh, build_dofmap(mesh, 0))
+    assert len(warm) == 8
+    assert sum(warm) < sum(cold)
