@@ -20,16 +20,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from .basis import TRIANGLE_VERTICES, edge_rule, lagrange_edge, lagrange_triangle, triangle_rule
 from .dofmap import DofMap
-from .linalg import SolverError
+from .linalg import SolverError, factor_spd
 from .mesh import Mesh
 
 _SYM_TOL = 1e-12
+_CHUNK = 1024  # elements per pass of _build_blocks, which bounds its temporaries
 _TRACE_EQUIV_WARN = 10.0  # h / sqrt(k) beyond which the trace-norm equivalence degrades
 
 
@@ -51,6 +53,9 @@ class PdeCoefficients:
             raise ValueError(f"A must be 2x2, got shape {A.shape}")
         if beta.shape != (2,):
             raise ValueError(f"beta must be a 2-vector, got shape {beta.shape}")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(beta))
+                and np.isfinite(self.gamma)):
+            raise ValueError("A, beta and gamma must be finite")
         if np.abs(A - A.T).max() > 1e-12 * max(np.abs(A).max(), 1.0):
             raise ValueError("A must be symmetric")
         if np.linalg.eigvalsh(A).min() <= 0.0:
@@ -131,14 +136,15 @@ class LocalBlocks:
 
 @dataclass
 class CondensedSystem:
-    """Global condensed normal-equation system plus retained element blocks."""
+    """Global condensed normal-equation system plus retained element blocks;
+    precond applies the inverse of a single-precision factor of S."""
 
     S: sp.csr_matrix
     blocks: LocalBlocks
     mesh: Mesh
     dofmap: DofMap
     coeffs: PdeCoefficients
-    jacobi_diag: np.ndarray
+    precond: Callable[[np.ndarray], np.ndarray]
 
 
 def _geometry(mesh: Mesh):
@@ -175,8 +181,10 @@ def volume_quadrature(mesh: Mesh, degree: int):
 
 
 def _physical_gradients(invJ, table):
-    # grad_x phi = J^{-T} grad_ref phi
-    return np.einsum("eba,mqb->emqa", invJ, table.gradients)
+    # grad_x phi = J^{-T} grad_ref phi, (ne, nm, nq, 2)
+    g = table.gradients
+    return (invJ[:, None, None, 0, :] * g[None, :, :, 0, None]
+            + invJ[:, None, None, 1, :] * g[None, :, :, 1, None])
 
 
 def gather(vector: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -220,7 +228,9 @@ def gram_blocks(mesh: Mesh, p: int, coeffs: PdeCoefficients, test_degree: int | 
     return _gram(_physical_gradients(invJ, table), table.values, wdet, coeffs)
 
 
-def _cholesky_blocks(gram: np.ndarray) -> np.ndarray:
+def _cholesky_blocks(gram: np.ndarray, first: int = 0) -> np.ndarray:
+    """Cholesky factors of stacked Gram blocks; `first` numbers the first
+    block in the error message."""
     try:
         return np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
@@ -229,7 +239,7 @@ def _cholesky_blocks(gram: np.ndarray) -> np.ndarray:
                 np.linalg.cholesky(gram[e])
             except np.linalg.LinAlgError:
                 raise SolverError(
-                    f"Cholesky factorization of the Gram block of element {e} failed; "
+                    f"Cholesky factorization of the Gram block of element {first + e} failed; "
                     "degenerate element or invalid time step"
                 ) from None
         raise
@@ -247,52 +257,60 @@ def _build_blocks(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> LocalB
     trace_tab = lagrange_edge(p, erule.points)
     edge_tables = _edge_test_tables(test_degree, erule)
 
-    v = mesh.vertices[mesh.elements]
     ne = mesh.n_elements
     nt = test_tab.n_basis
     nfl = field_tab.n_basis
     n_per_edge = p + 1
-
-    test_grads = _physical_gradients(invJ, test_tab)
-    field_grads = _physical_gradients(invJ, field_tab)
-    a_field_grads = np.einsum("ab,ejqb->ejqa", coeffs.A, field_grads)
-
-    gram = _gram(test_grads, test_tab.values, wdet, coeffs)
-
-    B_field = np.einsum("emqa,ejqa,eq->emj", test_grads, a_field_grads, wdet)
-    B_field += np.einsum("a,ejqa,mq,eq->emj", coeffs.beta, field_grads, test_tab.values, wdet)
-    mass_field = np.einsum("mq,jq,eq->emj", test_tab.values, field_tab.values, wdet)
-    if coeffs.gamma != 0.0:
-        B_field += coeffs.gamma * mass_field
+    nc = nfl + 3 * n_per_edge
 
     # trace pairing: column block of local edge l carries -sign * length * int_e tau psi
-    B_trace = np.empty((ne, nt, 3 * n_per_edge))
-    pair = {s: {} for s in (1, -1)}
-    for l in range(3):
-        for s in (1, -1):
-            pair[s][l] = np.einsum("mq,rq,q->mr", edge_tables[(l, s)], trace_tab.values,
-                                   erule.weights)
-    for l in range(3):
-        length = np.linalg.norm(v[:, (l + 1) % 3] - v[:, l], axis=1)
-        s = mesh.element_edge_signs[:, l]
-        block = np.where((s == 1)[:, None, None], pair[1][l][None], pair[-1][l][None])
-        B_trace[:, :, l * n_per_edge:(l + 1) * n_per_edge] = -(s * length)[:, None, None] * block
+    pair = {(l, s): np.einsum("mq,rq,q->mr", edge_tables[(l, s)], trace_tab.values,
+                              erule.weights)
+            for l in range(3) for s in (1, -1)}
 
-    B_b = np.concatenate([B_field, B_trace], axis=2)
-    B_a = B_b.copy()
-    B_a[:, :, :nfl] += (1.0 / k) * mass_field
+    # the element arrays are computed chunk by chunk into these outputs, so the
+    # quadrature-level temporaries never span the whole mesh
+    chol = np.empty((ne, nt, nt))
+    chol_inv = np.empty((ne, nt, nt))
+    B_a = np.empty((ne, nt, nc))
+    B_b = np.empty((ne, nt, nc))
+    Bt_a = np.empty((ne, nt, nc))
+    mass_field = np.empty((ne, nt, nfl))
+    for start in range(0, ne, _CHUNK):
+        e = slice(start, min(start + _CHUNK, ne))
+        w = wdet[e]
+        test_grads = _physical_gradients(invJ[e], test_tab)
+        field_grads = _physical_gradients(invJ[e], field_tab)
+        a_field_grads = np.einsum("ab,ejqb->ejqa", coeffs.A, field_grads)
 
-    chol = _cholesky_blocks(gram)
-    eye = np.broadcast_to(np.eye(nt), (ne, nt, nt))
-    chol_inv = np.linalg.solve(chol, eye)
+        chol[e] = _cholesky_blocks(_gram(test_grads, test_tab.values, w, coeffs), start)
+        chol_inv[e] = np.linalg.solve(chol[e], np.broadcast_to(np.eye(nt), chol[e].shape))
+
+        B_field = np.einsum("emqa,ejqa,eq->emj", test_grads, a_field_grads, w)
+        B_field += np.einsum("a,ejqa,mq,eq->emj", coeffs.beta, field_grads, test_tab.values, w)
+        mass_field[e] = np.einsum("mq,jq,eq->emj", test_tab.values, field_tab.values, w)
+        if coeffs.gamma != 0.0:
+            B_field += coeffs.gamma * mass_field[e]
+        B_b[e, :, :nfl] = B_field
+
+        v = mesh.vertices[mesh.elements[e]]
+        for l in range(3):
+            length = np.linalg.norm(v[:, (l + 1) % 3] - v[:, l], axis=1)
+            s = mesh.element_edge_signs[e, l]
+            block = np.where((s == 1)[:, None, None], pair[(l, 1)][None], pair[(l, -1)][None])
+            B_b[e, :, nfl + l * n_per_edge:nfl + (l + 1) * n_per_edge] = \
+                -(s * length)[:, None, None] * block
+
+        B_a[e] = B_b[e]
+        B_a[e, :, :nfl] += (1.0 / k) * mass_field[e]
+        Bt_a[e] = chol_inv[e] @ B_a[e]
 
     cols = np.hstack([dofmap.element_field_dofs,
                       dofmap.n_field + dofmap.element_trace_dofs])
 
     return LocalBlocks(
         p=p, k=k, n_field=dofmap.n_field, n_trace=dofmap.n_trace,
-        chol=chol, chol_inv=chol_inv,
-        B_a=B_a, B_b=B_b, Bt_a=chol_inv @ B_a,
+        chol=chol, chol_inv=chol_inv, B_a=B_a, B_b=B_b, Bt_a=Bt_a,
         mass_field=mass_field, cols=cols,
         quad_points=qpoints, quad_wdet=wdet, test_values=test_tab.values,
     )
@@ -302,12 +320,13 @@ def scatter_condensed(Bt_rows: np.ndarray, Bt_cols: np.ndarray, cols: np.ndarray
                       n_dof: int) -> sp.csr_matrix:
     """sum_K Bt_rows^T Bt_cols scattered over the free global unknowns."""
     contrib = np.einsum("emi,emj->eij", Bt_rows, Bt_cols)
-    nc = cols.shape[1]
-    rows_idx = np.repeat(cols[:, :, None], nc, axis=2)
-    cols_idx = np.repeat(cols[:, None, :], nc, axis=1)
-    mask = (rows_idx >= 0) & (cols_idx >= 0)
-    matrix = sp.coo_matrix((contrib[mask], (rows_idx[mask], cols_idx[mask])),
-                           shape=(n_dof, n_dof))
+    shape = contrib.shape
+    cols = cols.astype(np.int32)
+    free = cols >= 0
+    mask = free[:, :, None] & free[:, None, :]
+    rows_idx = np.broadcast_to(cols[:, :, None], shape)[mask]
+    cols_idx = np.broadcast_to(cols[:, None, :], shape)[mask]
+    matrix = sp.coo_matrix((contrib[mask], (rows_idx, cols_idx)), shape=(n_dof, n_dof))
     return matrix.tocsr()
 
 
@@ -322,11 +341,16 @@ def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> C
         )
     blocks = _build_blocks(mesh, dofmap, coeffs)
     S = scatter_condensed(blocks.Bt_a, blocks.Bt_a, blocks.cols, dofmap.n_dof)
-    asym = abs(S - S.T)
-    if asym.nnz and asym.max() > _SYM_TOL * abs(S).max():
+    # the CSC arrays of S are the CSR arrays of S^T; the pattern is symmetric
+    # by construction, so S = S^T compares the two value arrays
+    St = S.tocsc()
+    if S.nnz and (not (np.array_equal(St.indptr, S.indptr)
+                       and np.array_equal(St.indices, S.indices))
+                  or np.abs(St.data - S.data).max() > _SYM_TOL * np.abs(S.data).max()):
         raise SolverError("condensed system lost symmetry; assembly is inconsistent")
+    del St
     return CondensedSystem(S=S, blocks=blocks, mesh=mesh, dofmap=dofmap, coeffs=coeffs,
-                           jacobi_diag=S.diagonal())
+                           precond=factor_spd(S))
 
 
 def local_test_loads(blocks: LocalBlocks, g, w_field, coeffs: PdeCoefficients) -> np.ndarray:

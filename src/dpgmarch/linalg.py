@@ -1,5 +1,6 @@
-"""Sparse linear solvers: preconditioned CG for the condensed SPD system and
-a pivoted direct factorization for the nonsymmetric projection systems.
+"""Sparse linear solvers: CG for the condensed SPD system, preconditioned by a
+single-precision sparse factor of it, and a pivoted direct factorization for
+the nonsymmetric projection systems.
 
 Matrix storage is scipy CSR/CSC; desk-scale problem sizes make a sparse LU
 the right tool for everything that is not symmetric positive definite.
@@ -19,16 +20,45 @@ class SolverError(RuntimeError):
     """A linear solve failed in a way that must be surfaced, never masked."""
 
 
-def cg_solve(S, rhs, rel_tol: float = 1e-12, max_iter: int | None = None, diag=None,
+def factor_spd(S):
+    """Single-precision sparse factor of a symmetric positive definite S, as a
+    preconditioner r -> M^{-1} r for `cg_solve`.
+
+    SuperLU factors a float32 copy of S's values in symmetric mode (minimum
+    degree ordering on S + S^T, diagonal pivots), reading S's CSR index arrays
+    as the CSC arrays of S^T = S.  The preconditioner works in float32 and
+    returns float64, so it costs CG iterations but never accuracy: CG's
+    stopping test stays in float64.  Raises SolverError when the float32
+    values are not finite or SuperLU fails.
+    """
+    S = sp.csr_matrix(S)
+    if not S.has_canonical_format:  # SuperLU would sort the shared index arrays in place
+        S = S.copy()
+        S.sum_duplicates()
+    with np.errstate(over="ignore"):
+        data = S.data.astype(np.float32)
+    if not np.all(np.isfinite(data)):
+        raise SolverError("matrix has entries that are not finite in single precision")
+    try:
+        factor = spla.splu(sp.csc_matrix((data, S.indices, S.indptr), shape=S.shape),
+                           permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolverError(f"sparse factorization failed: {exc}") from exc
+    return lambda r: factor.solve(r.astype(np.float32)).astype(float)
+
+
+def cg_solve(S, rhs, rel_tol: float = 1e-12, max_iter: int | None = None, precond=None,
              x0=None):
-    """Jacobi-preconditioned conjugate gradients started from x0 (zero if None).
+    """Preconditioned conjugate gradients started from x0 (zero if None).
 
     Returns (x, iterations) with ||S x - rhs|| <= rel_tol * ||rhs||.  The test
     is relative to ||rhs||, not to the initial residual, so a good x0 saves
     iterations without loosening the result; an x0 that already passes returns
-    with 0 iterations.  Raises SolverError on non-finite rhs or x0, on
-    nonpositive or NaN curvature (S not positive definite) or when max_iter is
-    exhausted.  `diag` may pass a precomputed S.diagonal().
+    with 0 iterations.  `precond` maps a residual r to M^{-1} r (see
+    `factor_spd`); without it CG is Jacobi-preconditioned.  Raises SolverError
+    on non-finite rhs or x0, on nonpositive or NaN curvature (S not positive
+    definite) or when max_iter is exhausted.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
@@ -47,16 +77,17 @@ def cg_solve(S, rhs, rel_tol: float = 1e-12, max_iter: int | None = None, diag=N
     b_norm = np.linalg.norm(rhs)
     if b_norm == 0.0:
         return np.zeros(n), 0
-    if diag is None:
+    if precond is None:
         diag = S.diagonal()
-    if np.any(diag <= 0.0):
-        raise SolverError("matrix has a nonpositive diagonal entry; not positive definite")
-    inv_diag = 1.0 / diag
+        if np.any(diag <= 0.0):
+            raise SolverError("matrix has a nonpositive diagonal entry; not positive definite")
+        inv_diag = 1.0 / diag
+        precond = lambda r: inv_diag * r
 
     r = rhs - S @ x
     if np.linalg.norm(r) <= rel_tol * b_norm:
         return x, 0
-    z = inv_diag * r
+    z = precond(r)
     p = z.copy()
     rz = r @ z
     for iteration in range(1, max_iter + 1):
@@ -75,11 +106,11 @@ def cg_solve(S, rhs, rel_tol: float = 1e-12, max_iter: int | None = None, diag=N
             r = rhs - S @ x
             if np.linalg.norm(r) <= rel_tol * b_norm:
                 return x, iteration
-            z = inv_diag * r
+            z = precond(r)
             p = z.copy()
             rz = r @ z
             continue
-        z = inv_diag * r
+        z = precond(r)
         rz_next = r @ z
         beta = rz_next / rz
         rz = rz_next

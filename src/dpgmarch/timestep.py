@@ -23,6 +23,9 @@ from .errors import SpatialFields, field_error
 from .linalg import cg_solve
 from .mesh import Mesh
 
+_MAX_ITER = 50  # CG iterations per step; a step takes about 3
+_MAX_STEPS = 10**6
+
 _ZERO_FIELDS = SpatialFields(u=lambda x, y: np.zeros_like(x), grad_u=None)
 
 
@@ -68,11 +71,12 @@ def initial_field(u0, dofmap: DofMap, mesh: Mesh) -> TrialVector:
 def step(system: CondensedSystem, state: MarchState, f_n) -> MarchState:
     """One backward Euler step; f_n must be the source at the new time level.
 
-    CG starts from the current state: u^n - u^{n-1} = O(k), so the previous
-    solution is a close guess, and it keeps each step a function of the state.
+    CG is preconditioned by the factor of S built once per march and needs a
+    few iterations; the cap turns a tolerance it cannot reach into a
+    SolverError within seconds.
     """
     rhs = condense_load(system.blocks, f_n, state.current.field, system.coeffs)
-    x, _ = cg_solve(system.S, rhs, x0=state.current.as_vector(), diag=system.jacobi_diag)
+    x, _ = cg_solve(system.S, rhs, max_iter=_MAX_ITER, precond=system.precond)
     return MarchState(
         step_index=state.step_index + 1,
         time=(state.step_index + 1) * system.coeffs.k,
@@ -81,7 +85,11 @@ def step(system: CondensedSystem, state: MarchState, f_n) -> MarchState:
 
 
 def n_steps(k: float, T_end: float) -> int:
-    count = int(round(T_end / k))
+    ratio = T_end / k
+    if not ratio < _MAX_STEPS + 0.5:
+        raise ValueError(f"T_end={T_end} with k={k} asks for {ratio:.6g} time steps; "
+                         f"at most {_MAX_STEPS} are allowed")
+    count = int(round(ratio))
     if count < 1 or abs(count * k - T_end) > 1e-12 * max(1.0, T_end):
         raise ValueError(f"T_end={T_end} is not an integer multiple of k={k}")
     return count

@@ -1,9 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dpgmarch.assembly import (PdeCoefficients, apply_trial_to_test, assemble_condensed,
+from dpgmarch import assembly
+from dpgmarch.assembly import (PdeCoefficients, _build_blocks, apply_trial_to_test,
+                               assemble_condensed,
                                condense_load, embed_field_in_test, gram_blocks,
                                volume_quadrature)
 from dpgmarch.basis import lagrange_triangle, triangle_rule
@@ -37,6 +40,17 @@ def test_coefficient_validation():
         coeffs_with(k=0.0)
     with pytest.raises(ValueError):
         coeffs_with(k=2.0, T_end=1.0)
+
+
+@pytest.mark.parametrize("bad", [
+    {"A": np.array([[np.inf, 0.0], [0.0, 1.0]])},
+    {"beta": [np.nan, 0.0]},
+    {"gamma": np.nan},
+    {"gamma": np.inf},
+])
+def test_coefficient_validation_rejects_non_finite_data(bad):
+    with pytest.raises(ValueError, match="finite"):
+        coeffs_with(**bad)
 
 
 def test_gram_constant_test_function():
@@ -255,9 +269,10 @@ def test_cg_converges_on_condensed_system():
     system = assemble_condensed(mesh, dofmap, coeffs_with(beta=[1.0, 0.5], gamma=1.0))
     rng = np.random.default_rng(17)
     rhs = rng.standard_normal(dofmap.n_dof)
-    x, iterations = cg_solve(system.S, rhs, diag=system.jacobi_diag)
-    assert iterations >= 1
-    assert np.linalg.norm(system.S @ x - rhs) <= 1e-11 * np.linalg.norm(rhs)
+    for precond in (None, system.precond):  # Jacobi, then the march's factor
+        x, iterations = cg_solve(system.S, rhs, precond=precond)
+        assert iterations >= 1
+        assert np.linalg.norm(system.S @ x - rhs) <= 1e-11 * np.linalg.norm(rhs)
 
 
 def test_condense_load_mass_path_matches_function_path():
@@ -313,3 +328,35 @@ def test_volume_quadrature_is_never_shared_between_meshes():
         mesh = build_structured_mesh(n)
         _, points, wdet, _ = volume_quadrature(mesh, 4)
         assert wdet.shape[0] == points.shape[0] == mesh.n_elements == 2 * n * n
+
+
+ANISO = dict(A=np.array([[1.0, 0.2], [0.2, 0.5]]), beta=[1.0, 0.5], gamma=1.0, k=0.01)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])  # 2, 8 and 18 elements against a chunk of 8
+def test_chunked_blocks_equal_a_one_chunk_build(monkeypatch, n):
+    mesh = build_structured_mesh(n)
+    dofmap = build_dofmap(mesh, 1)
+    coeffs = coeffs_with(**ANISO)
+    monkeypatch.setattr(assembly, "_CHUNK", 8)
+    chunked = _build_blocks(mesh, dofmap, coeffs)
+    monkeypatch.setattr(assembly, "_CHUNK", 10**9)
+    whole = _build_blocks(mesh, dofmap, coeffs)
+    for name, value in vars(whole).items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(getattr(chunked, name), value), name
+
+
+def test_block_assembly_peak_memory_stays_near_its_output():
+    # the chunked element loop keeps quadrature-level temporaries to one chunk
+    mesh = build_structured_mesh(48)
+    dofmap = build_dofmap(mesh, 1)
+    coeffs = coeffs_with(**ANISO)
+    tracemalloc.start()
+    try:
+        blocks = _build_blocks(mesh, dofmap, coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(v.nbytes for v in vars(blocks).values() if isinstance(v, np.ndarray))
+    assert peak <= 1.6 * returned

@@ -149,10 +149,11 @@ def test_validation_exit_codes(tmp_path):
     "n_steps=false", 'snapshot="no"', "snapshot=1",
     "T_end=true", 'T_end="1"', "T_end=Infinity", "T_end=1e400", "T_end=NaN",
     "k_ref=true", 'k_ref="0.01"', "k_ref=-Infinity",
+    "n_steps=null T_end=1e300",  # about 1e301 steps of k = 0.1
 ])
 def test_config_types_are_not_coerced(tmp_path, override):
     config = base_config(tmp_path, command="run", levels=[4])
-    assert main(["run", "--config", config, override]) == 2
+    assert main(["run", "--config", config, *override.split()]) == 2
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dpgmarch.linalg import SolverError, cg_solve, lu_solve
+from dpgmarch.linalg import SolverError, cg_solve, factor_spd, lu_solve
 
 
 def test_cg_identity_single_iteration():
@@ -134,6 +134,41 @@ def test_cg_zero_rhs_with_nonzero_guess_returns_zeros():
 def test_cg_rejects_misshapen_guess():
     with pytest.raises(ValueError, match="initial guess"):
         cg_solve(sp.identity(3, format="csr"), np.ones(3), x0=np.ones(2))
+
+
+def test_factor_spd_preconditions_cg_to_full_accuracy():
+    S, rng = _spd(9, n=40)
+    saved = [S.data.copy(), S.indices.copy(), S.indptr.copy()]
+    rhs = rng.standard_normal(40)
+    x, iterations = cg_solve(S, rhs, precond=factor_spd(S))
+    assert 1 <= iterations <= 3
+    assert np.linalg.norm(S @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    # the factor reads S's index arrays and writes nothing back
+    assert all(np.array_equal(a, b) for a, b in zip(saved, (S.data, S.indices, S.indptr)))
+
+
+def test_factor_spd_cg_raises_within_the_cap():
+    S, rng = _spd(10)
+    counting = CountingMatrix(S)
+    with pytest.raises(SolverError, match="within 50 iterations"):
+        cg_solve(counting, rng.standard_normal(20), rel_tol=1e-17, max_iter=50,
+                 precond=factor_spd(S))
+    # one product per iteration, at most one more per recomputed residual
+    assert counting.products <= 2 * 50 + 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "beyond-float32", "zero-row"])
+def test_factor_spd_rejects_bad_matrices(bad):
+    S = _spd(11)[0].toarray()
+    if bad == "nan":
+        S[3, 3] = np.nan
+    elif bad == "beyond-float32":
+        S[3, 3] = 1e39
+    else:
+        S[3, :] = 0.0
+        S[:, 3] = 0.0
+    with pytest.raises(SolverError):
+        factor_spd(sp.csr_matrix(S))
 
 
 def test_lu_identity():
