@@ -1,8 +1,7 @@
 """Backward Euler primal DPG solver for parabolic advection-diffusion-reaction
 problems on the unit square, with convergence-study tooling."""
 
-from .assembly import (CondensedSystem, PdeCoefficients, apply_trial_to_test,
-                       assemble_condensed, condense_load)
+from .assembly import CondensedSystem, PdeCoefficients, assemble_condensed, condense_load
 from .basis import QuadRule, ShapeTable, edge_rule, lagrange_edge, lagrange_triangle, \
     triangle_rule
 from .cases import CASE_IDS, PdeCase, make_case
@@ -18,8 +17,8 @@ from .timestep import MarchState, TrialVector, initial_field, march, step
 __all__ = [
     "CASE_IDS", "CondensedSystem", "DofMap", "ErrorReport", "MarchState", "Mesh",
     "PdeCase", "PdeCoefficients", "QuadRule", "ShapeTable", "SolverError",
-    "SpatialFields", "TestVector", "TrialVector", "apply_trial_to_test",
-    "assemble_condensed", "build_dofmap", "build_structured_mesh", "cg_solve",
+    "SpatialFields", "TestVector", "TrialVector", "assemble_condensed", "build_dofmap",
+    "build_structured_mesh", "cg_solve",
     "condense_load", "edge_orientation_sign", "edge_rule", "eoc", "field_error",
     "galerkin_march", "initial_field", "lagrange_edge", "lagrange_triangle",
     "lu_solve", "make_case", "march",

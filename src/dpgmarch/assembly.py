@@ -14,12 +14,25 @@ with columns ordered field nodes first, then 3*(p+1) trace slots.  The
 condensed matrix S = sum_K B_{a,K}^T G_K^{-1} B_{a,K} is symmetric positive
 definite on the free (field + trace) unknowns; Dirichlet field nodes are
 eliminated before condensation.
+
+Elements are affine and A, beta, gamma constant, so each volume block is a
+fixed combination of reference-triangle integrals (the tensor representation
+of Kirby, Knepley, Logg & Scott, SIAM J. Sci. Comput. 27, 2005),
+K^{ab} = int d_a psi d_b phi, M = int psi phi and C^a = int psi d_a phi,
+weighted per element by W_K = det J J^{-1} A J^{-T}, b_K = det J J^{-1} beta
+and det J:
+
+    G_K = W_K : K_tt + (det J / k) M_tt,    mass_field = det J M_tf,
+    B_field = W_K : K_tf + b_K . C_tf + gamma mass_field,
+
+with t the test and f the field basis.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -31,7 +44,6 @@ from .linalg import SolverError, factor_spd
 from .mesh import Mesh
 
 _SYM_TOL = 1e-12
-_CHUNK = 1024  # elements per pass of _build_blocks, which bounds its temporaries
 _TRACE_EQUIV_WARN = 10.0  # h / sqrt(k) beyond which the trace-norm equivalence degrades
 
 
@@ -119,16 +131,6 @@ class LocalBlocks:
     def n_dof(self) -> int:
         return self.n_field + self.n_trace
 
-    def gram_apply_inv(self, r: np.ndarray) -> np.ndarray:
-        """G_K^{-1} r per element; r has shape (ne, nt)."""
-        z = np.einsum("emn,en->em", self.chol_inv, r)
-        return np.einsum("enm,en->em", self.chol_inv, z)
-
-    def test_norm(self, v: np.ndarray) -> float:
-        """(V,k)-norm of an element-blocked test function, sqrt(sum v^T G v)."""
-        z = np.einsum("enm,en->em", self.chol, v)
-        return float(np.sqrt(np.sum(z * z)))
-
     def gather_local(self, u: np.ndarray) -> np.ndarray:
         """Local trial coefficients per element; eliminated slots read as zero."""
         return gather(u, self.cols)
@@ -151,8 +153,8 @@ def _geometry(mesh: Mesh):
     v = mesh.vertices[mesh.elements]
     J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)  # columns of the affine map
     detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    if np.any(detJ <= 0.0):
-        raise SolverError("degenerate element: nonpositive Jacobian determinant")
+    if not np.all(detJ > 0.0):  # also catches NaN
+        raise SolverError("degenerate element: nonpositive or non-finite Jacobian determinant")
     invJ = np.empty_like(J)
     invJ[:, 0, 0] = J[:, 1, 1]
     invJ[:, 0, 1] = -J[:, 0, 1]
@@ -194,12 +196,35 @@ def gather(vector: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.where(cols >= 0, vector[np.clip(cols, 0, None)], 0.0)
 
 
-def _gram(grads, values, wdet, coeffs: PdeCoefficients) -> np.ndarray:
-    """G_K = (1/k) mass + A-weighted stiffness of a tabulated test basis."""
-    a_grads = np.einsum("ab,emqb->emqa", coeffs.A, grads)
-    gram = np.einsum("emqa,enqa,eq->emn", grads, a_grads, wdet)
-    gram += (1.0 / coeffs.k) * np.einsum("mq,nq,eq->emn", values, values, wdet)
-    return gram
+@lru_cache(maxsize=None)
+def _reference_tensors(test_degree: int, trial_degree: int) -> np.ndarray:
+    """Reference-triangle integrals of the test basis psi_m against the trial
+    basis phi_j, stacked (7, nt, n) as K^{xx}, K^{xy}, K^{yx}, K^{yy}, M, C^x,
+    C^y (see the module docstring).  Read-only and shared by every caller."""
+    rule = triangle_rule(test_degree + trial_degree)
+    test = lagrange_triangle(test_degree, rule.points)
+    trial = lagrange_triangle(trial_degree, rule.points)
+    w = rule.weights
+    stiffness = np.einsum("mqa,jqb,q->abmj", test.gradients, trial.gradients, w)
+    mass = np.einsum("mq,jq,q->mj", test.values, trial.values, w)
+    advection = np.einsum("mq,jqa,q->amj", test.values, trial.gradients, w)
+    tensors = np.concatenate([stiffness.reshape(4, *mass.shape), mass[None], advection])
+    tensors.flags.writeable = False
+    return tensors
+
+
+def _element_weights(mesh: Mesh, coeffs: PdeCoefficients):
+    """det J J^{-1} A J^{-T} flattened to (ne, 4), det J (ne,) and
+    det J J^{-1} beta (ne, 2): the weights of the reference tensors."""
+    _, _, invJ, detJ = _geometry(mesh)
+    W = detJ[:, None, None] * (invJ @ coeffs.A @ invJ.transpose(0, 2, 1))
+    b = detJ[:, None] * (invJ @ coeffs.beta)
+    return W.reshape(-1, 4), detJ, b
+
+
+def _combine(weights: np.ndarray, tensors: np.ndarray) -> np.ndarray:
+    """sum_i weights[:, i] tensors[i], (ne, nt, n)."""
+    return (weights @ tensors.reshape(len(tensors), -1)).reshape(-1, *tensors.shape[1:])
 
 
 def _edge_test_tables(test_degree: int, rule):
@@ -221,89 +246,72 @@ def _edge_test_tables(test_degree: int, rule):
 
 
 def gram_blocks(mesh: Mesh, p: int, coeffs: PdeCoefficients, test_degree: int | None = None) -> np.ndarray:
-    """All Gram matrices G_K = (1/k) mass + A-weighted stiffness, (ne, nt, nt)."""
+    """All Gram matrices G_K = W_K : K_tt + (det J / k) M_tt, (ne, nt, nt)."""
     deg = test_degree if test_degree is not None else p + 2
-    rule, _, wdet, invJ = volume_quadrature(mesh, 2 * deg)
-    table = lagrange_triangle(deg, rule.points)
-    return _gram(_physical_gradients(invJ, table), table.values, wdet, coeffs)
+    W, detJ, _ = _element_weights(mesh, coeffs)
+    return _combine(np.column_stack([W, detJ / coeffs.k]), _reference_tensors(deg, deg)[:5])
 
 
-def _cholesky_blocks(gram: np.ndarray, first: int = 0) -> np.ndarray:
-    """Cholesky factors of stacked Gram blocks; `first` numbers the first
-    block in the error message."""
+def _cholesky_blocks(gram: np.ndarray) -> np.ndarray:
+    """Cholesky factors of stacked Gram blocks; SolverError names the first
+    element whose block is not positive definite or whose factor is not finite."""
     try:
-        return np.linalg.cholesky(gram)
+        chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         for e in range(gram.shape[0]):
             try:
                 np.linalg.cholesky(gram[e])
             except np.linalg.LinAlgError:
                 raise SolverError(
-                    f"Cholesky factorization of the Gram block of element {first + e} failed; "
+                    f"Cholesky factorization of the Gram block of element {e} failed; "
                     "degenerate element or invalid time step"
                 ) from None
         raise
+    # LAPACK passes NaN through without raising
+    bad = np.flatnonzero(~np.isfinite(chol).all(axis=(1, 2)))
+    if bad.size:
+        raise SolverError(f"the Cholesky factor of the Gram block of element {bad[0]} "
+                          "is not finite; NaN or Inf data")
+    return chol
 
 
 def _build_blocks(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> LocalBlocks:
     p = dofmap.p
     k = coeffs.k
     test_degree = p + 2
-    vol, qpoints, wdet, invJ = volume_quadrature(mesh, 2 * test_degree)
+    vol, qpoints, wdet, _ = volume_quadrature(mesh, 2 * test_degree)
     erule = edge_rule(2 * p + 2)
-
-    test_tab = lagrange_triangle(test_degree, vol.points)
-    field_tab = lagrange_triangle(p + 1, vol.points)
     trace_tab = lagrange_edge(p, erule.points)
     edge_tables = _edge_test_tables(test_degree, erule)
 
-    ne = mesh.n_elements
-    nt = test_tab.n_basis
-    nfl = field_tab.n_basis
+    chol = _cholesky_blocks(gram_blocks(mesh, p, coeffs))
+    ne, nt, _ = chol.shape
+    chol_inv = np.linalg.solve(chol, np.broadcast_to(np.eye(nt), chol.shape))
+
+    W, detJ, b = _element_weights(mesh, coeffs)
+    ref = _reference_tensors(test_degree, p + 1)
+    nfl = ref.shape[2]
     n_per_edge = p + 1
     nc = nfl + 3 * n_per_edge
+    mass_field = detJ[:, None, None] * ref[4]
+    B_b = np.empty((ne, nt, nc))
+    B_b[:, :, :nfl] = _combine(np.column_stack([W, coeffs.gamma * detJ, b]), ref)
 
     # trace pairing: column block of local edge l carries -sign * length * int_e tau psi
     pair = {(l, s): np.einsum("mq,rq,q->mr", edge_tables[(l, s)], trace_tab.values,
                               erule.weights)
             for l in range(3) for s in (1, -1)}
+    v = mesh.vertices[mesh.elements]
+    for l in range(3):
+        length = np.linalg.norm(v[:, (l + 1) % 3] - v[:, l], axis=1)
+        s = mesh.element_edge_signs[:, l]
+        block = np.where((s == 1)[:, None, None], pair[(l, 1)][None], pair[(l, -1)][None])
+        B_b[:, :, nfl + l * n_per_edge:nfl + (l + 1) * n_per_edge] = \
+            -(s * length)[:, None, None] * block
 
-    # the element arrays are computed chunk by chunk into these outputs, so the
-    # quadrature-level temporaries never span the whole mesh
-    chol = np.empty((ne, nt, nt))
-    chol_inv = np.empty((ne, nt, nt))
-    B_a = np.empty((ne, nt, nc))
-    B_b = np.empty((ne, nt, nc))
-    Bt_a = np.empty((ne, nt, nc))
-    mass_field = np.empty((ne, nt, nfl))
-    for start in range(0, ne, _CHUNK):
-        e = slice(start, min(start + _CHUNK, ne))
-        w = wdet[e]
-        test_grads = _physical_gradients(invJ[e], test_tab)
-        field_grads = _physical_gradients(invJ[e], field_tab)
-        a_field_grads = np.einsum("ab,ejqb->ejqa", coeffs.A, field_grads)
-
-        chol[e] = _cholesky_blocks(_gram(test_grads, test_tab.values, w, coeffs), start)
-        chol_inv[e] = np.linalg.solve(chol[e], np.broadcast_to(np.eye(nt), chol[e].shape))
-
-        B_field = np.einsum("emqa,ejqa,eq->emj", test_grads, a_field_grads, w)
-        B_field += np.einsum("a,ejqa,mq,eq->emj", coeffs.beta, field_grads, test_tab.values, w)
-        mass_field[e] = np.einsum("mq,jq,eq->emj", test_tab.values, field_tab.values, w)
-        if coeffs.gamma != 0.0:
-            B_field += coeffs.gamma * mass_field[e]
-        B_b[e, :, :nfl] = B_field
-
-        v = mesh.vertices[mesh.elements[e]]
-        for l in range(3):
-            length = np.linalg.norm(v[:, (l + 1) % 3] - v[:, l], axis=1)
-            s = mesh.element_edge_signs[e, l]
-            block = np.where((s == 1)[:, None, None], pair[(l, 1)][None], pair[(l, -1)][None])
-            B_b[e, :, nfl + l * n_per_edge:nfl + (l + 1) * n_per_edge] = \
-                -(s * length)[:, None, None] * block
-
-        B_a[e] = B_b[e]
-        B_a[e, :, :nfl] += (1.0 / k) * mass_field[e]
-        Bt_a[e] = chol_inv[e] @ B_a[e]
+    B_a = B_b.copy()
+    B_a[:, :, :nfl] += (1.0 / k) * mass_field
+    Bt_a = chol_inv @ B_a
 
     cols = np.hstack([dofmap.element_field_dofs,
                       dofmap.n_field + dofmap.element_trace_dofs])
@@ -312,7 +320,8 @@ def _build_blocks(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> LocalB
         p=p, k=k, n_field=dofmap.n_field, n_trace=dofmap.n_trace,
         chol=chol, chol_inv=chol_inv, B_a=B_a, B_b=B_b, Bt_a=Bt_a,
         mass_field=mass_field, cols=cols,
-        quad_points=qpoints, quad_wdet=wdet, test_values=test_tab.values,
+        quad_points=qpoints, quad_wdet=wdet,
+        test_values=lagrange_triangle(test_degree, vol.points).values,
     )
 
 
@@ -382,22 +391,3 @@ def condense_element_loads(blocks: LocalBlocks, loads: np.ndarray) -> np.ndarray
 def condense_load(blocks: LocalBlocks, g, w_field, coeffs: PdeCoefficients) -> np.ndarray:
     """Condensed right-hand side sum_K B_{a,K}^T G_K^{-1} (g + w/k, psi)_K."""
     return condense_element_loads(blocks, local_test_loads(blocks, g, w_field, coeffs))
-
-
-def apply_trial_to_test(system: CondensedSystem, u: np.ndarray) -> np.ndarray:
-    """Discrete optimal test function of a trial vector, element-blocked
-    coefficients (ne, nt): v_K = G_K^{-1} B_{a,K} u_loc."""
-    blocks = system.blocks
-    u = np.asarray(u, dtype=float)
-    if u.shape != (blocks.n_dof,):
-        raise ValueError(f"trial vector has wrong length {u.shape}")
-    u_loc = blocks.gather_local(u)
-    return blocks.gram_apply_inv(np.einsum("emc,ec->em", blocks.B_a, u_loc))
-
-
-def embed_field_in_test(p: int) -> np.ndarray:
-    """Coefficients of the degree p+1 field basis in the degree p+2 nodal test
-    basis: field values at the test nodes, shape (nfl, nt)."""
-    from .basis import triangle_nodes
-
-    return lagrange_triangle(p + 1, triangle_nodes(p + 2)).values

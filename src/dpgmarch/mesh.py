@@ -96,6 +96,8 @@ def mesh_from_arrays(vertices, elements) -> Mesh:
         raise ValueError("vertices must have shape (n, 2)")
     if elements.ndim != 2 or elements.shape[1] != 3:
         raise ValueError("elements must have shape (n, 3)")
+    if not np.all(np.isfinite(vertices)):
+        raise ValueError("vertex coordinates must be finite")
 
     v = vertices[elements]
     areas = 0.5 * ((v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])

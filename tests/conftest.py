@@ -39,3 +39,41 @@ def field_quadratic_forms(mesh, dofmap, A):
         mass[np.ix_(idx[keep], idx[keep])] += m_loc[e][np.ix_(keep, keep)]
         stiff[np.ix_(idx[keep], idx[keep])] += k_loc[e][np.ix_(keep, keep)]
     return mass, stiff
+
+
+def gram_solve(blocks, r):
+    """G_K^{-1} r per element through the stored Cholesky inverses; r is (ne, nt)."""
+    z = np.einsum("emn,en->em", blocks.chol_inv, r)
+    return np.einsum("enm,en->em", blocks.chol_inv, z)
+
+
+def norm_in_test_space(blocks, v):
+    """(V,k)-norm of an element-blocked test function, sqrt(sum_K v_K^T G_K v_K)."""
+    z = np.einsum("enm,en->em", blocks.chol, v)
+    return float(np.sqrt(np.sum(z * z)))
+
+
+def apply_trial_to_test(system, u):
+    """Discrete optimal test function of a trial vector, element-blocked
+    coefficients (ne, nt): v_K = G_K^{-1} B_{a,K} u_loc."""
+    blocks = system.blocks
+    u_loc = blocks.gather_local(np.asarray(u, dtype=float))
+    return gram_solve(blocks, np.einsum("emc,ec->em", blocks.B_a, u_loc))
+
+
+def embed_field_in_test(p):
+    """Coefficients of the degree p+1 field basis in the degree p+2 nodal test
+    basis: field values at the test nodes, shape (nfl, nt)."""
+    from dpgmarch.basis import lagrange_triangle, triangle_nodes
+
+    return lagrange_triangle(p + 1, triangle_nodes(p + 2)).values
+
+
+def integrate_on_reference_triangle(expr, x, y):
+    """Exact integral of a sympy polynomial in x, y over the reference
+    triangle, term by term: int x^a y^b = a! b! / (a + b + 2)!."""
+    import sympy
+
+    poly = sympy.Poly(sympy.expand(expr), x, y)
+    return sum(c * sympy.factorial(a) * sympy.factorial(b) / sympy.factorial(a + b + 2)
+               for (a, b), c in poly.terms())

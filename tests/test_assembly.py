@@ -3,17 +3,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from dpgmarch import assembly
-from dpgmarch.assembly import (PdeCoefficients, _build_blocks, apply_trial_to_test,
-                               assemble_condensed,
-                               condense_load, embed_field_in_test, gram_blocks,
+from dpgmarch.assembly import (PdeCoefficients, _build_blocks, _cholesky_blocks,
+                               assemble_condensed, condense_load, gram_blocks,
                                volume_quadrature)
 from dpgmarch.basis import lagrange_triangle, triangle_rule
 from dpgmarch.dofmap import build_dofmap
+from dpgmarch.linalg import SolverError
 from dpgmarch.mesh import build_structured_mesh, mesh_from_arrays
 
-from conftest import field_quadratic_forms
+from conftest import (apply_trial_to_test, embed_field_in_test, field_quadratic_forms,
+                      integrate_on_reference_triangle)
 
 
 def reference_triangle_mesh(scale=1.0):
@@ -81,7 +83,7 @@ def test_gram_matches_symbolic_on_reference_triangle():
     for i, bi in enumerate(basis):
         for j, bj in enumerate(basis):
             integrand = bi * bj + bi.diff(x) * bj.diff(x) + bi.diff(y) * bj.diff(y)
-            exact[i, j] = float(sympy.integrate(integrand, (y, 0, 1 - x), (x, 0, 1)))
+            exact[i, j] = float(integrate_on_reference_triangle(integrand, x, y))
     assert np.abs(gram - exact).max() <= 1e-12
 
 
@@ -333,22 +335,99 @@ def test_volume_quadrature_is_never_shared_between_meshes():
 ANISO = dict(A=np.array([[1.0, 0.2], [0.2, 0.5]]), beta=[1.0, 0.5], gamma=1.0, k=0.01)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])  # 2, 8 and 18 elements against a chunk of 8
-def test_chunked_blocks_equal_a_one_chunk_build(monkeypatch, n):
-    mesh = build_structured_mesh(n)
-    dofmap = build_dofmap(mesh, 1)
+def quadrature_blocks(mesh, p, coeffs, test_degree=None):
+    """G_K, mass_field and the field columns of B_b by quadrature einsums on
+    every element, independent of the reference tensors."""
+    deg = p + 2 if test_degree is None else test_degree
+    rule = triangle_rule(2 * deg)
+    test = lagrange_triangle(deg, rule.points)
+    field = lagrange_triangle(p + 1, rule.points)
+    v = mesh.vertices[mesh.elements]
+    J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
+    invJ = np.linalg.inv(J)
+    wdet = rule.weights[None, :] * np.linalg.det(J)[:, None]
+    test_grads = np.einsum("eba,mqb->emqa", invJ, test.gradients)
+    field_grads = np.einsum("eba,jqb->ejqa", invJ, field.gradients)
+    gram = (np.einsum("emqa,ab,enqb,eq->emn", test_grads, coeffs.A, test_grads, wdet)
+            + np.einsum("mq,nq,eq->emn", test.values, test.values, wdet) / coeffs.k)
+    mass = np.einsum("mq,jq,eq->emj", test.values, field.values, wdet)
+    B_field = (np.einsum("emqa,ab,ejqb,eq->emj", test_grads, coeffs.A, field_grads, wdet)
+               + np.einsum("a,ejqa,mq,eq->emj", coeffs.beta, field_grads, test.values, wdet)
+               + coeffs.gamma * mass)
+    return gram, mass, B_field
+
+
+def _relative_deviation(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_tensor_blocks_match_quadrature(p):
+    mesh = build_structured_mesh(4)
+    vertices = mesh.vertices.copy()
+    inner = ~mesh.vertex_on_boundary
+    vertices[inner] += np.random.default_rng(7).uniform(-0.05, 0.05, (inner.sum(), 2))
+    mesh = mesh_from_arrays(vertices, mesh.elements)
     coeffs = coeffs_with(**ANISO)
-    monkeypatch.setattr(assembly, "_CHUNK", 8)
-    chunked = _build_blocks(mesh, dofmap, coeffs)
-    monkeypatch.setattr(assembly, "_CHUNK", 10**9)
-    whole = _build_blocks(mesh, dofmap, coeffs)
-    for name, value in vars(whole).items():
-        if isinstance(value, np.ndarray):
-            assert np.array_equal(getattr(chunked, name), value), name
+    gram, mass, B_field = quadrature_blocks(mesh, p, coeffs)
+    blocks = _build_blocks(mesh, build_dofmap(mesh, p), coeffs)
+    nfl = mass.shape[2]
+    assert _relative_deviation(gram_blocks(mesh, p, coeffs), gram) <= 1e-13
+    assert _relative_deviation(blocks.chol @ blocks.chol.transpose(0, 2, 1), gram) <= 1e-13
+    assert _relative_deviation(blocks.mass_field, mass) <= 1e-13
+    assert _relative_deviation(blocks.B_b[:, :, :nfl], B_field) <= 1e-13
+    assert _relative_deviation(blocks.B_a[:, :, :nfl], B_field + mass / coeffs.k) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(coords=st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6),
+       test_degree=st.sampled_from([1, 2, 3]), k=st.floats(1e-3, 1.0))
+def test_tensor_gram_matches_quadrature_on_random_triangles(coords, test_degree, k):
+    v = np.array(coords).reshape(3, 2)
+    d1, d2 = v[1] - v[0], v[2] - v[0]
+    area = 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])
+    longest = max(np.sum(d1**2), np.sum(d2**2), np.sum((v[2] - v[1]) ** 2))
+    assume(abs(area) > 1e-2 * longest)  # non-degenerate, with a bounded aspect ratio
+    if area < 0.0:
+        v = v[[0, 2, 1]]
+    mesh = mesh_from_arrays(v, [[0, 1, 2]])
+    coeffs = coeffs_with(A=ANISO["A"], k=k, T_end=1.0)
+    gram, _, _ = quadrature_blocks(mesh, 0, coeffs, test_degree)
+    assert _relative_deviation(gram_blocks(mesh, 0, coeffs, test_degree), gram) <= 1e-12
+
+
+def test_cholesky_blocks_reject_nan_gram_data():
+    gram = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
+    gram[2, 1, 1] = np.nan
+    with pytest.raises(SolverError, match="element 2 is not finite"):
+        _cholesky_blocks(gram)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_geometry_raises_solver_error():
+    # det J = inf passes the positivity test, and the Gram weights inf * 0
+    # are NaN; the Cholesky guard must stop them
+    mesh = mesh_from_arrays(1e200 * build_structured_mesh(2).vertices,
+                            build_structured_mesh(2).elements)
+    with pytest.raises(SolverError, match="not finite"):
+        assemble_condensed(mesh, build_dofmap(mesh, 0), coeffs_with())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_jacobian_raises_solver_error(bad):
+    # mesh_from_arrays rejects such vertices; a Mesh built around it must not
+    # slip a NaN det J through the element geometry either
+    mesh = build_structured_mesh(2)
+    vertices = mesh.vertices.copy()
+    vertices[4] = bad
+    broken = dataclasses.replace(mesh, vertices=vertices)
+    with pytest.raises(SolverError, match="Jacobian"):
+        gram_blocks(broken, 0, coeffs_with())
 
 
 def test_block_assembly_peak_memory_stays_near_its_output():
-    # the chunked element loop keeps quadrature-level temporaries to one chunk
+    # the reference-tensor build keeps no quadrature-level temporaries
     mesh = build_structured_mesh(48)
     dofmap = build_dofmap(mesh, 1)
     coeffs = coeffs_with(**ANISO)

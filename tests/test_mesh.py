@@ -153,3 +153,12 @@ def test_edge_orientation_sign_bounds():
 def test_mesh_from_arrays_rejects_clockwise():
     with pytest.raises(ValueError):
         mesh_from_arrays([[0, 0], [1, 0], [0, 1]], [[0, 2, 1]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mesh_from_arrays_rejects_non_finite_vertices(bad):
+    # a NaN signed area is not <= 0, so the orientation test alone lets it pass
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    vertices[3, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        mesh_from_arrays(vertices, [[0, 1, 2], [1, 3, 2]])
