@@ -41,12 +41,6 @@ def field_quadratic_forms(mesh, dofmap, A):
     return mass, stiff
 
 
-def gram_solve(blocks, r):
-    """G_K^{-1} r per element through the stored Cholesky inverses; r is (ne, nt)."""
-    z = np.einsum("emn,en->em", blocks.chol_inv, r)
-    return np.einsum("enm,en->em", blocks.chol_inv, z)
-
-
 def norm_in_test_space(blocks, v):
     """(V,k)-norm of an element-blocked test function, sqrt(sum_K v_K^T G_K v_K)."""
     z = np.einsum("enm,en->em", blocks.chol, v)
@@ -55,10 +49,12 @@ def norm_in_test_space(blocks, v):
 
 def apply_trial_to_test(system, u):
     """Discrete optimal test function of a trial vector, element-blocked
-    coefficients (ne, nt): v_K = G_K^{-1} B_{a,K} u_loc."""
+    coefficients (ne, nt): v_K = G_K^{-1} B_{a,K} u_loc, applied through the
+    stored Cholesky inverses."""
     blocks = system.blocks
     u_loc = blocks.gather_local(np.asarray(u, dtype=float))
-    return gram_solve(blocks, np.einsum("emc,ec->em", blocks.B_a, u_loc))
+    z = np.einsum("emn,enc,ec->em", blocks.chol_inv, blocks.B_a, u_loc)
+    return np.einsum("enm,en->em", blocks.chol_inv, z)
 
 
 def embed_field_in_test(p):
