@@ -182,13 +182,6 @@ def volume_quadrature(mesh: Mesh, degree: int):
     return mesh.quadrature[degree]
 
 
-def _physical_gradients(invJ, table):
-    # grad_x phi = J^{-T} grad_ref phi, (ne, nm, nq, 2)
-    g = table.gradients
-    return (invJ[:, None, None, 0, :] * g[None, :, :, 0, None]
-            + invJ[:, None, None, 1, :] * g[None, :, :, 1, None])
-
-
 def gather(vector: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Entries of vector per element slot, 0.0 where the column is -1."""
     if not vector.size:
@@ -249,7 +242,11 @@ def gram_blocks(mesh: Mesh, p: int, coeffs: PdeCoefficients, test_degree: int | 
     """All Gram matrices G_K = W_K : K_tt + (det J / k) M_tt, (ne, nt, nt)."""
     deg = test_degree if test_degree is not None else p + 2
     W, detJ, _ = _element_weights(mesh, coeffs)
-    return _combine(np.column_stack([W, detJ / coeffs.k]), _reference_tensors(deg, deg)[:5])
+    return _gram(W, detJ, coeffs.k, deg)
+
+
+def _gram(W: np.ndarray, detJ: np.ndarray, k: float, degree: int) -> np.ndarray:
+    return _combine(np.column_stack([W, detJ / k]), _reference_tensors(degree, degree)[:5])
 
 
 def _cholesky_blocks(gram: np.ndarray) -> np.ndarray:
@@ -284,11 +281,11 @@ def _build_blocks(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> LocalB
     trace_tab = lagrange_edge(p, erule.points)
     edge_tables = _edge_test_tables(test_degree, erule)
 
-    chol = _cholesky_blocks(gram_blocks(mesh, p, coeffs))
+    W, detJ, b = _element_weights(mesh, coeffs)
+    chol = _cholesky_blocks(_gram(W, detJ, k, test_degree))
     ne, nt, _ = chol.shape
     chol_inv = np.linalg.solve(chol, np.broadcast_to(np.eye(nt), chol.shape))
 
-    W, detJ, b = _element_weights(mesh, coeffs)
     ref = _reference_tensors(test_degree, p + 1)
     nfl = ref.shape[2]
     n_per_edge = p + 1

@@ -8,9 +8,10 @@ heat-identity.  The JSON config uses flat keys (see RunConfig); trailing
 key=value pairs override config entries, with values parsed as JSON when
 possible.  `p`, `n_steps` and the entries of the `levels` list must be
 integral numbers (4 and 4.0 are accepted, 4.6 and true are not), `T_end`
-and `k_ref` finite numbers, and `snapshot` a JSON boolean; nothing is
-coerced.  Studies write a CSV table with the ErrorReport columns and print
-an EOC table; `run` can additionally dump the field as a legacy ASCII VTK
+and `k_ref` finite numbers, the numbers in `k_policy` plain decimal or
+scientific numerals, and `snapshot` a JSON boolean; nothing is coerced.
+Studies write a CSV table with the ErrorReport columns and print an EOC
+table; `run` can additionally dump the field as a legacy ASCII VTK
 snapshot.  Exit codes: 0 success, 1 verification failed (heat-identity
 FAIL), 2 validation error, 3 solver failure.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -38,6 +40,9 @@ from .timestep import TrialVector, march
 COMMANDS = ("run", "converge-space", "converge-time", "converge-projection", "heat-identity")
 
 HEAT_IDENTITY_TOL = 1e-9
+# a plain decimal or scientific numeral: no spaces, underscores, non-ASCII
+# digits, inf or nan, all of which float() would accept
+_NUMERAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 class ConfigError(ValueError):
@@ -54,19 +59,14 @@ class KPolicy:
 
     @classmethod
     def parse(cls, text: str) -> "KPolicy":
-        try:
-            kind, _, payload = str(text).partition(":")
-            if kind == "fixed":
-                return cls(kind="fixed", value=float(payload))
-            if kind in ("h", "h2"):
-                return cls(kind=kind, value=float(payload))
-            if kind == "list":
-                values = tuple(float(v) for v in payload.split(","))
-                if not values:
-                    raise ValueError
-                return cls(kind="list", values=values)
-        except (TypeError, ValueError):
-            pass
+        kind, _, payload = str(text).partition(":")
+        numerals = payload.split(",") if kind == "list" else [payload]
+        if kind in ("fixed", "h", "h2", "list") and all(map(_NUMERAL.fullmatch, numerals)):
+            values = tuple(float(v) for v in numerals)
+            if all(map(math.isfinite, values)):  # 1e400 is a numeral, but not a float
+                if kind == "list":
+                    return cls(kind="list", values=values)
+                return cls(kind=kind, value=values[0])
         raise ConfigError(
             f"invalid k_policy {text!r}; expected 'fixed:K', 'h:C', 'h2:C' or 'list:K1,K2,...'"
         )

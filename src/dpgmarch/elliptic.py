@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (LocalBlocks, PdeCoefficients, _build_blocks, _physical_gradients,
-                       condense_element_loads, scatter_condensed, volume_quadrature)
+from .assembly import (LocalBlocks, PdeCoefficients, _build_blocks, condense_element_loads,
+                       scatter_condensed, volume_quadrature)
 from .basis import lagrange_triangle
 from .dofmap import DofMap
 from .errors import SpatialFields, _trace_residuals
@@ -68,10 +68,10 @@ def exact_b_load(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     p = dofmap.p
     rule, qp, wdet, invJ = volume_quadrature(mesh, 2 * (p + 2) + 2)
     table = lagrange_triangle(p + 2, rule.points)
-    grads = _physical_gradients(invJ, table)
     g = np.moveaxis(np.asarray(exact.grad_u(qp[..., 0], qp[..., 1])), 0, -1)
-    a_grad = g @ coeffs.A.T
-    loads = np.einsum("emqa,eqa,eq->em", grads, a_grad, wdet)
+    # (A grad u, J^{-T} grad_ref psi) w det J: map the data, not the basis
+    mapped = (g @ coeffs.A.T @ invJ.transpose(0, 2, 1)) * wdet[..., None]
+    loads = np.tensordot(mapped, table.gradients, axes=([1, 2], [1, 2]))
     advection = np.einsum("eqa,a->eq", g, coeffs.beta)
     if coeffs.gamma != 0.0:
         advection = advection + coeffs.gamma * exact.u(qp[..., 0], qp[..., 1])

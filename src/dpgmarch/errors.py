@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (PdeCoefficients, _edge_test_tables, _geometry, _physical_gradients,
-                       gather, gram_blocks, volume_quadrature)
+from .assembly import (PdeCoefficients, _edge_test_tables, _geometry, gather, gram_blocks,
+                       volume_quadrature)
 from .basis import edge_rule, lagrange_edge, lagrange_triangle
 from .dofmap import DofMap
 from .mesh import Mesh
@@ -71,7 +71,8 @@ def field_error(mesh: Mesh, dofmap: DofMap, coeffs_vector, exact: SpatialFields,
         uh = np.einsum("ej,jq->eq", u_loc, table.values)
         diff = exact.u(qp[..., 0], qp[..., 1]) - uh
         return float(np.sqrt(np.sum(wdet * diff**2)))
-    gh = np.einsum("ej,ejqa->eqa", u_loc, _physical_gradients(invJ, table))
+    # contract on the reference element, then map: grad_x u_h = J^{-T} grad_ref u_h
+    gh = np.tensordot(u_loc, table.gradients, axes=1) @ invJ
     g = np.moveaxis(np.asarray(exact.grad_u(qp[..., 0], qp[..., 1])), 0, -1)
     diff = g - gh
     return float(np.sqrt(np.sum(wdet * np.sum(diff**2, axis=-1))))

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import PdeCoefficients, _physical_gradients, volume_quadrature
+from .assembly import PdeCoefficients, volume_quadrature
 from .basis import lagrange_triangle
 from .dofmap import DofMap
 from .mesh import Mesh
@@ -30,6 +30,13 @@ class GalerkinSystem:
 
     def step_matrix(self) -> sp.csr_matrix:
         return (self.mass / self.k + self.stiffness).tocsr()
+
+
+def _physical_gradients(invJ, table):
+    # grad_x phi = J^{-T} grad_ref phi, (ne, nm, nq, 2)
+    g = table.gradients
+    return (invJ[:, None, None, 0, :] * g[None, :, :, 0, None]
+            + invJ[:, None, None, 1, :] * g[None, :, :, 1, None])
 
 
 def build_galerkin_system(mesh: Mesh, dofmap: DofMap, k: float) -> GalerkinSystem:

@@ -4,6 +4,15 @@ the nonsymmetric projection systems.
 
 Matrix storage is scipy CSR/CSC; desk-scale problem sizes make a sparse LU
 the right tool for everything that is not symmetric positive definite.
+`lu_solve` picks the sparse pivoting regime from the matrix itself.  A
+matrix with no zero on its diagonal, such as the condensed projection matrix
+N (the pattern of S, a strong diagonal), is factored in SuperLU's symmetric
+mode: minimum degree ordering on M + M^T with threshold pivoting that keeps
+a diagonal pivot within a factor 10 of its column's largest entry
+(X. S. Li, "An overview of SuperLU", ACM TOMS 31, 2005).  A zero on the
+diagonal, as in the (2,2) block of the mixed saddle-point system, rules
+that out, and the matrix is factored with COLAMD and partial pivoting.
+Every direct solve is checked afterwards for a small backward error.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 _PIVOT_TOL = 1e-14
+_BACKWARD_TOL = 1e-10
 
 
 class SolverError(RuntimeError):
@@ -120,32 +130,52 @@ def cg_solve(S, rhs, rel_tol: float = 1e-12, max_iter: int | None = None, precon
 
 
 def lu_solve(M, rhs):
-    """Direct solve with partial pivoting; raises SolverError when the matrix
-    is singular to working precision (pivot below 1e-14 * max|M|)."""
+    """Direct solve of M x = rhs by a pivoted LU factorization.
+
+    A sparse M with no zero on its diagonal is factored in SuperLU's
+    symmetric mode (minimum degree ordering on M + M^T, a diagonal pivot
+    kept unless it is below 0.1 times its column's largest entry); any other
+    sparse M with COLAMD and partial pivoting, a dense M by LAPACK.  Raises
+    SolverError when M or rhs has entries that are not finite, when M is
+    singular to working precision (pivot below 1e-14 * max|M|), and when the
+    result fails the backward-error check
+    ||M x - rhs||_inf <= 1e-10 (||M||_inf ||x||_inf + ||rhs||_inf),
+    so that relaxed pivoting can never quietly return a wrong solution.
+    """
     rhs = np.asarray(rhs, dtype=float)
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     if M.shape[0] != rhs.shape[0]:
         raise ValueError(f"shape mismatch: matrix {M.shape}, rhs {rhs.shape}")
+    sparse = sp.issparse(M)
+    M = M.tocsc() if sparse else np.asarray(M, dtype=float)
+    if not (np.all(np.isfinite(M.data if sparse else M)) and np.all(np.isfinite(rhs))):
+        raise SolverError("matrix or right-hand side has entries that are not finite")
 
-    if sp.issparse(M):
-        scale = abs(M).max() if M.nnz else 0.0
+    if sparse:
+        options = {}
+        if np.all(M.diagonal() != 0.0):
+            options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                           options={"SymmetricMode": True})
         try:
-            factor = spla.splu(M.tocsc())
+            factor = spla.splu(M, **options)
         except RuntimeError as exc:
             raise SolverError(f"sparse LU factorization failed: {exc}") from exc
-        pivots = np.abs(factor.U.diagonal())
-        if pivots.size == 0 or pivots.min() <= _PIVOT_TOL * scale:
-            raise SolverError("matrix is singular to working precision")
-        x = factor.solve(rhs)
+        pivots = factor.U.diagonal()
+        solve = factor.solve
     else:
-        M = np.asarray(M, dtype=float)
-        scale = np.abs(M).max()
         lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-        pivots = np.abs(np.diag(lu))
-        if pivots.size == 0 or pivots.min() <= _PIVOT_TOL * scale:
-            raise SolverError("matrix is singular to working precision")
-        x = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+        pivots = np.diag(lu)
+        solve = lambda b: scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    abs_M = abs(M)
+    if pivots.size == 0 or np.abs(pivots).min() <= _PIVOT_TOL * abs_M.max():
+        raise SolverError("matrix is singular to working precision")
+    x = solve(rhs)
     if not np.all(np.isfinite(x)):
         raise SolverError("direct solve produced non-finite values")
+    residual = np.abs(M @ x - rhs).max()
+    bound = _BACKWARD_TOL * (abs_M.sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max())
+    if not residual <= bound:
+        raise SolverError(f"direct solve failed the backward-error check: residual "
+                          f"{residual:.3e} exceeds {bound:.3e}")
     return x

@@ -14,6 +14,17 @@ def adr_coeffs():
     return PdeCoefficients(A=np.eye(2), beta=np.array([1.0, 0.5]), gamma=1.0, k=0.1, T_end=1.0)
 
 
+def perturbed_mesh(n, seed):
+    """Structured n x n mesh with every interior vertex moved by up to 0.05."""
+    from dpgmarch.mesh import build_structured_mesh, mesh_from_arrays
+
+    mesh = build_structured_mesh(n)
+    vertices = mesh.vertices.copy()
+    inner = ~mesh.vertex_on_boundary
+    vertices[inner] += np.random.default_rng(seed).uniform(-0.05, 0.05, (inner.sum(), 2))
+    return mesh_from_arrays(vertices, mesh.elements)
+
+
 def field_quadratic_forms(mesh, dofmap, A):
     """Quadrature mass and A-weighted stiffness on the conforming field space,
     assembled independently of the production element blocks."""

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dpgmarch import assembly
 from dpgmarch.assembly import (PdeCoefficients, _build_blocks, _cholesky_blocks,
                                assemble_condensed, condense_load, gram_blocks,
                                volume_quadrature)
@@ -15,7 +16,7 @@ from dpgmarch.linalg import SolverError
 from dpgmarch.mesh import build_structured_mesh, mesh_from_arrays
 
 from conftest import (apply_trial_to_test, embed_field_in_test, field_quadratic_forms,
-                      integrate_on_reference_triangle)
+                      integrate_on_reference_triangle, perturbed_mesh)
 
 
 def reference_triangle_mesh(scale=1.0):
@@ -363,11 +364,7 @@ def _relative_deviation(got, want):
 
 @pytest.mark.parametrize("p", [0, 1])
 def test_tensor_blocks_match_quadrature(p):
-    mesh = build_structured_mesh(4)
-    vertices = mesh.vertices.copy()
-    inner = ~mesh.vertex_on_boundary
-    vertices[inner] += np.random.default_rng(7).uniform(-0.05, 0.05, (inner.sum(), 2))
-    mesh = mesh_from_arrays(vertices, mesh.elements)
+    mesh = perturbed_mesh(4, seed=7)
     coeffs = coeffs_with(**ANISO)
     gram, mass, B_field = quadrature_blocks(mesh, p, coeffs)
     blocks = _build_blocks(mesh, build_dofmap(mesh, p), coeffs)
@@ -377,6 +374,20 @@ def test_tensor_blocks_match_quadrature(p):
     assert _relative_deviation(blocks.mass_field, mass) <= 1e-13
     assert _relative_deviation(blocks.B_b[:, :, :nfl], B_field) <= 1e-13
     assert _relative_deviation(blocks.B_a[:, :, :nfl], B_field + mass / coeffs.k) <= 1e-13
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_build_blocks_evaluates_the_element_weights_once(p, monkeypatch):
+    mesh = perturbed_mesh(4, seed=7)
+    coeffs = coeffs_with(**ANISO)
+    calls = []
+    weights = assembly._element_weights
+    monkeypatch.setattr(assembly, "_element_weights",
+                        lambda *args: calls.append(args) or weights(*args))
+    blocks = _build_blocks(mesh, build_dofmap(mesh, p), coeffs)
+    assert len(calls) == 1
+    # the Gram blocks inside the build are bit for bit those of gram_blocks
+    assert np.array_equal(blocks.chol, np.linalg.cholesky(gram_blocks(mesh, p, coeffs)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpgmarch
 from dpgmarch import cli
@@ -48,6 +50,12 @@ def test_k_policy_parsing():
     for bad in ("nonsense", "fixed:", "list:", "h:abc"):
         with pytest.raises(ValueError):
             KPolicy.parse(bad)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(k=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_k_policy_round_trips_every_positive_float(k):
+    assert KPolicy.parse(f"fixed:{k!r}").value == k
 
 
 def test_converge_space_csv(tmp_path, capsys):
@@ -150,6 +158,9 @@ def test_validation_exit_codes(tmp_path):
     "T_end=true", 'T_end="1"', "T_end=Infinity", "T_end=1e400", "T_end=NaN",
     "k_ref=true", 'k_ref="0.01"', "k_ref=-Infinity",
     "n_steps=null T_end=1e300",  # about 1e301 steps of k = 0.1
+    "k_policy=fixed:1_0", 'k_policy="fixed:\\u00200.1"',  # "fixed: 0.1"
+    "k_policy=fixed:inf", "k_policy=fixed:nan", "k_policy=fixed:1e400",
+    "k_policy=fixed:\u0661",  # an Arabic-Indic digit one
 ])
 def test_config_types_are_not_coerced(tmp_path, override):
     config = base_config(tmp_path, command="run", levels=[4])
@@ -164,6 +175,17 @@ def test_nan_source_exits_3(tmp_path, monkeypatch, capsys):
     config = base_config(tmp_path, command="run", case_id="heat-decay", levels=[4])
     assert main(["run", "--config", config]) == 3
     assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_nan_exact_gradient_in_projection_exits_3(tmp_path, monkeypatch, capsys):
+    make_case = cli.make_case
+    monkeypatch.setattr(cli, "make_case", lambda *args: dataclasses.replace(
+        make_case(*args), grad_u=lambda t, x, y: np.full((2,) + np.shape(x), np.nan)))
+    config = base_config(tmp_path, command="converge-projection", case_id="adr-decay",
+                         levels=[4, 8], n_steps=None)
+    assert main(["converge-projection", "--config", config]) == 3
+    assert "not finite" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
 
 

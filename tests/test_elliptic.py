@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from dpgmarch.assembly import condense_element_loads
+from dpgmarch.assembly import condense_element_loads, gather
+from dpgmarch.basis import lagrange_triangle, triangle_rule
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
 from dpgmarch.elliptic import (b_orthogonality_residual, build_projection_system,
                                discrete_b_load, exact_b_load, project, project_mixed)
-from dpgmarch.errors import SpatialFields, eoc, field_error, trace_dual_error
+from dpgmarch.errors import SpatialFields, _trace_residuals, eoc, field_error, trace_dual_error
 from dpgmarch.linalg import lu_solve
 from dpgmarch.mesh import build_structured_mesh
 
-from conftest import norm_in_test_space
+from conftest import norm_in_test_space, perturbed_mesh
 
 
 def _adr_exact():
@@ -147,3 +149,74 @@ def test_discrete_b_load_matches_matrix_action():
     data = rng.standard_normal(dofmap.n_dof)
     condensed = condense_element_loads(system.blocks, discrete_b_load(system.blocks, data))
     assert np.abs(condensed - system.N @ data).max() <= 1e-12 * np.abs(condensed).max()
+
+
+@pytest.mark.parametrize("case_id,p", [("aniso", 1), ("adr-decay", 0)])
+def test_projection_matches_a_default_splu_solve(case_id, p):
+    # independent oracle for the symmetric-mode factor: scipy's default
+    # splu (COLAMD, partial pivoting) on the same N and right-hand side
+    mesh = build_structured_mesh(8)
+    dofmap = build_dofmap(mesh, p)
+    case = make_case(case_id, mesh.h_max, mesh.h_max)
+    exact = SpatialFields(*case.spatial_u(0.0))
+    system = build_projection_system(mesh, dofmap, case.coeffs)
+    rhs = condense_element_loads(system.blocks,
+                                 exact_b_load(mesh, dofmap, case.coeffs, exact))
+    expected = spla.splu(system.N.tocsc()).solve(rhs)
+    got = project(mesh, dofmap, case.coeffs, exact).as_vector()
+    assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+def test_sparse_pivoting_regime_follows_the_diagonal(monkeypatch):
+    # N has a nonzero diagonal and is factored in symmetric mode; the saddle
+    # matrix of the mixed form has a zero (2,2) block and keeps partial pivoting
+    calls = []
+    splu = spla.splu
+
+    def recording_splu(M, **kwargs):
+        calls.append((bool(np.all(M.diagonal() != 0.0)),
+                      kwargs.get("options", {}).get("SymmetricMode", False)))
+        return splu(M, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    coeffs, exact = _adr_exact()
+    mesh = build_structured_mesh(4)
+    dofmap = build_dofmap(mesh, 0)
+    project(mesh, dofmap, coeffs, exact)
+    project_mixed(mesh, dofmap, coeffs, exact=exact)
+    assert calls == [(True, True), (False, False)]
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_reference_gradient_contractions_match_quadrature(p):
+    # field_error (H1semi) and exact_b_load contract on the reference element;
+    # the oracle forms every physical basis gradient at every quadrature point
+    mesh = perturbed_mesh(4, seed=8)
+    dofmap = build_dofmap(mesh, p)
+    case = make_case("aniso", 0.1, 1.0)
+    coeffs, exact = case.coeffs, SpatialFields(*case.spatial_u(0.3))
+    rule = triangle_rule(2 * (p + 2) + 2)
+    v = mesh.vertices[mesh.elements]
+    J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
+    invJ = np.linalg.inv(J)
+    wdet = rule.weights[None, :] * np.linalg.det(J)[:, None]
+    qp = v[:, 0, None, :] + np.einsum("eab,qb->eqa", J, rule.points)
+    g = np.einsum("aeq->eqa", exact.grad_u(qp[..., 0], qp[..., 1]))
+
+    field = lagrange_triangle(p + 1, rule.points)
+    u = np.random.default_rng(9).standard_normal(dofmap.n_field)
+    u_loc = gather(u, dofmap.element_field_dofs)
+    field_grads = np.einsum("eba,jqb->ejqa", invJ, field.gradients)
+    diff = g - np.einsum("ej,ejqa->eqa", u_loc, field_grads)
+    h1 = np.sqrt(np.einsum("eqa,eqa,eq->", diff, diff, wdet))
+    assert abs(field_error(mesh, dofmap, u, exact, "H1semi") - h1) <= 1e-13 * h1
+
+    test = lagrange_triangle(p + 2, rule.points)
+    test_grads = np.einsum("eba,mqb->emqa", invJ, test.gradients)
+    advection = g @ coeffs.beta + coeffs.gamma * exact.u(qp[..., 0], qp[..., 1])
+    loads = (np.einsum("emqa,ab,eqb,eq->em", test_grads, coeffs.A, g, wdet)
+             + np.einsum("mq,eq,eq->em", test.values, advection, wdet)
+             - _trace_residuals(mesh, dofmap, coeffs, np.zeros(dofmap.n_trace),
+                                exact.grad_u, p + 2))
+    got = exact_b_load(mesh, dofmap, coeffs, exact)
+    assert np.abs(got - loads).max() <= 1e-13 * np.abs(loads).max()

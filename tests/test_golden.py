@@ -4,9 +4,9 @@ The CSVs under tests/golden/ were written by an earlier version of the
 package.  A refactor must reproduce them with the header and the integer and
 mesh columns exact, and the error and rate cells to a relative tolerance: 1e-9
 on the march commands (their CG solve rounds differently when the load
-arithmetic is reordered), 1e-12 on the projection (its direct solve sees only
-the rounding of the element blocks, which changed when they moved from
-quadrature to reference tensors).
+arithmetic is reordered), 1e-12 on the projection (its direct solve rounds
+differently when the element blocks move from quadrature to reference
+tensors, or the sparse LU changes its ordering and pivoting).
 
 Re-record with
 

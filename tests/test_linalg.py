@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from dpgmarch.linalg import SolverError, cg_solve, factor_spd, lu_solve
 
@@ -208,3 +210,85 @@ def test_lu_singular_detection():
 def test_lu_rejects_nonsquare():
     with pytest.raises(ValueError):
         lu_solve(np.ones((2, 3)), np.ones(2))
+
+
+def _backward_error(M, x, rhs):
+    """||M x - rhs||_inf / (||M||_inf ||x||_inf + ||rhs||_inf), the quantity
+    that lu_solve bounds by 1e-10."""
+    M = sp.csr_matrix(M)
+    return (np.abs(M @ x - rhs).max()
+            / (abs(M).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max()))
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("bad", ["matrix-nan", "matrix-inf", "rhs-nan"])
+def test_lu_rejects_non_finite_data(sparse, bad):
+    rng = np.random.default_rng(12)
+    M = rng.standard_normal((6, 6)) + 4 * np.eye(6)
+    rhs = rng.standard_normal(6)
+    if bad == "rhs-nan":
+        rhs[2] = np.nan
+    else:
+        M[1, 3] = np.nan if bad == "matrix-nan" else np.inf
+    with pytest.raises(SolverError, match="not finite"):
+        lu_solve(sp.csr_matrix(M) if sparse else M, rhs)
+
+
+def test_lu_sparse_zero_diagonal_permutation():
+    # every diagonal entry is zero, so the symmetric mode is ruled out
+    perm = np.random.default_rng(13).permutation(12)
+    perm = np.roll(perm, 1)[np.argsort(perm)]  # one 12-cycle, so no fixed point
+    M = sp.csr_matrix((np.arange(1.0, 13.0), (np.arange(12), perm)), shape=(12, 12))
+    assert np.all(M.diagonal() == 0.0)
+    rhs = np.arange(12.0) - 5.5
+    x = lu_solve(M, rhs)
+    assert _backward_error(M, x, rhs) <= 1e-15
+    assert np.allclose(x, np.linalg.solve(M.toarray(), rhs), rtol=1e-14, atol=0.0)
+
+
+def test_lu_sparse_tiny_diagonal_needs_threshold_pivoting():
+    # minimum degree eliminates the end of a tridiagonal matrix early; taken
+    # as a pivot, its 1e-20 diagonal would wipe out the next pivot, 4 - 1e20.
+    # The threshold (0.1 times the column's largest entry) picks the
+    # off-diagonal entry instead.
+    rng = np.random.default_rng(14)
+    n = 20
+    M = sp.diags([rng.uniform(1.0, 2.0, n - 1), np.full(n, 4.0), rng.uniform(1.0, 2.0, n - 1)],
+                 [-1, 0, 1]).tolil()
+    M[0, 0] = 1e-20
+    M = M.tocsr()
+    rhs = rng.standard_normal(n)
+    x = lu_solve(M, rhs)
+    assert _backward_error(M, x, rhs) <= 1e-15
+    expected = np.linalg.solve(M.toarray(), rhs)
+    assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+class PerturbedFactor:
+    """A factor whose solutions are off by a relative 1e-6."""
+
+    def __init__(self, factor):
+        self.U = factor.U
+        self.solve = lambda b: factor.solve(b) * (1.0 + 1e-6)
+
+
+def test_lu_backward_error_guard_trips_on_a_wrong_sparse_solution(monkeypatch):
+    rng = np.random.default_rng(15)
+    M = sp.csr_matrix(rng.standard_normal((10, 10)) + 5 * np.eye(10))
+    rhs = rng.standard_normal(10)
+    lu_solve(M, rhs)  # the genuine factor passes
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: PerturbedFactor(splu(*args, **kwargs)))
+    with pytest.raises(SolverError, match="backward-error"):
+        lu_solve(M, rhs)
+
+
+def test_lu_backward_error_guard_trips_on_a_wrong_dense_solution(monkeypatch):
+    rng = np.random.default_rng(16)
+    M = rng.standard_normal((10, 10)) + 5 * np.eye(10)
+    rhs = rng.standard_normal(10)
+    solve = scipy.linalg.lu_solve
+    monkeypatch.setattr(scipy.linalg, "lu_solve",
+                        lambda *args, **kwargs: solve(*args, **kwargs) * (1.0 + 1e-6))
+    with pytest.raises(SolverError, match="backward-error"):
+        lu_solve(M, rhs)
