@@ -6,7 +6,7 @@ from .basis import QuadRule, ShapeTable, edge_rule, lagrange_edge, lagrange_tria
     triangle_rule
 from .cases import CASE_IDS, PdeCase, make_case
 from .dofmap import DofMap, build_dofmap
-from .elliptic import TestVector, project, project_mixed
+from .elliptic import project, project_mixed
 from .errors import ErrorReport, SpatialFields, eoc, field_error, trace_dual_error
 from .galerkin import galerkin_march
 from .linalg import SolverError, cg_solve, lu_solve
@@ -17,7 +17,7 @@ from .timestep import MarchState, TrialVector, initial_field, march, step
 __all__ = [
     "CASE_IDS", "CondensedSystem", "DofMap", "ErrorReport", "MarchState", "Mesh",
     "PdeCase", "PdeCoefficients", "QuadRule", "ShapeTable", "SolverError",
-    "SpatialFields", "TestVector", "TrialVector", "assemble_condensed", "build_dofmap",
+    "SpatialFields", "TrialVector", "assemble_condensed", "build_dofmap",
     "build_structured_mesh", "cg_solve",
     "condense_load", "edge_orientation_sign", "edge_rule", "eoc", "field_error",
     "galerkin_march", "initial_field", "lagrange_edge", "lagrange_triangle",

@@ -4,16 +4,28 @@ Per element K the test space carries the inner product
 
     (v, dv)_{V,k} = (1/k)(v, dv)_K + (A grad v, grad dv)_K,
 
-whose matrix G_K is the Gram block.  The trial-to-test matrices realize
+whose matrix G_K = L_K L_K^T is the Gram block.  The trial-to-test matrices
+realize
 
     b(u, v) = (A grad u, grad v) + (beta . grad u, v) + (gamma u, v)
               - sum_{e in dK} sign_{K,e} int_e sigma_hat v ds,
     a(u, v) = (1/k)(u, v) + b(u, v),
 
-with columns ordered field nodes first, then 3*(p+1) trace slots.  The
-condensed matrix S = sum_K B_{a,K}^T G_K^{-1} B_{a,K} is symmetric positive
-definite on the free (field + trace) unknowns; Dirichlet field nodes are
-eliminated before condensation.
+with columns ordered field nodes first, then 3*(p+1) trace slots.  Dirichlet
+field nodes are eliminated.  Every condensation is a product with block
+rows: `block_rows` stacks element blocks over ne*nt test rows at their global
+columns, and with R = block_rows(L_K^{-1} B_{a,K}) the condensed matrix is
+
+    S = sum_K B_{a,K}^T G_K^{-1} B_{a,K} = R^T R,
+
+symmetric positive definite on the free (field + trace) unknowns.  A step's
+load (f + w/k, psi)_K condenses to
+
+    rhs = R^T (W_f f(t, x_q) + W_w w),
+
+W_f = L_K^{-1} T diag(w_q det J) with T the test basis at the volume rule,
+and W_w the block rows of L_K^{-1} mass_field / k over the field unknowns.  A march
+keeps R, W_f, W_w, S and its factor; the element blocks are freed.
 
 Elements are affine and A, beta, gamma constant, so each volume block is a
 fixed combination of reference-triangle integrals (the tensor representation
@@ -93,43 +105,20 @@ class PdeCoefficients:
 
 @dataclass
 class LocalBlocks:
-    """Stacked per-element data kept after condensation.
+    """Stacked per-element blocks, the set-up temporaries of a condensation.
 
-    chol / chol_inv: Cholesky factor of G_K and its inverse, (ne, nt, nt).
+    chol / chol_inv: Cholesky factor L_K of G_K and its inverse, (ne, nt, nt).
     B_a, B_b: trial-to-test blocks, (ne, nt, nc).
-    Bt_a: chol_inv @ B_a, so that B_a^T G^{-1} B_a = Bt_a^T Bt_a.
     mass_field: test-against-field mass block, (ne, nt, nfl).
     cols: global column index per local trial slot, -1 where eliminated.
-    quad_points / quad_wdet: physical volume quadrature, (ne, nq, 2) / (ne, nq).
-    test_values: shared reference test table at the volume rule, (nt, nq).
     """
 
-    p: int
-    k: float
-    n_field: int
-    n_trace: int
     chol: np.ndarray
     chol_inv: np.ndarray
     B_a: np.ndarray
     B_b: np.ndarray
-    Bt_a: np.ndarray
     mass_field: np.ndarray
     cols: np.ndarray
-    quad_points: np.ndarray
-    quad_wdet: np.ndarray
-    test_values: np.ndarray
-
-    @property
-    def n_elements(self) -> int:
-        return self.B_a.shape[0]
-
-    @property
-    def n_test(self) -> int:
-        return self.B_a.shape[1]
-
-    @property
-    def n_dof(self) -> int:
-        return self.n_field + self.n_trace
 
     def gather_local(self, u: np.ndarray) -> np.ndarray:
         """Local trial coefficients per element; eliminated slots read as zero."""
@@ -137,13 +126,34 @@ class LocalBlocks:
 
 
 @dataclass
+class StepOperators:
+    """What a march keeps of the element blocks: the load of a step is
+    rhs = R^T (W_f f(t, quad_points) + W_w w) for a source f and the
+    previous field w.
+
+    R: block rows of L^{-1} B_a, (ne*nt, n_dof), with S = R^T R.
+    W_f: L^{-1} T diag(w det J), (ne, nt, nq), T the test basis at the
+        volume rule.
+    W_w: block rows of L^{-1} mass_field / k over the field columns,
+        (ne*nt, n_field).
+    quad_points: physical volume quadrature points, (ne, nq, 2), the array
+        cached in `mesh.quadrature`.
+    """
+
+    R: sp.csr_matrix
+    W_f: np.ndarray
+    W_w: sp.csr_matrix
+    quad_points: np.ndarray
+
+
+@dataclass
 class CondensedSystem:
-    """Global condensed normal-equation system plus retained element blocks;
-    precond applies the inverse of a single-precision factor of S."""
+    """Global condensed normal-equation system S = R^T R and the operators of
+    the step load; precond applies the inverse of a single-precision factor
+    of S."""
 
     S: sp.csr_matrix
-    blocks: LocalBlocks
-    mesh: Mesh
+    blocks: StepOperators
     dofmap: DofMap
     coeffs: PdeCoefficients
     precond: Callable[[np.ndarray], np.ndarray]
@@ -276,7 +286,6 @@ def _build_blocks(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> LocalB
     p = dofmap.p
     k = coeffs.k
     test_degree = p + 2
-    vol, qpoints, wdet, _ = volume_quadrature(mesh, 2 * test_degree)
     erule = edge_rule(2 * p + 2)
     trace_tab = lagrange_edge(p, erule.points)
     edge_tables = _edge_test_tables(test_degree, erule)
@@ -298,46 +307,36 @@ def _build_blocks(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> LocalB
     pair = {(l, s): np.einsum("mq,rq,q->mr", edge_tables[(l, s)], trace_tab.values,
                               erule.weights)
             for l in range(3) for s in (1, -1)}
-    v = mesh.vertices[mesh.elements]
+    lengths = mesh.edge_lengths()[mesh.element_edges]
     for l in range(3):
-        length = np.linalg.norm(v[:, (l + 1) % 3] - v[:, l], axis=1)
         s = mesh.element_edge_signs[:, l]
         block = np.where((s == 1)[:, None, None], pair[(l, 1)][None], pair[(l, -1)][None])
         B_b[:, :, nfl + l * n_per_edge:nfl + (l + 1) * n_per_edge] = \
-            -(s * length)[:, None, None] * block
+            -(s * lengths[:, l])[:, None, None] * block
 
     B_a = B_b.copy()
     B_a[:, :, :nfl] += (1.0 / k) * mass_field
-    Bt_a = chol_inv @ B_a
-
     cols = np.hstack([dofmap.element_field_dofs,
                       dofmap.n_field + dofmap.element_trace_dofs])
-
-    return LocalBlocks(
-        p=p, k=k, n_field=dofmap.n_field, n_trace=dofmap.n_trace,
-        chol=chol, chol_inv=chol_inv, B_a=B_a, B_b=B_b, Bt_a=Bt_a,
-        mass_field=mass_field, cols=cols,
-        quad_points=qpoints, quad_wdet=wdet,
-        test_values=lagrange_triangle(test_degree, vol.points).values,
-    )
+    return LocalBlocks(chol=chol, chol_inv=chol_inv, B_a=B_a, B_b=B_b,
+                       mass_field=mass_field, cols=cols)
 
 
-def scatter_condensed(Bt_rows: np.ndarray, Bt_cols: np.ndarray, cols: np.ndarray,
-                      n_dof: int) -> sp.csr_matrix:
-    """sum_K Bt_rows^T Bt_cols scattered over the free global unknowns."""
-    contrib = np.einsum("emi,emj->eij", Bt_rows, Bt_cols)
-    shape = contrib.shape
-    cols = cols.astype(np.int32)
+def block_rows(blocks: np.ndarray, cols: np.ndarray, n_cols: int) -> sp.csr_matrix:
+    """Element blocks (ne, nt, nc) as a CSR matrix of shape (ne*nt, n_cols):
+    row e*nt + m holds blocks[e, m] at the global columns cols[e], leaving out
+    the slots whose column is -1."""
+    ne, nt, _ = blocks.shape
     free = cols >= 0
-    mask = free[:, :, None] & free[:, None, :]
-    rows_idx = np.broadcast_to(cols[:, :, None], shape)[mask]
-    cols_idx = np.broadcast_to(cols[:, None, :], shape)[mask]
-    matrix = sp.coo_matrix((contrib[mask], (rows_idx, cols_idx)), shape=(n_dof, n_dof))
-    return matrix.tocsr()
+    mask = np.broadcast_to(free[:, None, :], blocks.shape)
+    indices = np.broadcast_to(cols.astype(np.int32)[:, None, :], blocks.shape)[mask]
+    indptr = np.concatenate([[0], np.cumsum(np.repeat(free.sum(axis=1), nt))])
+    return sp.csr_matrix((blocks[mask], indices, indptr), shape=(ne * nt, n_cols))
 
 
 def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> CondensedSystem:
-    """Assemble S = sum_K B_{a,K}^T G_K^{-1} B_{a,K} over the free unknowns."""
+    """Assemble S = R^T R, R the block rows of L_K^{-1} B_{a,K}, over the free
+    unknowns, and the operators of the step load."""
     ratio = mesh.h_max / np.sqrt(coeffs.k)
     if ratio > _TRACE_EQUIV_WARN:
         warnings.warn(
@@ -346,7 +345,14 @@ def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> C
             RuntimeWarning, stacklevel=2,
         )
     blocks = _build_blocks(mesh, dofmap, coeffs)
-    S = scatter_condensed(blocks.Bt_a, blocks.Bt_a, blocks.cols, dofmap.n_dof)
+    R = block_rows(blocks.chol_inv @ blocks.B_a, blocks.cols, dofmap.n_dof)
+    W_w = block_rows(blocks.chol_inv @ blocks.mass_field / coeffs.k, dofmap.element_field_dofs,
+                     dofmap.n_field)
+    rule, points, wdet, _ = volume_quadrature(mesh, 2 * (dofmap.p + 2))
+    W_f = blocks.chol_inv @ lagrange_triangle(dofmap.p + 2, rule.points).values
+    W_f *= wdet[:, None, :]
+    del blocks  # set-up temporaries: free them before the product and the factor
+    S = (R.T @ R).tocsr()
     # the CSC arrays of S are the CSR arrays of S^T; the pattern is symmetric
     # by construction, so S = S^T compares the two value arrays
     St = S.tocsc()
@@ -355,36 +361,17 @@ def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> C
                   or np.abs(St.data - S.data).max() > _SYM_TOL * np.abs(S.data).max()):
         raise SolverError("condensed system lost symmetry; assembly is inconsistent")
     del St
-    return CondensedSystem(S=S, blocks=blocks, mesh=mesh, dofmap=dofmap, coeffs=coeffs,
-                           precond=factor_spd(S))
+    return CondensedSystem(S=S, blocks=StepOperators(R=R, W_f=W_f, W_w=W_w, quad_points=points),
+                           dofmap=dofmap, coeffs=coeffs, precond=factor_spd(S))
 
 
-def local_test_loads(blocks: LocalBlocks, g, w_field, coeffs: PdeCoefficients) -> np.ndarray:
-    """Element test-space loads (g + w/k, psi_m)_K, shape (ne, nt)."""
-    loads = np.zeros((blocks.n_elements, blocks.n_test))
-    if g is not None:
-        gv = g(blocks.quad_points[..., 0], blocks.quad_points[..., 1])
-        loads += np.einsum("mq,eq->em", blocks.test_values, blocks.quad_wdet * gv)
-    if w_field is not None:
-        w_field = np.asarray(w_field, dtype=float)
-        if w_field.shape != (blocks.n_field,):
-            raise ValueError(f"field coefficient vector has wrong length {w_field.shape}")
-        w_loc = gather(w_field, blocks.cols[:, :blocks.mass_field.shape[2]])
-        loads += (1.0 / coeffs.k) * np.einsum("emj,ej->em", blocks.mass_field, w_loc)
-    return loads
-
-
-def condense_element_loads(blocks: LocalBlocks, loads: np.ndarray) -> np.ndarray:
-    """Condensed right-hand side sum_K B_{a,K}^T G_K^{-1} l_K of element test
-    loads l, shape (ne, nt)."""
-    y = np.einsum("emn,en->em", blocks.chol_inv, loads)
-    contrib = np.einsum("emc,em->ec", blocks.Bt_a, y)
-    out = np.zeros(blocks.n_dof)
-    mask = blocks.cols >= 0
-    np.add.at(out, blocks.cols[mask], contrib[mask])
-    return out
-
-
-def condense_load(blocks: LocalBlocks, g, w_field, coeffs: PdeCoefficients) -> np.ndarray:
-    """Condensed right-hand side sum_K B_{a,K}^T G_K^{-1} (g + w/k, psi)_K."""
-    return condense_element_loads(blocks, local_test_loads(blocks, g, w_field, coeffs))
+def condense_load(ops: StepOperators, g, w_field: np.ndarray) -> np.ndarray:
+    """Condensed right-hand side R^T (W_f g(quad_points) + W_w w) of the source
+    g(x, y) and the previous field w: sum_K B_{a,K}^T G_K^{-1} (g + w/k, psi)_K."""
+    w_field = np.asarray(w_field, dtype=float)
+    if w_field.shape != (ops.W_w.shape[1],):
+        raise ValueError(f"field coefficient vector has wrong length {w_field.shape}")
+    gq = g(ops.quad_points[..., 0], ops.quad_points[..., 1])
+    b = np.einsum("emq,eq->em", ops.W_f, gq).ravel()
+    b += ops.W_w @ w_field
+    return ops.R.T @ b

@@ -13,7 +13,8 @@ scientific numerals, and `snapshot` a JSON boolean; nothing is coerced.
 Studies write a CSV table with the ErrorReport columns and print an EOC
 table; `run` can additionally dump the field as a legacy ASCII VTK
 snapshot.  Exit codes: 0 success, 1 verification failed (heat-identity
-FAIL), 2 validation error, 3 solver failure.
+FAIL), 2 validation error (including an output_path whose directory does
+not exist or that cannot be written), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -111,6 +113,9 @@ class RunConfig:
             raise ConfigError("converge-time requires a fixed mesh and k_policy 'list:...'")
         if self.command != "converge-time" and self.k_policy.kind == "list":
             raise ConfigError(f"k_policy 'list' is only valid for converge-time, not {self.command}")
+        parent = os.path.dirname(self.output_path)
+        if parent and not os.path.isdir(parent):
+            raise ConfigError(f"the directory {parent!r} of output_path does not exist")
 
 
 def _integer(key: str, value) -> int:
@@ -196,11 +201,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_lines(path: str, lines) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def write_csv(path: str, reports) -> None:
     lines = [",".join(ErrorReport.FIELDS)]
     lines += [",".join(_fmt(v) for v in report.row()) for report in reports]
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def print_table(reports) -> None:
@@ -235,8 +247,7 @@ def write_vtk(path: str, mesh, dofmap, field_coeffs) -> None:
     lines += ["5"] * mesh.n_elements
     lines += [f"POINT_DATA {mesh.n_vertices}", "SCALARS u double 1", "LOOKUP_TABLE default"]
     lines += [f"{v:.16g}" for v in values]
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def _level(cfg: RunConfig, n: int):

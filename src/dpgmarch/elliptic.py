@@ -10,11 +10,15 @@ which in condensed form is the nonsymmetric system N x = r with
     N[i, j] = (B_a e_i)^T G^{-1} (B_b e_j),
     r[i]    = (B_a e_i)^T G^{-1} l_b,     l_b[m] = b(u, psi_m).
 
+With G_K = L_K L_K^T and the block rows R = block_rows(L^{-1} B_a) and
+R_b = block_rows(L^{-1} B_b) of `assembly`, N = R^T R_b and r = R^T L^{-1} l_b.
+
 It is equivalent to the mixed saddle-point system
 
     (v_h, dv)_{V,k} + b(u_h, dv) = b(u, dv),      a(dw, v_h) = 0,
 
-which is solved monolithically as an independent cross-check; its auxiliary
+which is solved monolithically as an independent cross-check, with the
+saddle matrix built from the block rows of G, B_b and B_a; its auxiliary
 component v_h represents the projection residual in the test space.
 
 Note that the projection depends on the time step k through the optimal test
@@ -29,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (LocalBlocks, PdeCoefficients, _build_blocks, condense_element_loads,
-                       scatter_condensed, volume_quadrature)
+from .assembly import LocalBlocks, PdeCoefficients, _build_blocks, block_rows, volume_quadrature
 from .basis import lagrange_triangle
 from .dofmap import DofMap
 from .errors import SpatialFields, _trace_residuals
@@ -39,27 +42,27 @@ from .mesh import Mesh
 from .timestep import TrialVector
 
 
-@dataclass(frozen=True)
-class TestVector:
-    """Element-blocked coefficients of a broken test function, (ne, nt)."""
-
-    values: np.ndarray
-
-
 @dataclass
 class ProjectionSystem:
+    """N = R^T R_b, the block rows R of L^{-1} B_a for the load, and the
+    element blocks."""
+
     N: sp.csr_matrix
+    R: sp.csr_matrix
     blocks: LocalBlocks
-    mesh: Mesh
-    dofmap: DofMap
-    coeffs: PdeCoefficients
 
 
 def build_projection_system(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> ProjectionSystem:
     blocks = _build_blocks(mesh, dofmap, coeffs)
-    Bt_b = blocks.chol_inv @ blocks.B_b
-    N = scatter_condensed(blocks.Bt_a, Bt_b, blocks.cols, dofmap.n_dof)
-    return ProjectionSystem(N=N, blocks=blocks, mesh=mesh, dofmap=dofmap, coeffs=coeffs)
+    R = block_rows(blocks.chol_inv @ blocks.B_a, blocks.cols, dofmap.n_dof)
+    N = (R.T @ block_rows(blocks.chol_inv @ blocks.B_b, blocks.cols, dofmap.n_dof)).tocsr()
+    return ProjectionSystem(N=N, R=R, blocks=blocks)
+
+
+def condense_element_loads(system: ProjectionSystem, loads: np.ndarray) -> np.ndarray:
+    """Condensed right-hand side R^T L^{-1} l = sum_K B_{a,K}^T G_K^{-1} l_K of
+    element test loads l, shape (ne, nt)."""
+    return system.R.T @ np.einsum("emn,en->em", system.blocks.chol_inv, loads).ravel()
 
 
 def exact_b_load(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
@@ -94,35 +97,25 @@ def project(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     """Elliptic projection of exact data (u, grad_u); the flux trace is taken
     from grad_u and is single-valued for smooth u."""
     system = build_projection_system(mesh, dofmap, coeffs)
-    rhs = condense_element_loads(system.blocks, exact_b_load(mesh, dofmap, coeffs, exact))
+    rhs = condense_element_loads(system, exact_b_load(mesh, dofmap, coeffs, exact))
     x = lu_solve(system.N, rhs)
     return TrialVector.from_vector(x, dofmap.n_field)
 
 
 def _mixed_matrix(blocks: LocalBlocks, n_dof: int) -> sp.csc_matrix:
-    ne, nt = blocks.n_elements, blocks.n_test
-    gram = np.einsum("emk,enk->emn", blocks.chol, blocks.chol)
-    rows = (np.arange(ne)[:, None, None] * nt + np.arange(nt)[None, :, None])
-    cols = (np.arange(ne)[:, None, None] * nt + np.arange(nt)[None, None, :])
-    G = sp.coo_matrix((gram.ravel(), (np.broadcast_to(rows, gram.shape).ravel(),
-                                      np.broadcast_to(cols, gram.shape).ravel())),
-                      shape=(ne * nt, ne * nt))
-
-    test_rows = np.arange(ne)[:, None, None] * nt + np.arange(nt)[None, :, None]
-    trial_cols = np.broadcast_to(blocks.cols[:, None, :], blocks.B_b.shape)
-    mask = trial_cols >= 0
-    row_idx = np.broadcast_to(test_rows, blocks.B_b.shape)[mask]
-    Bb = sp.coo_matrix((blocks.B_b[mask], (row_idx, trial_cols[mask])),
-                       shape=(ne * nt, n_dof))
-    Ba = sp.coo_matrix((blocks.B_a[mask], (row_idx, trial_cols[mask])),
-                       shape=(ne * nt, n_dof))
+    ne, nt, _ = blocks.chol.shape
+    G = block_rows(blocks.chol @ blocks.chol.transpose(0, 2, 1),
+                   np.arange(ne * nt).reshape(ne, nt), ne * nt)
+    Bb = block_rows(blocks.B_b, blocks.cols, n_dof)
+    Ba = block_rows(blocks.B_a, blocks.cols, n_dof)
     return sp.bmat([[G, Bb], [Ba.T, None]], format="csc")
 
 
 def project_mixed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
                   exact: SpatialFields | None = None,
                   discrete_data: np.ndarray | None = None):
-    """Solve the equivalent mixed system; returns (TestVector, TrialVector).
+    """Solve the equivalent mixed system; returns (v_h, TrialVector) with v_h
+    the element-blocked test coefficients, shape (ne, nt).
 
     Exactly one of `exact` (callbacks) and `discrete_data` (trial coefficients
     whose projection is requested) must be given.
@@ -134,17 +127,8 @@ def project_mixed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
         loads = exact_b_load(mesh, dofmap, coeffs, exact)
     else:
         loads = discrete_b_load(blocks, discrete_data)
-    ne, nt = blocks.n_elements, blocks.n_test
     saddle = _mixed_matrix(blocks, dofmap.n_dof)
     rhs = np.concatenate([loads.ravel(), np.zeros(dofmap.n_dof)])
-    x = lu_solve(saddle, rhs)
-    v = TestVector(values=x[:ne * nt].reshape(ne, nt))
-    return v, TrialVector.from_vector(x[ne * nt:], dofmap.n_field)
+    v, u = np.split(lu_solve(saddle, rhs), [loads.size])
+    return v.reshape(loads.shape), TrialVector.from_vector(u, dofmap.n_field)
 
-
-def b_orthogonality_residual(system: ProjectionSystem, rhs: np.ndarray,
-                             solution: np.ndarray):
-    """(max_i |b(u - u_h, Theta phi_i)|, system scale) for a computed projection."""
-    residual = rhs - system.N @ solution
-    scale = float(np.abs(system.N).dot(np.abs(solution)).max() + np.abs(rhs).max())
-    return float(np.abs(residual).max()), scale

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (PdeCoefficients, _edge_test_tables, _geometry, gather, gram_blocks,
-                       volume_quadrature)
+from .assembly import PdeCoefficients, _edge_test_tables, gather, gram_blocks, volume_quadrature
 from .basis import edge_rule, lagrange_edge, lagrange_triangle
 from .dofmap import DofMap
 from .mesh import Mesh
@@ -90,29 +89,23 @@ def _trace_residuals(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients, sigma_
     if sigma_h.shape != (dofmap.n_trace,):
         raise ValueError(f"trace coefficient vector has wrong length {sigma_h.shape}")
 
-    v = mesh.vertices[mesh.elements]
-    n_per_edge = p + 1
+    # (A grad u) . n - sigma_h once per global edge, in its global orientation
+    lo = mesh.vertices[mesh.edges[:, 0]]
+    pts = lo[:, None, :] + erule.points[None, :, None] * mesh.edge_vectors()[:, None, :]
+    g = np.moveaxis(np.asarray(grad_u(pts[..., 0], pts[..., 1])), 0, -1)
+    sig_vals = np.einsum("er,rq->eq", sigma_h.reshape(mesh.n_edges, p + 1), trace_tab.values)
+    diff = np.einsum("eqa,ea->eq", g @ coeffs.A.T, mesh.edge_normals()) - sig_vals
+
+    lengths = mesh.edge_lengths()
     nt = edge_tables[(0, 1)].shape[0]
     r = np.zeros((mesh.n_elements, nt))
     for l in range(3):
         edge_idx = mesh.element_edges[:, l]
         s = mesh.element_edge_signs[:, l]
-        length = np.linalg.norm(v[:, (l + 1) % 3] - v[:, l], axis=1)
-
-        tdofs = edge_idx[:, None] * n_per_edge + np.arange(n_per_edge)[None, :]
-        sig_vals = np.einsum("er,rq->eq", sigma_h[tdofs], trace_tab.values)
-
-        lo = mesh.vertices[mesh.edges[edge_idx, 0]]
-        hi = mesh.vertices[mesh.edges[edge_idx, 1]]
-        tangent = (hi - lo) / length[:, None]
-        normal = np.column_stack((tangent[:, 1], -tangent[:, 0]))
-        pts = lo[:, None, :] + erule.points[None, :, None] * (hi - lo)[:, None, :]
-        g = np.moveaxis(np.asarray(grad_u(pts[..., 0], pts[..., 1])), 0, -1)
-        diff = np.einsum("eqa,ea->eq", g @ coeffs.A.T, normal) - sig_vals
-
         psi = np.where((s == 1)[:, None, None], edge_tables[(l, 1)][None],
                        edge_tables[(l, -1)][None])
-        r += (s * length)[:, None] * np.einsum("emq,eq,q->em", psi, diff, erule.weights)
+        r += (s * lengths[edge_idx])[:, None] * np.einsum("emq,eq,q->em", psi, diff[edge_idx],
+                                                          erule.weights)
     return r
 
 
@@ -140,32 +133,3 @@ def eoc(errors, steps):
             rates.append(float(np.log(prev_e / cur_e) / np.log(prev_s / cur_s)))
     return rates
 
-
-def function_l2_norm(mesh: Mesh, f, degree: int = 8) -> float:
-    """Quadrature L2 norm of a pointwise function over the mesh."""
-    _, qp, wdet, _ = volume_quadrature(mesh, degree)
-    vals = f(qp[..., 0], qp[..., 1])
-    return float(np.sqrt(np.sum(wdet * vals**2)))
-
-
-def evaluate_field(mesh: Mesh, dofmap: DofMap, coeffs_vector, x, y) -> np.ndarray:
-    """Pointwise evaluation of the discrete field (brute-force element lookup)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    pts = np.column_stack((x.ravel(), y.ravel()))
-    v, _, invJ, _ = _geometry(mesh)
-    local = np.einsum("eab,epb->epa", invJ, pts[None, :, :] - v[:, None, 0, :])
-    tol = 1e-12
-    inside = (local[..., 0] >= -tol) & (local[..., 1] >= -tol) \
-        & (local.sum(axis=-1) <= 1.0 + tol)
-
-    u_loc = gather(np.asarray(coeffs_vector, dtype=float), dofmap.element_field_dofs)
-    out = np.empty(pts.shape[0])
-    for i in range(pts.shape[0]):
-        hits = np.flatnonzero(inside[:, i])
-        if hits.size == 0:
-            raise ValueError(f"point {pts[i]} lies outside the mesh")
-        e = hits[0]
-        table = lagrange_triangle(dofmap.p + 1, local[e, i][None, :])
-        out[i] = u_loc[e] @ table.values[:, 0]
-    return out.reshape(x.shape)

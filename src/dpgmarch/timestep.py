@@ -1,9 +1,11 @@
 """Backward Euler marching of the condensed primal DPG system.
 
-Each step solves the condensed normal equations with the load
-(f^n + u^{n-1}/k, .): the source is sampled at the new time level and only
-the field component of the previous step enters.  The trace component of
-the initial state is irrelevant to the scheme and kept at zero.
+Each step solves the condensed normal equations S x = rhs, S = R^T R, with
+the load (f^n + u^{n-1}/k, .) condensed to rhs = R^T (W_f f^n + W_w w): the
+source is sampled at the new time level at the cached quadrature points and
+only the field component w of the previous step enters (see `assembly`).
+The trace component of the initial state is irrelevant to the scheme and
+kept at zero.
 
 The initial field is the nodal interpolant of u0 at the interior Lagrange
 nodes; for smooth u0 this attains the approximation orders assumed by the
@@ -44,10 +46,6 @@ class TrialVector:
         vector = np.asarray(vector, dtype=float)
         return cls(field=vector[:n_field].copy(), trace=vector[n_field:].copy())
 
-    @classmethod
-    def zeros(cls, dofmap: DofMap) -> "TrialVector":
-        return cls(field=np.zeros(dofmap.n_field), trace=np.zeros(dofmap.n_trace))
-
 
 @dataclass(frozen=True)
 class MarchState:
@@ -75,7 +73,7 @@ def step(system: CondensedSystem, state: MarchState, f_n) -> MarchState:
     few iterations; the cap turns a tolerance it cannot reach into a
     SolverError within seconds.
     """
-    rhs = condense_load(system.blocks, f_n, state.current.field, system.coeffs)
+    rhs = condense_load(system.blocks, f_n, state.current.field)
     x, _ = cg_solve(system.S, rhs, max_iter=_MAX_ITER, precond=system.precond)
     return MarchState(
         step_index=state.step_index + 1,

@@ -58,11 +58,10 @@ def norm_in_test_space(blocks, v):
     return float(np.sqrt(np.sum(z * z)))
 
 
-def apply_trial_to_test(system, u):
+def apply_trial_to_test(blocks, u):
     """Discrete optimal test function of a trial vector, element-blocked
     coefficients (ne, nt): v_K = G_K^{-1} B_{a,K} u_loc, applied through the
-    stored Cholesky inverses."""
-    blocks = system.blocks
+    Cholesky inverses of the element blocks."""
     u_loc = blocks.gather_local(np.asarray(u, dtype=float))
     z = np.einsum("emn,enc,ec->em", blocks.chol_inv, blocks.B_a, u_loc)
     return np.einsum("enm,en->em", blocks.chol_inv, z)
@@ -84,3 +83,45 @@ def integrate_on_reference_triangle(expr, x, y):
     poly = sympy.Poly(sympy.expand(expr), x, y)
     return sum(c * sympy.factorial(a) * sympy.factorial(b) / sympy.factorial(a + b + 2)
                for (a, b), c in poly.terms())
+
+
+def b_orthogonality_residual(system, rhs, solution):
+    """(max_i |b(u - u_h, Theta phi_i)|, system scale) for a computed projection."""
+    residual = rhs - system.N @ solution
+    scale = float(np.abs(system.N).dot(np.abs(solution)).max() + np.abs(rhs).max())
+    return float(np.abs(residual).max()), scale
+
+
+def function_l2_norm(mesh, f, degree=8):
+    """Quadrature L2 norm of a pointwise function over the mesh."""
+    from dpgmarch.assembly import volume_quadrature
+
+    _, qp, wdet, _ = volume_quadrature(mesh, degree)
+    vals = f(qp[..., 0], qp[..., 1])
+    return float(np.sqrt(np.sum(wdet * vals**2)))
+
+
+def evaluate_field(mesh, dofmap, coeffs_vector, x, y):
+    """Pointwise evaluation of the discrete field (brute-force element lookup)."""
+    from dpgmarch.assembly import _geometry, gather
+    from dpgmarch.basis import lagrange_triangle
+
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    pts = np.column_stack((x.ravel(), y.ravel()))
+    v, _, invJ, _ = _geometry(mesh)
+    local = np.einsum("eab,epb->epa", invJ, pts[None, :, :] - v[:, None, 0, :])
+    tol = 1e-12
+    inside = (local[..., 0] >= -tol) & (local[..., 1] >= -tol) \
+        & (local.sum(axis=-1) <= 1.0 + tol)
+
+    u_loc = gather(np.asarray(coeffs_vector, dtype=float), dofmap.element_field_dofs)
+    out = np.empty(pts.shape[0])
+    for i in range(pts.shape[0]):
+        hits = np.flatnonzero(inside[:, i])
+        if hits.size == 0:
+            raise ValueError(f"point {pts[i]} lies outside the mesh")
+        e = hits[0]
+        table = lagrange_triangle(dofmap.p + 1, local[e, i][None, :])
+        out[i] = u_loc[e] @ table.values[:, 0]
+    return out.reshape(x.shape)

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from dpgmarch import assembly
 from dpgmarch.assembly import (PdeCoefficients, _build_blocks, _cholesky_blocks,
-                               assemble_condensed, condense_load, gram_blocks,
+                               assemble_condensed, block_rows, condense_load, gram_blocks,
                                volume_quadrature)
 from dpgmarch.basis import lagrange_triangle, triangle_rule
 from dpgmarch.dofmap import build_dofmap
 from dpgmarch.linalg import SolverError
 from dpgmarch.mesh import build_structured_mesh, mesh_from_arrays
 
-from conftest import (apply_trial_to_test, embed_field_in_test, field_quadratic_forms,
-                      integrate_on_reference_triangle, perturbed_mesh)
+from conftest import (apply_trial_to_test, embed_field_in_test, evaluate_field,
+                      field_quadratic_forms, integrate_on_reference_triangle, perturbed_mesh)
 
 
 def reference_triangle_mesh(scale=1.0):
@@ -122,7 +122,7 @@ def test_trial_to_test_pure_gradient_rows_vanish():
     # leaves only the gradient term, which vanishes
     mesh = build_structured_mesh(2)
     dofmap = build_dofmap(mesh, 0)
-    B = assemble_condensed(mesh, dofmap, coeffs_with()).blocks.B_b[1]
+    B = _build_blocks(mesh, dofmap, coeffs_with()).B_b[1]
     ones = np.ones(B.shape[0])
     assert np.abs(ones @ B[:, :3]).max() <= 1e-13
 
@@ -131,7 +131,7 @@ def test_trial_to_test_form_difference_is_mass():
     mesh = build_structured_mesh(2)
     dofmap = build_dofmap(mesh, 0)
     coeffs = coeffs_with(beta=[1.0, 0.5], gamma=1.0, k=0.2)
-    blocks = assemble_condensed(mesh, dofmap, coeffs).blocks
+    blocks = _build_blocks(mesh, dofmap, coeffs)
     Ba, Bb = blocks.B_a[2], blocks.B_b[2]
     diff = Ba - Bb
     assert np.abs(diff[:, 3:]).max() == 0.0  # trace columns unchanged
@@ -152,7 +152,7 @@ def test_trace_columns_telescope_for_constant_flux():
     dofmap = build_dofmap(mesh, 0)
     normals = mesh.edge_normals()
     sigma0 = np.array([0.3, -1.2])
-    B_b = assemble_condensed(mesh, dofmap, coeffs_with()).blocks.B_b
+    B_b = _build_blocks(mesh, dofmap, coeffs_with()).B_b
     for element in range(mesh.n_elements):
         B = B_b[element]
         local_edges = mesh.element_edges[element]
@@ -213,12 +213,12 @@ def test_heat_case_theta_identity(heat_coeffs):
     for p in (0, 1):
         mesh = build_structured_mesh(3)
         dofmap = build_dofmap(mesh, p)
-        system = assemble_condensed(mesh, dofmap, heat_coeffs)
+        blocks = _build_blocks(mesh, dofmap, heat_coeffs)
         rng = np.random.default_rng(5)
         x = np.zeros(dofmap.n_dof)
         x[:dofmap.n_field] = rng.standard_normal(dofmap.n_field)
-        theta = apply_trial_to_test(system, x)
-        u_loc = system.blocks.gather_local(x)[:, :dofmap.n_field_local]
+        theta = apply_trial_to_test(blocks, x)
+        u_loc = blocks.gather_local(x)[:, :dofmap.n_field_local]
         embedded = np.einsum("ej,jm->em", u_loc, embed_field_in_test(p))
         assert np.abs(theta - embedded).max() <= 1e-11
 
@@ -227,14 +227,14 @@ def test_trace_annihilation(adr_coeffs):
     # <sigma_h, w>_S = 0 for conforming w with zero boundary values
     mesh = build_structured_mesh(4)
     dofmap = build_dofmap(mesh, 0)
-    system = assemble_condensed(mesh, dofmap, adr_coeffs)
+    blocks = _build_blocks(mesh, dofmap, adr_coeffs)
     rng = np.random.default_rng(13)
     sigma = rng.standard_normal(dofmap.n_trace)
     w = np.zeros(dofmap.n_dof)
     w[:dofmap.n_field] = rng.standard_normal(dofmap.n_field)
-    w_loc = system.blocks.gather_local(w)[:, :dofmap.n_field_local]
+    w_loc = blocks.gather_local(w)[:, :dofmap.n_field_local]
     w_test = np.einsum("ej,jm->em", w_loc, embed_field_in_test(0))
-    trace_block = system.blocks.B_b[:, :, dofmap.n_field_local:]
+    trace_block = blocks.B_b[:, :, dofmap.n_field_local:]
     sigma_loc = sigma[dofmap.element_trace_dofs]
     pairing = -np.einsum("emr,er,em->", trace_block, sigma_loc, w_test)
     scale = np.abs(sigma).max() * np.abs(w).max() * mesh.n_elements
@@ -246,19 +246,19 @@ def test_condense_load_zero():
     dofmap = build_dofmap(mesh, 0)
     coeffs = coeffs_with()
     system = assemble_condensed(mesh, dofmap, coeffs)
-    rhs = condense_load(system.blocks, None, np.zeros(dofmap.n_field), coeffs)
+    rhs = condense_load(system.blocks, lambda x, y: np.zeros_like(x), np.zeros(dofmap.n_field))
     assert np.all(rhs == 0.0)
 
 
 def test_local_load_constant_source():
-    # g = 1 against the constant test function gives the element area
-    from dpgmarch.assembly import local_test_loads
-
+    # g = 1 against the constant test function gives the element area; the
+    # march keeps the load map W_f = L^{-1} T diag(w det J), so l = L W_f 1
     mesh = build_structured_mesh(2)
     dofmap = build_dofmap(mesh, 0)
     coeffs = coeffs_with()
-    system = assemble_condensed(mesh, dofmap, coeffs)
-    loads = local_test_loads(system.blocks, lambda x, y: np.ones_like(x), None, coeffs)
+    W_f = assemble_condensed(mesh, dofmap, coeffs).blocks.W_f
+    loads = _build_blocks(mesh, dofmap, coeffs).chol @ W_f.sum(axis=2)[:, :, None]
+    loads = loads[:, :, 0]
     areas = mesh.signed_areas()
     assert np.abs(loads.sum(axis=1) - areas).max() <= 1e-14
 
@@ -281,8 +281,6 @@ def test_cg_converges_on_condensed_system():
 def test_condense_load_mass_path_matches_function_path():
     # feeding the previous field through the mass block must equal feeding it
     # as a pointwise source scaled by 1/k (exact for polynomial data)
-    from dpgmarch.errors import evaluate_field
-
     mesh = build_structured_mesh(3)
     dofmap = build_dofmap(mesh, 0)
     coeffs = coeffs_with(beta=[1.0, 0.5], gamma=1.0, k=0.2)
@@ -290,11 +288,11 @@ def test_condense_load_mass_path_matches_function_path():
     rng = np.random.default_rng(23)
     w = rng.standard_normal(dofmap.n_field)
 
-    via_mass = condense_load(system.blocks, None, w, coeffs)
+    via_mass = condense_load(system.blocks, lambda x, y: np.zeros_like(x), w)
     via_func = condense_load(
         system.blocks,
         lambda x, y: evaluate_field(mesh, dofmap, w, x, y) / coeffs.k,
-        None, coeffs)
+        np.zeros(dofmap.n_field))
     assert np.abs(via_mass - via_func).max() <= 1e-12 * np.abs(via_mass).max()
 
 
@@ -305,9 +303,14 @@ def test_volume_quadrature_repeats_the_same_arrays():
     assert all(a is b for a, b in zip(first, again))
     other_degree = volume_quadrature(mesh, 6)
     assert other_degree[1].shape[1] != first[1].shape[1]
-    # the element blocks read the cached copy
-    blocks = assemble_condensed(mesh, build_dofmap(mesh, 0), coeffs_with()).blocks
-    assert blocks.quad_points is first[1] and blocks.quad_wdet is first[2]
+    # the march's load operators read the cached copy: its points, and W_f
+    # built from its weights
+    dofmap = build_dofmap(mesh, 0)
+    ops = assemble_condensed(mesh, dofmap, coeffs_with()).blocks
+    chol_inv = _build_blocks(mesh, dofmap, coeffs_with()).chol_inv
+    test_values = lagrange_triangle(2, first[0].points).values
+    assert ops.quad_points is first[1]
+    assert np.array_equal(ops.W_f, (chol_inv @ test_values) * first[2][:, None, :])
 
 
 def test_volume_quadrature_arrays_are_read_only():
@@ -450,3 +453,47 @@ def test_block_assembly_peak_memory_stays_near_its_output():
         tracemalloc.stop()
     returned = sum(v.nbytes for v in vars(blocks).values() if isinstance(v, np.ndarray))
     assert peak <= 1.6 * returned
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_block_rows_match_a_dense_element_loop(p):
+    mesh = build_structured_mesh(3)
+    dofmap = build_dofmap(mesh, p)
+    cols = _build_blocks(mesh, dofmap, coeffs_with()).cols
+    assert np.any(cols < 0)  # the boundary field slots are eliminated
+    ne, nc = cols.shape
+    nt = 4
+    blocks = np.random.default_rng(p).standard_normal((ne, nt, nc))
+    dense = np.zeros((ne * nt, dofmap.n_dof))
+    for e in range(ne):
+        for j in range(nc):
+            if cols[e, j] >= 0:
+                dense[e * nt:(e + 1) * nt, cols[e, j]] += blocks[e, :, j]
+    R = block_rows(blocks, cols, dofmap.n_dof)
+    assert R.shape == dense.shape
+    assert R.nnz == nt * np.count_nonzero(cols >= 0)
+    assert np.array_equal(R.toarray(), dense)
+
+
+def _nbytes(matrix):
+    if isinstance(matrix, np.ndarray):
+        return matrix.nbytes
+    return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+
+
+def test_march_retains_only_its_step_operators():
+    # the element blocks (chol, chol_inv, B_a, B_b, mass_field) are set-up
+    # temporaries; the march keeps S, R, W_f and W_w, the quadrature points
+    # already cached on the mesh, and the float32 factor, which SuperLU
+    # allocates outside the heap that tracemalloc sees
+    mesh = build_structured_mesh(48)
+    dofmap = build_dofmap(mesh, 1)
+    volume_quadrature(mesh, 6)
+    tracemalloc.start()
+    try:
+        system = assemble_condensed(mesh, dofmap, coeffs_with(**ANISO))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    ops = system.blocks
+    assert retained <= 1.1 * sum(map(_nbytes, (system.S, ops.R, ops.W_f, ops.W_w)))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dpgmarch
@@ -216,3 +216,57 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg.k_policy.kind == "fixed"
     # integral floats are integers
     assert load_config(config, ["levels=[4.0, 8]", "p=1.0"]).levels == [4, 8]
+
+
+def test_missing_output_directory_exits_2_before_any_mesh(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "build_structured_mesh", lambda *args: calls.append("mesh"))
+    monkeypatch.setattr(cli, "march", lambda *args, **kwargs: calls.append("march"))
+    config = base_config(tmp_path, command="run", case_id="heat-decay", levels=[2],
+                         k_policy="fixed:0.25", T_end=0.5, n_steps=None,
+                         output_path=str(tmp_path / "missing" / "out.csv"))
+    assert main(["run", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "does not exist" in err
+    assert "Traceback" not in err
+    assert calls == []
+
+
+def test_unwritable_csv_exits_2(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "march", lambda *args, **kwargs: calls.append("march"))
+    (tmp_path / "out.csv").mkdir()  # the directory exists, the file cannot be opened
+    config = base_config(tmp_path, command="converge-projection", case_id="adr-decay",
+                         levels=[2], n_steps=None)
+    assert main(["converge-projection", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "Traceback" not in err
+    assert calls == []
+
+
+def test_unwritable_vtk_snapshot_exits_2(tmp_path, capsys):
+    (tmp_path / "out.csv.vtk").mkdir()
+    config = base_config(tmp_path, command="run", case_id="heat-decay", levels=[2],
+                         k_policy="fixed:0.25", T_end=0.5, n_steps=None, snapshot=True)
+    assert main(["run", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "out.csv.vtk" in err and "Traceback" not in err
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(p=st.sampled_from([0, 1]),
+       levels=st.lists(st.integers(1, 10**6), min_size=1, max_size=5, unique=True).map(sorted),
+       T_end=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       k_ref=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       n_steps=st.none() | st.integers(1, 10**6),
+       snapshot=st.booleans())
+def test_config_overrides_round_trip(tmp_path, p, levels, T_end, k_ref, n_steps, snapshot):
+    # valid values passed as key=<json> overrides arrive unchanged in the RunConfig
+    values = dict(p=p, levels=levels, T_end=T_end, k_ref=k_ref, n_steps=n_steps,
+                  snapshot=snapshot)
+    cfg = load_config(base_config(tmp_path),
+                      [f"{key}={json.dumps(value)}" for key, value in values.items()])
+    for key, value in values.items():
+        got = getattr(cfg, key)
+        assert got == value and type(got) is type(value)

@@ -4,9 +4,10 @@ import pytest
 from dpgmarch.basis import edge_rule, lagrange_edge
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
-from dpgmarch.errors import (SpatialFields, eoc, evaluate_field, field_error,
-                             function_l2_norm, trace_dual_error)
+from dpgmarch.errors import SpatialFields, eoc, field_error, trace_dual_error
 from dpgmarch.mesh import build_structured_mesh
+
+from conftest import evaluate_field, function_l2_norm, perturbed_mesh
 
 ZERO = SpatialFields(u=lambda x, y: np.zeros_like(x),
                      grad_u=lambda x, y: np.zeros((2,) + np.shape(x)))
@@ -140,3 +141,48 @@ def test_eoc_values():
 def test_function_l2_norm():
     mesh = build_structured_mesh(2)
     assert function_l2_norm(mesh, lambda x, y: np.ones_like(x)) == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_exact_flux_is_evaluated_once_per_edge(p):
+    # both neighbours of an edge share its points, so grad_u sees each edge once;
+    # the residuals equal an evaluation on every element's three edges bit for bit
+    from dpgmarch.assembly import _edge_test_tables
+    from dpgmarch.errors import _trace_residuals
+
+    mesh = perturbed_mesh(4, seed=3)
+    dofmap = build_dofmap(mesh, p)
+    case = make_case("aniso", 0.1, 1.0)
+    _, grad_u = case.spatial_u(0.3)
+    points = []
+
+    def counting(x, y):
+        points.append(np.size(x))
+        return grad_u(x, y)
+
+    sigma = np.random.default_rng(4).standard_normal(dofmap.n_trace)
+    got = _trace_residuals(mesh, dofmap, case.coeffs, sigma, counting, p + 2)
+    rule = edge_rule(min(2 * p + 4, 8))
+    assert sum(points) == mesh.n_edges * len(rule.weights)
+
+    trace_tab = lagrange_edge(p, rule.points)
+    edge_tables = _edge_test_tables(p + 2, rule)
+    v = mesh.vertices[mesh.elements]
+    expected = np.zeros((mesh.n_elements, edge_tables[(0, 1)].shape[0]))
+    for l in range(3):
+        edge_idx = mesh.element_edges[:, l]
+        s = mesh.element_edge_signs[:, l]
+        length = np.linalg.norm(v[:, (l + 1) % 3] - v[:, l], axis=1)
+        tdofs = edge_idx[:, None] * (p + 1) + np.arange(p + 1)[None, :]
+        sig_vals = np.einsum("er,rq->eq", sigma[tdofs], trace_tab.values)
+        lo = mesh.vertices[mesh.edges[edge_idx, 0]]
+        hi = mesh.vertices[mesh.edges[edge_idx, 1]]
+        tangent = (hi - lo) / length[:, None]
+        normal = np.column_stack((tangent[:, 1], -tangent[:, 0]))
+        pts = lo[:, None, :] + rule.points[None, :, None] * (hi - lo)[:, None, :]
+        g = np.moveaxis(np.asarray(grad_u(pts[..., 0], pts[..., 1])), 0, -1)
+        diff = np.einsum("eqa,ea->eq", g @ case.coeffs.A.T, normal) - sig_vals
+        psi = np.where((s == 1)[:, None, None], edge_tables[(l, 1)][None],
+                       edge_tables[(l, -1)][None])
+        expected += (s * length)[:, None] * np.einsum("emq,eq,q->em", psi, diff, rule.weights)
+    assert np.array_equal(got, expected)

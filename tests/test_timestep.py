@@ -6,11 +6,13 @@ from dpgmarch import timestep
 from dpgmarch.assembly import assemble_condensed, condense_load
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
-from dpgmarch.errors import SpatialFields, evaluate_field, field_error, function_l2_norm
+from dpgmarch.errors import SpatialFields, field_error
 from dpgmarch.galerkin import galerkin_march
 from dpgmarch.linalg import cg_solve
 from dpgmarch.mesh import build_structured_mesh
 from dpgmarch.timestep import MarchState, initial_field, march, n_steps, step
+
+from conftest import evaluate_field, function_l2_norm
 
 ZERO = SpatialFields(u=lambda x, y: np.zeros_like(x),
                      grad_u=lambda x, y: np.zeros((2,) + np.shape(x)))
@@ -158,8 +160,7 @@ def test_march_matches_direct_solves():
     S = system.S.tocsc()
     field = initial_field(case.u0, dofmap, mesh).field
     for n in range(1, 5):
-        rhs = condense_load(system.blocks, lambda x, y, t=n * k: case.f(t, x, y), field,
-                            case.coeffs)
+        rhs = condense_load(system.blocks, lambda x, y, t=n * k: case.f(t, x, y), field)
         direct = spla.spsolve(S, rhs)
         field = direct[:dofmap.n_field]
     assert np.linalg.norm(final - direct) <= 1e-10 * np.linalg.norm(direct)
