@@ -18,14 +18,18 @@ columns, and with R = block_rows(L_K^{-1} B_{a,K}) the condensed matrix is
 
     S = sum_K B_{a,K}^T G_K^{-1} B_{a,K} = R^T R,
 
-symmetric positive definite on the free (field + trace) unknowns.  A step's
-load (f + w/k, psi)_K condenses to
+symmetric positive definite on the free (field + trace) unknowns.  The
+source of a march is separable, f(t, x) = sum_s a_s(t) g_s(x) (see `cases`),
+so a step's load (f + w/k, psi)_K condenses to
 
-    rhs = R^T (W_f f(t, x_q) + W_w w),
+    rhs = R^T (a(t) @ sources + W_w w),
 
-W_f = L_K^{-1} T diag(w_q det J) with T the test basis at the volume rule,
-and W_w the block rows of L_K^{-1} mass_field / k over the field unknowns.  A march
-keeps R, W_f, W_w, S and its factor; the element blocks are freed.
+where row s of sources stacks L_K^{-1} (g_s, psi)_K over the elements,
+integrated once per march with the volume rule of degree 2(p+2), and W_w
+is the block rows of L_K^{-1} mass_field / k over the field unknowns.  A
+march keeps R^T (in CSR form, so the step's product is a row-wise SpMV),
+sources, W_w, S and its factor; the element blocks are freed, and a step
+does no quadrature.
 
 Elements are affine and A, beta, gamma constant, so each volume block is a
 fixed combination of reference-triangle integrals (the tensor representation
@@ -107,7 +111,8 @@ class PdeCoefficients:
 class LocalBlocks:
     """Stacked per-element blocks, the set-up temporaries of a condensation.
 
-    chol / chol_inv: Cholesky factor L_K of G_K and its inverse, (ne, nt, nt).
+    chol / chol_inv: Cholesky factor L_K of G_K and its inverse, (ne, nt, nt),
+        the inverse by forward substitution.
     B_a, B_b: trial-to-test blocks, (ne, nt, nc).
     mass_field: test-against-field mass block, (ne, nt, nfl).
     cols: global column index per local trial slot, -1 where eliminated.
@@ -128,22 +133,19 @@ class LocalBlocks:
 @dataclass
 class StepOperators:
     """What a march keeps of the element blocks: the load of a step is
-    rhs = R^T (W_f f(t, quad_points) + W_w w) for a source f and the
-    previous field w.
+    rhs = R^T (a @ sources + W_w w) for the time weights a of the source
+    terms and the previous field w.
 
-    R: block rows of L^{-1} B_a, (ne*nt, n_dof), with S = R^T R.
-    W_f: L^{-1} T diag(w det J), (ne, nt, nq), T the test basis at the
-        volume rule.
+    Rt: R^T in CSR form, (n_dof, ne*nt), R the block rows of L^{-1} B_a,
+        with S = R^T R.
+    sources: L^{-1} (g_s, psi) per spatial source term g_s, (m, ne*nt).
     W_w: block rows of L^{-1} mass_field / k over the field columns,
         (ne*nt, n_field).
-    quad_points: physical volume quadrature points, (ne, nq, 2), the array
-        cached in `mesh.quadrature`.
     """
 
-    R: sp.csr_matrix
-    W_f: np.ndarray
+    Rt: sp.csr_matrix
+    sources: np.ndarray
     W_w: sp.csr_matrix
-    quad_points: np.ndarray
 
 
 @dataclass
@@ -293,7 +295,12 @@ def _build_blocks(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> LocalB
     W, detJ, b = _element_weights(mesh, coeffs)
     chol = _cholesky_blocks(_gram(W, detJ, k, test_degree))
     ne, nt, _ = chol.shape
-    chol_inv = np.linalg.solve(chol, np.broadcast_to(np.eye(nt), chol.shape))
+    # forward substitution L X = I, one row of every element at a time
+    chol_inv = np.zeros_like(chol)
+    eye = np.eye(nt)
+    for i in range(nt):
+        chol_inv[:, i] = (eye[i] - np.einsum("ej,ejk->ek", chol[:, i, :i], chol_inv[:, :i])) \
+            / chol[:, i, i, None]
 
     ref = _reference_tensors(test_degree, p + 1)
     nfl = ref.shape[2]
@@ -334,9 +341,26 @@ def block_rows(blocks: np.ndarray, cols: np.ndarray, n_cols: int) -> sp.csr_matr
     return sp.csr_matrix((blocks[mask], indices, indptr), shape=(ne * nt, n_cols))
 
 
-def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> CondensedSystem:
+def _source_rows(mesh: Mesh, p: int, chol_inv: np.ndarray, source_space) -> np.ndarray:
+    """L_K^{-1} (g_s, psi)_K for the spatial source terms g_s = source_space(x, y)[s],
+    stacked (m, ne*nt); (0, ne*nt) without a source."""
+    ne, nt, _ = chol_inv.shape
+    if source_space is None:
+        return np.zeros((0, ne * nt))
+    rule, points, wdet, _ = volume_quadrature(mesh, 2 * (p + 2))
+    values = np.asarray(source_space(points[..., 0], points[..., 1]), dtype=float)
+    if values.ndim != 3 or values.shape[1:] != wdet.shape:
+        raise ValueError(f"source_space must return shape (m, {ne}, {wdet.shape[1]}) "
+                         f"at the quadrature points, got {values.shape}")
+    loads = (values * wdet) @ lagrange_triangle(p + 2, rule.points).values.T
+    return (chol_inv @ loads[..., None]).reshape(len(values), ne * nt)
+
+
+def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
+                       source_space=None) -> CondensedSystem:
     """Assemble S = R^T R, R the block rows of L_K^{-1} B_{a,K}, over the free
-    unknowns, and the operators of the step load."""
+    unknowns, and the operators of the step load for the spatial source terms
+    source_space(x, y) -> (m, *x.shape) (none when it is None)."""
     ratio = mesh.h_max / np.sqrt(coeffs.k)
     if ratio > _TRACE_EQUIV_WARN:
         warnings.warn(
@@ -348,30 +372,31 @@ def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> C
     R = block_rows(blocks.chol_inv @ blocks.B_a, blocks.cols, dofmap.n_dof)
     W_w = block_rows(blocks.chol_inv @ blocks.mass_field / coeffs.k, dofmap.element_field_dofs,
                      dofmap.n_field)
-    rule, points, wdet, _ = volume_quadrature(mesh, 2 * (dofmap.p + 2))
-    W_f = blocks.chol_inv @ lagrange_triangle(dofmap.p + 2, rule.points).values
-    W_f *= wdet[:, None, :]
+    sources = _source_rows(mesh, dofmap.p, blocks.chol_inv, source_space)
     del blocks  # set-up temporaries: free them before the product and the factor
-    S = (R.T @ R).tocsr()
-    # the CSC arrays of S are the CSR arrays of S^T; the pattern is symmetric
-    # by construction, so S = S^T compares the two value arrays
-    St = S.tocsc()
-    if S.nnz and (not (np.array_equal(St.indptr, S.indptr)
-                       and np.array_equal(St.indices, S.indices))
-                  or np.abs(St.data - S.data).max() > _SYM_TOL * np.abs(S.data).max()):
+    Rt = R.T.tocsr()
+    S = Rt @ R
+    del R
+    # y^T S x = x^T S y for a symmetric S; probing with two fixed vectors
+    # checks the values without a transposed copy of S
+    x, y = np.random.default_rng(0).standard_normal((2, S.shape[0]))
+    Sx = S @ x
+    if abs(y @ Sx - x @ (S @ y)) > _SYM_TOL * np.linalg.norm(y) * np.linalg.norm(Sx):
         raise SolverError("condensed system lost symmetry; assembly is inconsistent")
-    del St
-    return CondensedSystem(S=S, blocks=StepOperators(R=R, W_f=W_f, W_w=W_w, quad_points=points),
+    return CondensedSystem(S=S, blocks=StepOperators(Rt=Rt, sources=sources, W_w=W_w),
                            dofmap=dofmap, coeffs=coeffs, precond=factor_spd(S))
 
 
-def condense_load(ops: StepOperators, g, w_field: np.ndarray) -> np.ndarray:
-    """Condensed right-hand side R^T (W_f g(quad_points) + W_w w) of the source
-    g(x, y) and the previous field w: sum_K B_{a,K}^T G_K^{-1} (g + w/k, psi)_K."""
+def condense_load(ops: StepOperators, a, w_field: np.ndarray) -> np.ndarray:
+    """Condensed right-hand side R^T (a @ sources + W_w w) of the source
+    sum_s a_s g_s and the previous field w:
+    sum_K B_{a,K}^T G_K^{-1} (sum_s a_s g_s + w/k, psi)_K."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != ops.sources.shape[:1]:
+        raise ValueError(f"expected {ops.sources.shape[0]} source time weights, got shape {a.shape}")
     w_field = np.asarray(w_field, dtype=float)
     if w_field.shape != (ops.W_w.shape[1],):
         raise ValueError(f"field coefficient vector has wrong length {w_field.shape}")
-    gq = g(ops.quad_points[..., 0], ops.quad_points[..., 1])
-    b = np.einsum("emq,eq->em", ops.W_f, gq).ravel()
+    b = a @ ops.sources
     b += ops.W_w @ w_field
-    return ops.R.T @ b
+    return ops.Rt @ b

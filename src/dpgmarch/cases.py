@@ -1,9 +1,17 @@
 """Manufactured problems on the unit square.
 
-Each case fixes constant coefficients and an exact solution u with zero
-boundary values; the source is the PDE residual
+Each case fixes constant coefficients and an exact solution
+u = T(t) phi(x, y) with zero boundary values; the source is the PDE residual
 
-    f = u_t - div(A grad u) + beta . grad u + gamma u.
+    f = u_t - div(A grad u) + beta . grad u + gamma u = T'(t) phi + T(t) L phi,
+
+L phi = -div(A grad phi) + beta . grad phi + gamma phi.  A case carries the
+source in this separated form, as time weights `source_time(t)` = (T', T)
+and spatial terms `source_space(x, y)` = (phi, L phi), so a march condenses
+each spatial term once and weights it per step (see `timestep`).  `f` is
+derived from the two and evaluates the source pointwise for the Galerkin
+oracle.  A source that is not a finite sum of such products cannot be
+marched.
 
 Catalog:
     heat-decay      A=I, beta=0, gamma=0,           u = exp(-t) sin(pi x) sin(pi y)
@@ -46,14 +54,21 @@ def _bubble_profile(x, y):
 @dataclass(frozen=True)
 class PdeCase:
     """Coefficients plus exact-solution callbacks; all space-time callables
-    take (t, x, y) with array-valued x, y."""
+    take (t, x, y) with array-valued x, y.  The source is
+    f(t, x, y) = sum_s source_time(t)[s] * source_space(x, y)[s], with
+    source_time(t) of shape (m,) and source_space(x, y) of shape (m, *x.shape)."""
 
     name: str
     coeffs: PdeCoefficients
     u: callable
     grad_u: callable
     u_t: callable
-    f: callable
+    source_time: callable
+    source_space: callable
+
+    def f(self, t, x, y):
+        weights = self.source_time(t)
+        return sum(w * g for w, g in zip(weights, self.source_space(x, y)))
 
     def u0(self, x, y):
         return self.u(0.0, x, y)
@@ -77,14 +92,17 @@ def _make_case(name, coeffs, profile, time_factor, time_factor_dot) -> PdeCase:
     def u_t(t, x, y):
         return time_factor_dot(t) * profile(x, y)[0]
 
-    def f(t, x, y):
-        g = time_factor(t)
+    def source_time(t):
+        return np.array([time_factor_dot(t), time_factor(t)], dtype=float)
+
+    def source_space(x, y):
         phi, ux, uy, uxx, uxy, uyy = profile(x, y)
         diffusion = A[0, 0] * uxx + 2.0 * A[0, 1] * uxy + A[1, 1] * uyy
         advection = beta[0] * ux + beta[1] * uy
-        return time_factor_dot(t) * phi + g * (-diffusion + advection + gamma * phi)
+        return np.stack([phi, -diffusion + advection + gamma * phi])
 
-    return PdeCase(name=name, coeffs=coeffs, u=u, grad_u=grad_u, u_t=u_t, f=f)
+    return PdeCase(name=name, coeffs=coeffs, u=u, grad_u=grad_u, u_t=u_t,
+                   source_time=source_time, source_space=source_space)
 
 
 def _catalog():

@@ -98,6 +98,9 @@ def mesh_from_arrays(vertices, elements) -> Mesh:
         raise ValueError("elements must have shape (n, 3)")
     if not np.all(np.isfinite(vertices)):
         raise ValueError("vertex coordinates must be finite")
+    n_vertices = vertices.shape[0]
+    if elements.size and (elements.min() < 0 or elements.max() >= n_vertices):
+        raise ValueError(f"element vertex indices must lie in [0, {n_vertices})")
 
     v = vertices[elements]
     areas = 0.5 * ((v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
@@ -106,10 +109,12 @@ def mesh_from_arrays(vertices, elements) -> Mesh:
         bad = int(np.argmin(areas))
         raise ValueError(f"element {bad} is degenerate or clockwise (signed area {areas[bad]:.3e})")
 
-    # local edge l = (v_l, v_{l+1}); identify undirected edges lexicographically
-    pairs = np.stack([elements, np.roll(elements, -1, axis=1)], axis=2)  # (ne, 3, 2)
-    lo_hi = np.sort(pairs.reshape(-1, 2), axis=1)
-    edges, inverse = np.unique(lo_hi, axis=0, return_inverse=True)
+    # local edge l = (v_l, v_{l+1}); identify undirected edges by the key
+    # lo * n_vertices + hi, whose order is the lexicographic order of (lo, hi)
+    start, end = elements, np.roll(elements, -1, axis=1)
+    keys = np.minimum(start, end) * n_vertices + np.maximum(start, end)
+    keys, inverse = np.unique(keys, return_inverse=True)
+    edges = np.column_stack(np.divmod(keys, n_vertices))
     element_edges = inverse.reshape(-1, 3)
 
     counts = np.bincount(element_edges.ravel(), minlength=edges.shape[0])
@@ -118,9 +123,9 @@ def mesh_from_arrays(vertices, elements) -> Mesh:
     edge_on_boundary = counts == 1
 
     # +1 iff the ccw local traversal runs from the lower to the higher vertex index
-    signs = np.where(pairs[:, :, 0] < pairs[:, :, 1], 1, -1).astype(np.int64)
+    signs = np.where(start < end, 1, -1).astype(np.int64)
 
-    vertex_on_boundary = np.zeros(vertices.shape[0], dtype=bool)
+    vertex_on_boundary = np.zeros(n_vertices, dtype=bool)
     vertex_on_boundary[edges[edge_on_boundary].ravel()] = True
 
     lengths = np.linalg.norm(vertices[edges[:, 1]] - vertices[edges[:, 0]], axis=1)
@@ -150,19 +155,12 @@ def build_structured_mesh(n: int) -> Mesh:
     xv, yv = np.meshgrid(coords, coords, indexing="xy")
     vertices = np.column_stack((xv.ravel(), yv.ravel()))
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    elements = []
-    for j in range(n):
-        for i in range(n):
-            a = vid(i, j)
-            b = vid(i + 1, j)
-            c = vid(i + 1, j + 1)
-            d = vid(i, j + 1)
-            elements.append((a, b, c))
-            elements.append((a, c, d))
-    mesh = mesh_from_arrays(vertices, np.array(elements))
+    # square (i, j) has lower-left vertex a = j (n+1) + i and yields the
+    # triangles (a, b, c), (a, c, d), b = a + 1, c = a + n + 2, d = a + n + 1
+    a = (np.arange(n)[:, None] * (n + 1) + np.arange(n)[None, :]).ravel()
+    b, c, d = a + 1, a + n + 2, a + n + 1
+    elements = np.stack([np.column_stack((a, b, c)), np.column_stack((a, c, d))], axis=1)
+    mesh = mesh_from_arrays(vertices, elements.reshape(-1, 3))
     if abs(mesh.signed_areas().sum() - 1.0) > 1e-12:
         raise RuntimeError("structured mesh does not tile the unit square")
     return mesh

@@ -1,11 +1,13 @@
 """Backward Euler marching of the condensed primal DPG system.
 
 Each step solves the condensed normal equations S x = rhs, S = R^T R, with
-the load (f^n + u^{n-1}/k, .) condensed to rhs = R^T (W_f f^n + W_w w): the
-source is sampled at the new time level at the cached quadrature points and
-only the field component w of the previous step enters (see `assembly`).
-The trace component of the initial state is irrelevant to the scheme and
-kept at zero.
+the load (f^n + u^{n-1}/k, .) condensed to rhs = R^T (a(t_n) @ sources + W_w w)
+(see `assembly`).  The case's source is separable, f = sum_s a_s(t) g_s(x)
+(see `cases`): each spatial term g_s is condensed once per march, a step
+weights the rows with a(t_n) = case.source_time(t_n) and does no quadrature,
+and only the field component w of the previous step enters.  A source that
+is not given in this form cannot be marched.  The trace component of the
+initial state is irrelevant to the scheme and kept at zero.
 
 The initial field is the nodal interpolant of u0 at the interior Lagrange
 nodes; for smooth u0 this attains the approximation orders assumed by the
@@ -66,14 +68,15 @@ def initial_field(u0, dofmap: DofMap, mesh: Mesh) -> TrialVector:
     return TrialVector(field=field, trace=np.zeros(dofmap.n_trace))
 
 
-def step(system: CondensedSystem, state: MarchState, f_n) -> MarchState:
-    """One backward Euler step; f_n must be the source at the new time level.
+def step(system: CondensedSystem, state: MarchState, a) -> MarchState:
+    """One backward Euler step; a must be the source time weights at the new
+    time level, case.source_time(t_n).
 
     CG is preconditioned by the factor of S built once per march and needs a
     few iterations; the cap turns a tolerance it cannot reach into a
     SolverError within seconds.
     """
-    rhs = condense_load(system.blocks, f_n, state.current.field)
+    rhs = condense_load(system.blocks, a, state.current.field)
     x, _ = cg_solve(system.S, rhs, max_iter=_MAX_ITER, precond=system.precond)
     return MarchState(
         step_index=state.step_index + 1,
@@ -101,7 +104,7 @@ def march(case: PdeCase, mesh: Mesh, dofmap: DofMap, keep_history: bool = False)
     """
     coeffs = case.coeffs
     count = n_steps(coeffs.k, coeffs.T_end)
-    system = assemble_condensed(mesh, dofmap, coeffs)
+    system = assemble_condensed(mesh, dofmap, coeffs, case.source_space)
 
     def field_l2(vector):
         return field_error(mesh, dofmap, vector.field, _ZERO_FIELDS, "L2")
@@ -112,8 +115,7 @@ def march(case: PdeCase, mesh: Mesh, dofmap: DofMap, keep_history: bool = False)
     state = MarchState(state.step_index, state.time, state.current, tuple(norms))
     history = [state] if keep_history else None
     for n in range(1, count + 1):
-        t_n = n * coeffs.k
-        state = step(system, state, lambda x, y, t=t_n: case.f(t, x, y))
+        state = step(system, state, case.source_time(n * coeffs.k))
         norms.append(field_l2(state.current))
         state = MarchState(state.step_index, state.time, state.current, tuple(norms))
         if keep_history:

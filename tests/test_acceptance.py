@@ -206,7 +206,8 @@ def test_criterion_10_structural_checks():
     advected_coeffs = PdeCoefficients(A=np.eye(2), beta=np.array([1.0, 0.0]), gamma=0.0,
                                       k=0.02, T_end=0.1)
     advected = type(heat)(name="control", coeffs=advected_coeffs, u=heat.u,
-                          grad_u=heat.grad_u, u_t=heat.u_t, f=heat.f)
+                          grad_u=heat.grad_u, u_t=heat.u_t, source_time=heat.source_time,
+                          source_space=heat.source_space)
     state = march(advected, mesh, dofmap)
     oracle = galerkin_march(mesh, dofmap, 0.02, 0.1, heat.f, heat.u0)
     control = np.abs(state.current.field - oracle).max()

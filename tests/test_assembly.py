@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from dpgmarch.assembly import (PdeCoefficients, _build_blocks, _cholesky_blocks,
                                assemble_condensed, block_rows, condense_load, gram_blocks,
                                volume_quadrature)
 from dpgmarch.basis import lagrange_triangle, triangle_rule
+from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
 from dpgmarch.linalg import SolverError
 from dpgmarch.mesh import build_structured_mesh, mesh_from_arrays
@@ -184,6 +186,43 @@ def test_condensed_symmetry():
     assert (asym.max() if asym.nnz else 0.0) <= 1e-12 * abs(S).max()
 
 
+def test_lost_symmetry_raises_solver_error(monkeypatch):
+    # S = R^T R is symmetric by construction; an inconsistent product must not
+    # reach the factor.  Every sparse-sparse product moves one off-diagonal
+    # entry by 1e-6 of its largest entry.
+    def asymmetric(product):
+        def wrapped(self, other):
+            result = product(self, other)
+            if not sp.issparse(other):
+                return result
+            S = sp.csr_matrix(result)
+            rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+            S.data[np.flatnonzero(S.indices != rows)[0]] += 1e-6 * np.abs(S.data).max()
+            return S
+        return wrapped
+
+    mesh = build_structured_mesh(4)
+    dofmap = build_dofmap(mesh, 0)
+    for cls in (sp.csr_matrix, sp.csc_matrix):
+        monkeypatch.setattr(cls, "__matmul__", asymmetric(cls.__matmul__))
+    with pytest.raises(SolverError, match="lost symmetry"):
+        assemble_condensed(mesh, dofmap, coeffs_with(beta=[1.0, 0.5], gamma=1.0))
+
+
+def test_cholesky_inverse_is_as_accurate_as_an_lu_solve():
+    # forward substitution against the identity leaves no larger a residual
+    # ||X L - I|| than the general LU solve it replaced
+    mesh = perturbed_mesh(6, seed=5)
+    for p in (0, 1):
+        blocks = _build_blocks(mesh, build_dofmap(mesh, p), coeffs_with(**ANISO))
+        chol = blocks.chol
+        eye = np.eye(chol.shape[1])
+        lu_inverse = np.linalg.solve(chol, np.broadcast_to(eye, chol.shape))
+        assert np.all(np.triu(blocks.chol_inv, 1) == 0.0)
+        assert (np.linalg.norm(blocks.chol_inv @ chol - eye)
+                <= np.linalg.norm(lu_inverse @ chol - eye))
+
+
 def test_timestep_regime_warning():
     mesh = build_structured_mesh(1)
     dofmap = build_dofmap(mesh, 0)
@@ -241,23 +280,46 @@ def test_trace_annihilation(adr_coeffs):
     assert abs(pairing) <= 1e-12 * scale
 
 
+def _constant_source(value):
+    return lambda x, y: np.full((1,) + np.shape(x), value)
+
+
 def test_condense_load_zero():
     mesh = build_structured_mesh(2)
     dofmap = build_dofmap(mesh, 0)
     coeffs = coeffs_with()
-    system = assemble_condensed(mesh, dofmap, coeffs)
-    rhs = condense_load(system.blocks, lambda x, y: np.zeros_like(x), np.zeros(dofmap.n_field))
+    system = assemble_condensed(mesh, dofmap, coeffs, _constant_source(0.0))
+    rhs = condense_load(system.blocks, [1.0], np.zeros(dofmap.n_field))
     assert np.all(rhs == 0.0)
+
+
+def test_condense_load_rejects_mismatched_time_weights():
+    mesh = build_structured_mesh(2)
+    dofmap = build_dofmap(mesh, 0)
+    system = assemble_condensed(mesh, dofmap, coeffs_with(), _constant_source(1.0))
+    with pytest.raises(ValueError, match="1 source time weights"):
+        condense_load(system.blocks, [1.0, 0.0], np.zeros(dofmap.n_field))
+    without_source = assemble_condensed(mesh, dofmap, coeffs_with())
+    assert without_source.blocks.sources.shape == (0, mesh.n_elements * 6)
+    rhs = condense_load(without_source.blocks, np.zeros(0), np.zeros(dofmap.n_field))
+    assert np.all(rhs == 0.0)
+
+
+def test_source_space_must_return_one_row_per_term():
+    mesh = build_structured_mesh(2)
+    dofmap = build_dofmap(mesh, 0)
+    with pytest.raises(ValueError, match="source_space must return shape"):
+        assemble_condensed(mesh, dofmap, coeffs_with(), lambda x, y: np.ones_like(x))
 
 
 def test_local_load_constant_source():
     # g = 1 against the constant test function gives the element area; the
-    # march keeps the load map W_f = L^{-1} T diag(w det J), so l = L W_f 1
+    # march keeps the condensed source rows L^{-1} l, so l = L sources
     mesh = build_structured_mesh(2)
     dofmap = build_dofmap(mesh, 0)
     coeffs = coeffs_with()
-    W_f = assemble_condensed(mesh, dofmap, coeffs).blocks.W_f
-    loads = _build_blocks(mesh, dofmap, coeffs).chol @ W_f.sum(axis=2)[:, :, None]
+    sources = assemble_condensed(mesh, dofmap, coeffs, _constant_source(1.0)).blocks.sources
+    loads = _build_blocks(mesh, dofmap, coeffs).chol @ sources.reshape(mesh.n_elements, -1, 1)
     loads = loads[:, :, 0]
     areas = mesh.signed_areas()
     assert np.abs(loads.sum(axis=1) - areas).max() <= 1e-14
@@ -284,15 +346,13 @@ def test_condense_load_mass_path_matches_function_path():
     mesh = build_structured_mesh(3)
     dofmap = build_dofmap(mesh, 0)
     coeffs = coeffs_with(beta=[1.0, 0.5], gamma=1.0, k=0.2)
-    system = assemble_condensed(mesh, dofmap, coeffs)
     rng = np.random.default_rng(23)
     w = rng.standard_normal(dofmap.n_field)
+    system = assemble_condensed(
+        mesh, dofmap, coeffs, lambda x, y: evaluate_field(mesh, dofmap, w, x, y)[None] / coeffs.k)
 
-    via_mass = condense_load(system.blocks, lambda x, y: np.zeros_like(x), w)
-    via_func = condense_load(
-        system.blocks,
-        lambda x, y: evaluate_field(mesh, dofmap, w, x, y) / coeffs.k,
-        np.zeros(dofmap.n_field))
+    via_mass = condense_load(system.blocks, [0.0], w)
+    via_func = condense_load(system.blocks, [1.0], np.zeros(dofmap.n_field))
     assert np.abs(via_mass - via_func).max() <= 1e-12 * np.abs(via_mass).max()
 
 
@@ -303,14 +363,22 @@ def test_volume_quadrature_repeats_the_same_arrays():
     assert all(a is b for a, b in zip(first, again))
     other_degree = volume_quadrature(mesh, 6)
     assert other_degree[1].shape[1] != first[1].shape[1]
-    # the march's load operators read the cached copy: its points, and W_f
-    # built from its weights
+    # the march's source rows read the cached copy: the source is sampled at
+    # its points and integrated with its weights
     dofmap = build_dofmap(mesh, 0)
-    ops = assemble_condensed(mesh, dofmap, coeffs_with()).blocks
+    sampled = []
+
+    def source_space(x, y):
+        sampled.append(x)
+        return np.stack([x, x * y])
+
+    ops = assemble_condensed(mesh, dofmap, coeffs_with(), source_space).blocks
     chol_inv = _build_blocks(mesh, dofmap, coeffs_with()).chol_inv
     test_values = lagrange_triangle(2, first[0].points).values
-    assert ops.quad_points is first[1]
-    assert np.array_equal(ops.W_f, (chol_inv @ test_values) * first[2][:, None, :])
+    assert len(sampled) == 1 and sampled[0].base is first[1]
+    expected = np.einsum("emn,nq,eq,seq->sem", chol_inv, test_values, first[2],
+                         source_space(first[1][..., 0], first[1][..., 1]))
+    assert np.abs(ops.sources - expected.reshape(2, -1)).max() <= 1e-14 * np.abs(expected).max()
 
 
 def test_volume_quadrature_arrays_are_read_only():
@@ -483,17 +551,19 @@ def _nbytes(matrix):
 
 def test_march_retains_only_its_step_operators():
     # the element blocks (chol, chol_inv, B_a, B_b, mass_field) are set-up
-    # temporaries; the march keeps S, R, W_f and W_w, the quadrature points
-    # already cached on the mesh, and the float32 factor, which SuperLU
-    # allocates outside the heap that tracemalloc sees
+    # temporaries; the march keeps S, R^T, W_w, the condensed source rows, the
+    # quadrature points already cached on the mesh, and the float32 factor,
+    # which SuperLU allocates outside the heap that tracemalloc sees
     mesh = build_structured_mesh(48)
     dofmap = build_dofmap(mesh, 1)
     volume_quadrature(mesh, 6)
+    source_space = make_case("aniso", 0.01, 1.0).source_space
     tracemalloc.start()
     try:
-        system = assemble_condensed(mesh, dofmap, coeffs_with(**ANISO))
+        system = assemble_condensed(mesh, dofmap, coeffs_with(**ANISO), source_space)
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     ops = system.blocks
-    assert retained <= 1.1 * sum(map(_nbytes, (system.S, ops.R, ops.W_f, ops.W_w)))
+    assert ops.sources.shape == (2, mesh.n_elements * 10)
+    assert retained <= 1.1 * sum(map(_nbytes, (system.S, ops.Rt, ops.W_w, ops.sources)))

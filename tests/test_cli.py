@@ -171,7 +171,7 @@ def test_config_types_are_not_coerced(tmp_path, override):
 def test_nan_source_exits_3(tmp_path, monkeypatch, capsys):
     make_case = cli.make_case
     monkeypatch.setattr(cli, "make_case", lambda *args: dataclasses.replace(
-        make_case(*args), f=lambda t, x, y: np.full_like(x, np.nan)))
+        make_case(*args), source_space=lambda x, y: np.full((2,) + np.shape(x), np.nan)))
     config = base_config(tmp_path, command="run", case_id="heat-decay", levels=[4])
     assert main(["run", "--config", config]) == 3
     assert "non-finite" in capsys.readouterr().err

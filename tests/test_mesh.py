@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpgmarch.mesh import (build_structured_mesh, edge_orientation_sign,
                            mesh_from_arrays, refine_uniform)
@@ -162,3 +164,119 @@ def test_mesh_from_arrays_rejects_non_finite_vertices(bad):
     vertices[3, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         mesh_from_arrays(vertices, [[0, 1, 2], [1, 3, 2]])
+
+
+def _connectivity_by_rows(elements):
+    """Edges and element edges by np.unique over the (lo, hi) rows, the
+    construction that mesh_from_arrays replaced with a 1-D key."""
+    pairs = np.stack([elements, np.roll(elements, -1, axis=1)], axis=2)
+    lo_hi = np.sort(pairs.reshape(-1, 2), axis=1)
+    edges, inverse = np.unique(lo_hi, axis=0, return_inverse=True)
+    return edges, inverse.reshape(-1, 3)
+
+
+def _mesh_by_loops(n):
+    """Every Mesh array of the structured mesh as built by a double loop over
+    the squares and row-wise np.unique."""
+    coords = np.linspace(0.0, 1.0, n + 1)
+    xv, yv = np.meshgrid(coords, coords, indexing="xy")
+    vertices = np.column_stack((xv.ravel(), yv.ravel()))
+    elements = []
+    for j in range(n):
+        for i in range(n):
+            a, b = j * (n + 1) + i, j * (n + 1) + i + 1
+            c, d = (j + 1) * (n + 1) + i + 1, (j + 1) * (n + 1) + i
+            elements.append((a, b, c))
+            elements.append((a, c, d))
+    elements = np.array(elements)
+    edges, element_edges = _connectivity_by_rows(elements)
+    counts = np.bincount(element_edges.ravel(), minlength=len(edges))
+    vertex_on_boundary = np.zeros(len(vertices), dtype=bool)
+    vertex_on_boundary[edges[counts == 1].ravel()] = True
+    lengths = np.linalg.norm(vertices[edges[:, 1]] - vertices[edges[:, 0]], axis=1)
+    return dict(vertices=vertices, elements=elements, edges=edges, element_edges=element_edges,
+                element_edge_signs=np.where(elements < np.roll(elements, -1, axis=1), 1, -1),
+                vertex_on_boundary=vertex_on_boundary, edge_on_boundary=counts == 1,
+                h_max=float(lengths.max()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 32])
+def test_structured_mesh_equals_the_loop_construction(n):
+    mesh = build_structured_mesh(n)
+    for name, expected in _mesh_by_loops(n).items():
+        got = getattr(mesh, name)
+        assert np.array_equal(got, expected), name
+        assert np.asarray(got).dtype == np.asarray(expected).dtype, name
+
+
+def test_mesh_from_arrays_rejects_out_of_range_vertex_indices():
+    vertices = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    for bad in ([[0, 1, 3]], [[-1, 0, 1]]):
+        with pytest.raises(ValueError, match="vertex indices"):
+            mesh_from_arrays(vertices, bad)
+
+
+def _check_mesh_invariants(mesh):
+    edges, element_edges = _connectivity_by_rows(mesh.elements)
+    assert np.array_equal(mesh.edges, edges)
+    assert np.array_equal(mesh.element_edges, element_edges)
+    assert np.all(mesh.edges[:, 0] < mesh.edges[:, 1])
+    local = np.stack([mesh.elements, np.roll(mesh.elements, -1, axis=1)], axis=2)
+    assert np.array_equal(mesh.edges[mesh.element_edges], np.sort(local, axis=2))
+    assert np.array_equal(mesh.element_edge_signs == 1, local[..., 0] < local[..., 1])
+    counts = np.bincount(mesh.element_edges.ravel(), minlength=mesh.n_edges)
+    assert np.all((counts == 1) | (counts == 2))
+    assert np.array_equal(mesh.edge_on_boundary, counts == 1)
+    on_boundary = np.zeros(mesh.n_vertices, dtype=bool)
+    on_boundary[mesh.edges[mesh.edge_on_boundary].ravel()] = True
+    assert np.array_equal(mesh.vertex_on_boundary, on_boundary)
+    assert np.all(mesh.signed_areas() > 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_relabelled_structured_meshes_keep_their_invariants(n, seed):
+    # a conforming mesh with its vertices relabelled, its elements reordered
+    # and each element's vertices rotated is the same triangulation
+    rng = np.random.default_rng(seed)
+    base = build_structured_mesh(n)
+    label = rng.permutation(base.n_vertices)
+    vertices = np.empty_like(base.vertices)
+    vertices[label] = base.vertices
+    shift = rng.integers(0, 3, base.n_elements)
+    rotated = np.take_along_axis(base.elements, (np.arange(3) + shift[:, None]) % 3, axis=1)
+    elements = label[rotated][rng.permutation(base.n_elements)]
+    mesh = mesh_from_arrays(vertices, elements)
+    _check_mesh_invariants(mesh)
+    assert mesh.n_edges == base.n_edges
+    assert mesh.edge_on_boundary.sum() == 4 * n
+    x, y = mesh.vertices.T
+    assert np.array_equal(mesh.vertex_on_boundary, (x * (1 - x) * y * (1 - y)) == 0.0)
+    assert mesh.h_max == base.h_max
+    # a repeated element puts a third element on its interior edge
+    with pytest.raises(ValueError, match="non-conforming"):
+        mesh_from_arrays(vertices, np.vstack([elements, elements[rng.integers(len(elements))]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=7,
+                       unique=True),
+       triples=st.lists(st.tuples(*[st.integers(0, 6)] * 3), min_size=1, max_size=8))
+def test_random_triangle_lists_are_accepted_only_when_conforming(points, triples):
+    # arbitrary triangle lists: mesh_from_arrays either rejects them with a
+    # ValueError or returns a mesh with consistent connectivity
+    vertices = np.array(points, dtype=float)
+    elements = np.array(triples)
+    try:
+        mesh = mesh_from_arrays(vertices, elements)
+    except ValueError:
+        in_range = elements.max() < len(vertices)
+        if in_range:
+            v = vertices[elements]
+            d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+            areas = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+            if np.all(areas > 0.0):
+                _, element_edges = _connectivity_by_rows(elements)
+                assert np.bincount(element_edges.ravel()).max() > 2
+        return
+    _check_mesh_invariants(mesh)

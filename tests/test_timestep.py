@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from dpgmarch import timestep
-from dpgmarch.assembly import assemble_condensed, condense_load
+from dpgmarch.assembly import _build_blocks, assemble_condensed, condense_load, volume_quadrature
+from dpgmarch.basis import lagrange_triangle
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
 from dpgmarch.errors import SpatialFields, field_error
@@ -52,7 +55,8 @@ def test_zero_data_stays_zero():
                            u=lambda t, x, y: np.zeros_like(x),
                            grad_u=lambda t, x, y: np.zeros((2,) + np.shape(x)),
                            u_t=lambda t, x, y: np.zeros_like(x),
-                           f=lambda t, x, y: np.zeros_like(x))
+                           source_time=lambda t: np.ones(1),
+                           source_space=lambda x, y: np.zeros((1,) + np.shape(x)))
     final, history = march(zero_case, mesh, dofmap, keep_history=True)
     for state in history:
         assert np.abs(state.current.as_vector()).max() <= 1e-14
@@ -63,9 +67,9 @@ def test_single_step_equals_one_step_march():
     dofmap = build_dofmap(mesh, 0)
     case = make_case("adr-decay", 0.25, 0.25)
     final = march(case, mesh, dofmap)
-    system = assemble_condensed(mesh, dofmap, case.coeffs)
+    system = assemble_condensed(mesh, dofmap, case.coeffs, case.source_space)
     state0 = MarchState(0, 0.0, initial_field(case.u0, dofmap, mesh))
-    manual = step(system, state0, lambda x, y: case.f(0.25, x, y))
+    manual = step(system, state0, case.source_time(0.25))
     assert final.step_index == 1
     assert np.array_equal(final.current.as_vector(), manual.current.as_vector())
 
@@ -85,10 +89,10 @@ def test_march_is_markov_in_the_field():
     dofmap = build_dofmap(mesh, 0)
     case = make_case("adr-decay", 0.1, 0.5)
     final, history = march(case, mesh, dofmap, keep_history=True)
-    system = assemble_condensed(mesh, dofmap, case.coeffs)
+    system = assemble_condensed(mesh, dofmap, case.coeffs, case.source_space)
     state = history[2]
     for n in (3, 4, 5):
-        state = step(system, state, lambda x, y, t=n * 0.1: case.f(t, x, y))
+        state = step(system, state, case.source_time(n * 0.1))
     assert np.array_equal(state.current.as_vector(), final.current.as_vector())
     assert state.time == pytest.approx(0.5, abs=1e-14)
 
@@ -156,14 +160,65 @@ def test_march_matches_direct_solves():
     k = 1 / 64
     case = make_case("aniso", k, 4 * k)
     final = march(case, mesh, dofmap).current.as_vector()
-    system = assemble_condensed(mesh, dofmap, case.coeffs)
+    system = assemble_condensed(mesh, dofmap, case.coeffs, case.source_space)
     S = system.S.tocsc()
     field = initial_field(case.u0, dofmap, mesh).field
     for n in range(1, 5):
-        rhs = condense_load(system.blocks, lambda x, y, t=n * k: case.f(t, x, y), field)
+        rhs = condense_load(system.blocks, case.source_time(n * k), field)
         direct = spla.spsolve(S, rhs)
         field = direct[:dofmap.n_field]
     assert np.linalg.norm(final - direct) <= 1e-10 * np.linalg.norm(direct)
+
+
+def test_march_evaluates_the_source_once(monkeypatch):
+    # the spatial source terms are sampled and condensed once per march; a
+    # step only asks for the time weights at its new time level
+    mesh = build_structured_mesh(3)
+    dofmap = build_dofmap(mesh, 1)
+    case = make_case("aniso", 0.1, 0.5)
+    calls = {"space": 0, "times": []}
+
+    def source_space(x, y):
+        calls["space"] += 1
+        return case.source_space(x, y)
+
+    def source_time(t):
+        calls["times"].append(t)
+        return case.source_time(t)
+
+    counted = dataclasses.replace(case, source_space=source_space, source_time=source_time)
+    final = march(counted, mesh, dofmap)
+    assert calls["space"] == 1
+    assert calls["times"] == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5], abs=1e-15)
+    assert np.array_equal(final.current.as_vector(), march(case, mesh, dofmap).current.as_vector())
+
+
+@pytest.mark.parametrize("case_id", ["heat-decay", "aniso"])
+def test_march_load_matches_the_pointwise_source(case_id, monkeypatch):
+    # every step's load equals R^T (L^{-1} T diag(w det J) f(t_n, x_q) + W_w w),
+    # built here from the pointwise source f at the volume quadrature points
+    mesh = build_structured_mesh(4)
+    dofmap = build_dofmap(mesh, 1)
+    k = 0.05
+    case = make_case(case_id, k, 4 * k)
+    chol_inv = _build_blocks(mesh, dofmap, case.coeffs).chol_inv
+    rule, points, wdet, _ = volume_quadrature(mesh, 2 * (dofmap.p + 2))
+    W_f = np.einsum("emn,nq,eq->emq", chol_inv,
+                    lagrange_triangle(dofmap.p + 2, rule.points).values, wdet)
+    loads = []
+
+    def recording(ops, a, w):
+        rhs = condense_load(ops, a, w)
+        loads.append((ops, w, rhs))
+        return rhs
+
+    monkeypatch.setattr(timestep, "condense_load", recording)
+    march(case, mesh, dofmap)
+    assert len(loads) == 4
+    for n, (ops, w, rhs) in enumerate(loads, start=1):
+        fq = case.f(n * k, points[..., 0], points[..., 1])
+        pointwise = ops.Rt @ (np.einsum("emq,eq->em", W_f, fq).ravel() + ops.W_w @ w)
+        assert np.linalg.norm(rhs - pointwise) <= 1e-12 * np.linalg.norm(pointwise)
 
 
 def test_factored_march_takes_few_cg_iterations(monkeypatch):
