@@ -343,10 +343,8 @@ def block_rows(blocks: np.ndarray, cols: np.ndarray, n_cols: int) -> sp.csr_matr
 
 def _source_rows(mesh: Mesh, p: int, chol_inv: np.ndarray, source_space) -> np.ndarray:
     """L_K^{-1} (g_s, psi)_K for the spatial source terms g_s = source_space(x, y)[s],
-    stacked (m, ne*nt); (0, ne*nt) without a source."""
+    stacked (m, ne*nt)."""
     ne, nt, _ = chol_inv.shape
-    if source_space is None:
-        return np.zeros((0, ne * nt))
     rule, points, wdet, _ = volume_quadrature(mesh, 2 * (p + 2))
     values = np.asarray(source_space(points[..., 0], points[..., 1]), dtype=float)
     if values.ndim != 3 or values.shape[1:] != wdet.shape:
@@ -357,10 +355,10 @@ def _source_rows(mesh: Mesh, p: int, chol_inv: np.ndarray, source_space) -> np.n
 
 
 def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
-                       source_space=None) -> CondensedSystem:
+                       source_space) -> CondensedSystem:
     """Assemble S = R^T R, R the block rows of L_K^{-1} B_{a,K}, over the free
     unknowns, and the operators of the step load for the spatial source terms
-    source_space(x, y) -> (m, *x.shape) (none when it is None)."""
+    source_space(x, y) -> (m, *x.shape)."""
     ratio = mesh.h_max / np.sqrt(coeffs.k)
     if ratio > _TRACE_EQUIV_WARN:
         warnings.warn(
@@ -377,11 +375,15 @@ def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     Rt = R.T.tocsr()
     S = Rt @ R
     del R
-    # y^T S x = x^T S y for a symmetric S; probing with two fixed vectors
-    # checks the values without a transposed copy of S
-    x, y = np.random.default_rng(0).standard_normal((2, S.shape[0]))
-    Sx = S @ x
-    if abs(y @ Sx - x @ (S @ y)) > _SYM_TOL * np.linalg.norm(y) * np.linalg.norm(Sx):
+    # S.T is a CSC view of S's own arrays, so S x - S^T x needs no transposed
+    # copy.  With x in [1, 2], one entry of S - S^T equal to delta (a stored
+    # entry whose mirror is missing counts as one) moves the difference by
+    # delta to 2 delta: an asymmetry above 2 _SYM_TOL max|S| always trips,
+    # one below _SYM_TOL max|S| never does.  The symmetric product leaves
+    # about 1e-15 max|S| of rounding.
+    x = np.random.default_rng(0).uniform(1.0, 2.0, S.shape[0])
+    scale = max(S.data.max(initial=0.0), -S.data.min(initial=0.0))
+    if np.abs(S @ x - S.T @ x).max(initial=0.0) > 2.0 * _SYM_TOL * scale:
         raise SolverError("condensed system lost symmetry; assembly is inconsistent")
     return CondensedSystem(S=S, blocks=StepOperators(Rt=Rt, sources=sources, W_w=W_w),
                            dofmap=dofmap, coeffs=coeffs, precond=factor_spd(S))

@@ -14,6 +14,12 @@ def adr_coeffs():
     return PdeCoefficients(A=np.eye(2), beta=np.array([1.0, 0.5]), gamma=1.0, k=0.1, T_end=1.0)
 
 
+def no_source(x, y):
+    """A source of no terms, for tests that need only S: the march then keeps
+    source rows of shape (0, ne*nt)."""
+    return np.zeros((0,) + np.shape(x))
+
+
 def perturbed_mesh(n, seed):
     """Structured n x n mesh with every interior vertex moved by up to 0.05."""
     from dpgmarch.mesh import build_structured_mesh, mesh_from_arrays

@@ -20,7 +20,8 @@ from dpgmarch.linalg import lu_solve
 from dpgmarch.mesh import build_structured_mesh
 from dpgmarch.timestep import march
 
-from conftest import b_orthogonality_residual, field_quadratic_forms, function_l2_norm
+from conftest import (b_orthogonality_residual, field_quadratic_forms, function_l2_norm,
+                      no_source)
 
 ZERO = SpatialFields(u=lambda x, y: np.zeros_like(x),
                      grad_u=lambda x, y: np.zeros((2,) + np.shape(x)))
@@ -71,7 +72,7 @@ def test_criterion_2_coercivity():
     for k in (1.0, 0.01):
         coeffs = PdeCoefficients(A=base.A, beta=base.beta, gamma=base.gamma,
                                  k=k, T_end=1.0)
-        system = assemble_condensed(mesh, dofmap, coeffs)
+        system = assemble_condensed(mesh, dofmap, coeffs, no_source)
         mass, stiff = field_quadratic_forms(mesh, dofmap, coeffs.A)
         for _ in range(100):
             x = rng.standard_normal(dofmap.n_dof)
@@ -198,7 +199,8 @@ def test_criterion_10_structural_checks():
     mesh = build_structured_mesh(8)
     dofmap = build_dofmap(mesh, 0)
     case = make_case("adr-decay", 0.05, 0.1)
-    system = assemble_condensed(mesh, dofmap, case.coeffs)  # Cholesky of every G_K
+    # Cholesky of every G_K
+    system = assemble_condensed(mesh, dofmap, case.coeffs, case.source_space)
     asym = abs(system.S - system.S.T)
     symmetry = (asym.max() if asym.nnz else 0.0) / abs(system.S).max()
 
