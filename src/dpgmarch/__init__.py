@@ -10,8 +10,7 @@ from .elliptic import project, project_mixed
 from .errors import ErrorReport, SpatialFields, eoc, field_error, trace_dual_error
 from .galerkin import galerkin_march
 from .linalg import SolverError, cg_solve, lu_solve
-from .mesh import Mesh, build_structured_mesh, edge_orientation_sign, mesh_from_arrays, \
-    refine_uniform
+from .mesh import Mesh, build_structured_mesh, mesh_from_arrays, refine_uniform
 from .timestep import MarchState, TrialVector, initial_field, march, step
 
 __all__ = [
@@ -19,7 +18,7 @@ __all__ = [
     "PdeCase", "PdeCoefficients", "QuadRule", "ShapeTable", "SolverError",
     "SpatialFields", "TrialVector", "assemble_condensed", "build_dofmap",
     "build_structured_mesh", "cg_solve",
-    "condense_load", "edge_orientation_sign", "edge_rule", "eoc", "field_error",
+    "condense_load", "edge_rule", "eoc", "field_error",
     "galerkin_march", "initial_field", "lagrange_edge", "lagrange_triangle",
     "lu_solve", "make_case", "march",
     "mesh_from_arrays", "project", "project_mixed", "refine_uniform", "step",

@@ -125,10 +125,6 @@ class LocalBlocks:
     mass_field: np.ndarray
     cols: np.ndarray
 
-    def gather_local(self, u: np.ndarray) -> np.ndarray:
-        """Local trial coefficients per element; eliminated slots read as zero."""
-        return gather(u, self.cols)
-
 
 @dataclass
 class StepOperators:
@@ -250,11 +246,11 @@ def _edge_test_tables(test_degree: int, rule):
     return tables
 
 
-def gram_blocks(mesh: Mesh, p: int, coeffs: PdeCoefficients, test_degree: int | None = None) -> np.ndarray:
-    """All Gram matrices G_K = W_K : K_tt + (det J / k) M_tt, (ne, nt, nt)."""
-    deg = test_degree if test_degree is not None else p + 2
+def gram_blocks(mesh: Mesh, p: int, coeffs: PdeCoefficients) -> np.ndarray:
+    """All Gram matrices G_K = W_K : K_tt + (det J / k) M_tt, (ne, nt, nt),
+    over the degree p + 2 test space."""
     W, detJ, _ = _element_weights(mesh, coeffs)
-    return _gram(W, detJ, coeffs.k, deg)
+    return _gram(W, detJ, coeffs.k, p + 2)
 
 
 def _gram(W: np.ndarray, detJ: np.ndarray, k: float, degree: int) -> np.ndarray:
@@ -375,6 +371,7 @@ def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     Rt = R.T.tocsr()
     S = Rt @ R
     del R
+    S.sort_indices()  # the product leaves rows unsorted; factor_spd would sort a copy
     # S.T is a CSC view of S's own arrays, so S x - S^T x needs no transposed
     # copy.  With x in [1, 2], one entry of S - S^T equal to delta (a stored
     # entry whose mirror is missing counts as one) moves the difference by

@@ -33,10 +33,6 @@ class ShapeTable:
     values: np.ndarray
     gradients: np.ndarray
 
-    @property
-    def n_basis(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class QuadRule:

@@ -10,6 +10,8 @@ possible.  `p`, `n_steps` and the entries of the `levels` list must be
 integral numbers (4 and 4.0 are accepted, 4.6 and true are not), `T_end`
 and `k_ref` finite numbers, the numbers in `k_policy` plain decimal or
 scientific numerals, and `snapshot` a JSON boolean; nothing is coerced.
+`run`, `heat-identity` and `converge-time` take a single level, and
+`converge-time` takes no `n_steps`: input a command would ignore is rejected.
 Studies write a CSV table with the ErrorReport columns and print an EOC
 table; `run` can additionally dump the field as a legacy ASCII VTK
 snapshot.  Exit codes: 0 success, 1 verification failed (heat-identity
@@ -33,7 +35,7 @@ from .assembly import assemble_condensed
 from .cases import CASE_IDS, make_case
 from .dofmap import build_dofmap
 from .elliptic import project
-from .errors import ErrorReport, SpatialFields, eoc, field_error, trace_dual_error
+from .errors import ZERO_FIELDS, ErrorReport, SpatialFields, eoc, field_error, trace_dual_error
 from .galerkin import galerkin_march
 from .linalg import SolverError
 from .mesh import build_structured_mesh
@@ -113,6 +115,12 @@ class RunConfig:
             raise ConfigError("converge-time requires a fixed mesh and k_policy 'list:...'")
         if self.command != "converge-time" and self.k_policy.kind == "list":
             raise ConfigError(f"k_policy 'list' is only valid for converge-time, not {self.command}")
+        if self.command in ("run", "heat-identity", "converge-time") and len(self.levels) > 1:
+            raise ConfigError(f"{self.command} runs on one mesh; levels must have one entry, "
+                              f"got {self.levels}")
+        if self.command == "converge-time" and self.n_steps is not None:
+            raise ConfigError("converge-time marches to T_end with each k of its list; "
+                              "n_steps must not be set")
         parent = os.path.dirname(self.output_path)
         if parent and not os.path.isdir(parent):
             raise ConfigError(f"the directory {parent!r} of output_path does not exist")
@@ -306,15 +314,13 @@ def cmd_converge_time(cfg: RunConfig) -> int:
     k_ref = cfg.k_ref if cfg.k_ref is not None else min(k_values) / 16.0
 
     ref_state = march(make_case(cfg.case_id, k_ref, cfg.T_end), mesh, dofmap)
-    zero = SpatialFields(u=lambda x, y: np.zeros_like(x),
-                         grad_u=lambda x, y: np.zeros((2,) + np.shape(x)))
     reports = []
     for level, k in enumerate(k_values):
         case = make_case(cfg.case_id, k, cfg.T_end)
         state = march(case, mesh, dofmap)
         diff = TrialVector(field=state.current.field - ref_state.current.field,
                            trace=state.current.trace - ref_state.current.trace)
-        reports.append(_error_report(level, mesh, dofmap, case.coeffs, diff, zero))
+        reports.append(_error_report(level, mesh, dofmap, case.coeffs, diff, ZERO_FIELDS))
     _attach_rates(reports, list(k_values))
     write_csv(cfg.output_path, reports)
     print_table(reports)

@@ -36,7 +36,6 @@ class DofMap:
     p: int
     n_field: int
     n_trace: int
-    n_test_per_element: int
     element_field_dofs: np.ndarray
     element_trace_dofs: np.ndarray
     field_dof_coords: np.ndarray
@@ -45,10 +44,6 @@ class DofMap:
     @property
     def n_dof(self) -> int:
         return self.n_field + self.n_trace
-
-    @property
-    def n_field_local(self) -> int:
-        return self.element_field_dofs.shape[1]
 
 
 def build_dofmap(mesh: Mesh, p: int) -> DofMap:
@@ -84,7 +79,6 @@ def build_dofmap(mesh: Mesh, p: int) -> DofMap:
         p=p,
         n_field=int(n_field),
         n_trace=n_per_edge * mesh.n_edges,
-        n_test_per_element=(p + 3) * (p + 4) // 2,
         element_field_dofs=np.ascontiguousarray(element_field_dofs),
         element_trace_dofs=np.ascontiguousarray(element_trace_dofs),
         field_dof_coords=np.vstack(coords) if n_field else np.zeros((0, 2)),

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import LocalBlocks, PdeCoefficients, _build_blocks, block_rows, volume_quadrature
+from .assembly import LocalBlocks, PdeCoefficients, _build_blocks, block_rows, gather, \
+    volume_quadrature
 from .basis import lagrange_triangle
 from .dofmap import DofMap
 from .errors import SpatialFields, _trace_residuals
@@ -82,13 +83,13 @@ def exact_b_load(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
 
     # -<sigma, psi>_S with sigma the exact flux trace
     zero_trace = np.zeros(dofmap.n_trace)
-    loads -= _trace_residuals(mesh, dofmap, coeffs, zero_trace, exact.grad_u, p + 2)
+    loads -= _trace_residuals(mesh, dofmap, coeffs, zero_trace, exact.grad_u)
     return loads
 
 
 def discrete_b_load(blocks: LocalBlocks, coefficients: np.ndarray) -> np.ndarray:
     """Element test loads b(u_h, psi_m) of a discrete trial vector."""
-    u_loc = blocks.gather_local(np.asarray(coefficients, dtype=float))
+    u_loc = gather(np.asarray(coefficients, dtype=float), blocks.cols)
     return np.einsum("emc,ec->em", blocks.B_b, u_loc)
 
 
@@ -98,7 +99,9 @@ def project(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     from grad_u and is single-valued for smooth u."""
     system = build_projection_system(mesh, dofmap, coeffs)
     rhs = condense_element_loads(system, exact_b_load(mesh, dofmap, coeffs, exact))
-    x = lu_solve(system.N, rhs)
+    N = system.N
+    del system  # free the element blocks and R before the factorization
+    x = lu_solve(N, rhs)
     return TrialVector.from_vector(x, dofmap.n_field)
 
 

@@ -30,6 +30,10 @@ class SpatialFields:
     grad_u: callable
 
 
+ZERO_FIELDS = SpatialFields(u=lambda x, y: np.zeros_like(x),
+                            grad_u=lambda x, y: np.zeros((2,) + np.shape(x)))
+
+
 @dataclass
 class ErrorReport:
     level: int
@@ -78,12 +82,12 @@ def field_error(mesh: Mesh, dofmap: DofMap, coeffs_vector, exact: SpatialFields,
 
 
 def _trace_residuals(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients, sigma_h,
-                     grad_u, test_degree: int) -> np.ndarray:
+                     grad_u) -> np.ndarray:
     """r_K[m] = <sigma - sigma_h, psi_m>_K with sigma = A grad_u . n."""
     p = dofmap.p
     erule = edge_rule(min(2 * p + 4, 8))
     trace_tab = lagrange_edge(p, erule.points)
-    edge_tables = _edge_test_tables(test_degree, erule)
+    edge_tables = _edge_test_tables(p + 2, erule)
 
     sigma_h = np.asarray(sigma_h, dtype=float)
     if sigma_h.shape != (dofmap.n_trace,):
@@ -110,11 +114,10 @@ def _trace_residuals(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients, sigma_
 
 
 def trace_dual_error(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients, sigma_h,
-                     grad_u, test_degree: int | None = None) -> float:
+                     grad_u) -> float:
     """Discrete dual-norm surrogate of || A grad u . n - sigma_h ||_{-1/2,k}."""
-    deg = test_degree if test_degree is not None else dofmap.p + 2
-    r = _trace_residuals(mesh, dofmap, coeffs, sigma_h, grad_u, deg)
-    gram = gram_blocks(mesh, dofmap.p, coeffs, test_degree=deg)
+    r = _trace_residuals(mesh, dofmap, coeffs, sigma_h, grad_u)
+    gram = gram_blocks(mesh, dofmap.p, coeffs)
     y = np.linalg.solve(gram, r[:, :, None])[:, :, 0]
     return float(np.sqrt(np.sum(r * y)))
 

@@ -1,27 +1,30 @@
 """Sparse linear solvers: CG for the condensed SPD system, preconditioned by a
-single-precision sparse factor of it, and a pivoted direct factorization for
-the nonsymmetric projection systems.
+single-precision sparse factor of it, and a pivoted sparse LU for the
+nonsymmetric projection systems.
 
-Matrix storage is scipy CSR/CSC; desk-scale problem sizes make a sparse LU
-the right tool for everything that is not symmetric positive definite.
-`lu_solve` picks the sparse pivoting regime from the matrix itself.  A
-matrix with no zero on its diagonal, such as the condensed projection matrix
-N (the pattern of S, a strong diagonal), is factored in SuperLU's symmetric
-mode: minimum degree ordering on M + M^T with threshold pivoting that keeps
-a diagonal pivot within a factor 10 of its column's largest entry
-(X. S. Li, "An overview of SuperLU", ACM TOMS 31, 2005).  A zero on the
-diagonal, as in the (2,2) block of the mixed saddle-point system, rules
-that out, and the matrix is factored with COLAMD and partial pivoting.
-Every direct solve is checked afterwards for a small backward error.
+Matrix storage is scipy CSR/CSC.  `cg_solve` takes the preconditioner it is
+given (the march passes `factor_spd(S)`), starts from zero and stops at a
+residual of 1e-12 times the right-hand side, or raises after 50 iterations.
+`lu_solve` runs every matrix through SuperLU and picks the pivoting regime
+from the matrix itself.  A matrix with no zero on its diagonal, such as the
+condensed projection matrix N (the pattern of S, a strong diagonal), is
+factored in SuperLU's symmetric mode: minimum degree ordering on M + M^T with
+threshold pivoting that keeps a diagonal pivot within a factor 10 of its
+column's largest entry (X. S. Li, "An overview of SuperLU", ACM TOMS 31,
+2005).  A zero on the diagonal, as in the (2,2) block of the mixed
+saddle-point system, rules that out, and the matrix is factored with COLAMD
+and partial pivoting.  Every direct solve is checked afterwards for a small
+backward error.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+_CG_REL_TOL = 1e-12
+_CG_MAX_ITER = 50  # a factor-preconditioned step takes about 3
 _PIVOT_TOL = 1e-14
 _BACKWARD_TOL = 1e-10
 
@@ -58,49 +61,31 @@ def factor_spd(S):
     return lambda r: factor.solve(r.astype(np.float32)).astype(float)
 
 
-def cg_solve(S, rhs, rel_tol: float = 1e-12, max_iter: int | None = None, precond=None,
-             x0=None):
-    """Preconditioned conjugate gradients started from x0 (zero if None).
+def cg_solve(S, rhs, precond):
+    """Conjugate gradients on S x = rhs started from zero, preconditioned by
+    precond: r -> M^{-1} r (see `factor_spd`).
 
-    Returns (x, iterations) with ||S x - rhs|| <= rel_tol * ||rhs||.  The test
-    is relative to ||rhs||, not to the initial residual, so a good x0 saves
-    iterations without loosening the result; an x0 that already passes returns
-    with 0 iterations.  `precond` maps a residual r to M^{-1} r (see
-    `factor_spd`); without it CG is Jacobi-preconditioned.  Raises SolverError
-    on non-finite rhs or x0, on nonpositive or NaN curvature (S not positive
-    definite) or when max_iter is exhausted.
+    Returns (x, iterations) with ||S x - rhs|| <= 1e-12 ||rhs||, the residual
+    recomputed before it is accepted.  Raises SolverError on non-finite rhs,
+    on nonpositive or NaN curvature (S not positive definite) and when 50
+    iterations do not reach the tolerance.
     """
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.shape[0]
     if S.shape != (n, n):
         raise ValueError(f"shape mismatch: matrix {S.shape}, rhs {rhs.shape}")
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"shape mismatch: rhs {rhs.shape}, initial guess {x.shape}")
-    if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(x))):
-        raise SolverError("right-hand side or initial guess has non-finite entries")
-    if max_iter is None:
-        max_iter = 10 * n
-
+    if not np.all(np.isfinite(rhs)):
+        raise SolverError("right-hand side has non-finite entries")
     b_norm = np.linalg.norm(rhs)
     if b_norm == 0.0:
         return np.zeros(n), 0
-    if precond is None:
-        diag = S.diagonal()
-        if np.any(diag <= 0.0):
-            raise SolverError("matrix has a nonpositive diagonal entry; not positive definite")
-        inv_diag = 1.0 / diag
-        precond = lambda r: inv_diag * r
 
-    r = rhs - S @ x
-    if np.linalg.norm(r) <= rel_tol * b_norm:
-        return x, 0
+    x = np.zeros(n)
+    r = rhs.copy()
     z = precond(r)
     p = z.copy()
     rz = r @ z
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _CG_MAX_ITER + 1):
         Sp = S @ p
         curvature = p @ Sp
         if not curvature > 0.0:
@@ -111,10 +96,10 @@ def cg_solve(S, rhs, rel_tol: float = 1e-12, max_iter: int | None = None, precon
         alpha = rz / curvature
         x += alpha * p
         r -= alpha * Sp
-        if np.linalg.norm(r) <= rel_tol * b_norm:
+        if np.linalg.norm(r) <= _CG_REL_TOL * b_norm:
             # guard against recurrence drift before declaring victory
             r = rhs - S @ x
-            if np.linalg.norm(r) <= rel_tol * b_norm:
+            if np.linalg.norm(r) <= _CG_REL_TOL * b_norm:
                 return x, iteration
             z = precond(r)
             p = z.copy()
@@ -125,20 +110,20 @@ def cg_solve(S, rhs, rel_tol: float = 1e-12, max_iter: int | None = None, precon
         beta = rz_next / rz
         rz = rz_next
         p = z + beta * p
-    raise SolverError(f"CG did not converge within {max_iter} iterations "
+    raise SolverError(f"CG did not converge within {_CG_MAX_ITER} iterations "
                       f"(residual {np.linalg.norm(rhs - S @ x) / b_norm:.3e} relative)")
 
 
 def lu_solve(M, rhs):
-    """Direct solve of M x = rhs by a pivoted LU factorization.
+    """Direct solve of M x = rhs by SuperLU's pivoted sparse LU; M may be any
+    matrix that `scipy.sparse.csc_matrix` accepts.
 
-    A sparse M with no zero on its diagonal is factored in SuperLU's
-    symmetric mode (minimum degree ordering on M + M^T, a diagonal pivot
-    kept unless it is below 0.1 times its column's largest entry); any other
-    sparse M with COLAMD and partial pivoting, a dense M by LAPACK.  Raises
-    SolverError when M or rhs has entries that are not finite, when M is
-    singular to working precision (pivot below 1e-14 * max|M|), and when the
-    result fails the backward-error check
+    An M with no zero on its diagonal is factored in SuperLU's symmetric mode
+    (minimum degree ordering on M + M^T, a diagonal pivot kept unless it is
+    below 0.1 times its column's largest entry); any other M with COLAMD and
+    partial pivoting.  Raises SolverError when M or rhs has entries that are
+    not finite, when M is singular to working precision (pivot below
+    1e-14 * max|M|), and when the result fails the backward-error check
     ||M x - rhs||_inf <= 1e-10 (||M||_inf ||x||_inf + ||rhs||_inf),
     so that relaxed pivoting can never quietly return a wrong solution.
     """
@@ -147,30 +132,23 @@ def lu_solve(M, rhs):
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     if M.shape[0] != rhs.shape[0]:
         raise ValueError(f"shape mismatch: matrix {M.shape}, rhs {rhs.shape}")
-    sparse = sp.issparse(M)
-    M = M.tocsc() if sparse else np.asarray(M, dtype=float)
-    if not (np.all(np.isfinite(M.data if sparse else M)) and np.all(np.isfinite(rhs))):
+    M = sp.csc_matrix(M, dtype=float)
+    if not (np.all(np.isfinite(M.data)) and np.all(np.isfinite(rhs))):
         raise SolverError("matrix or right-hand side has entries that are not finite")
 
-    if sparse:
-        options = {}
-        if np.all(M.diagonal() != 0.0):
-            options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                           options={"SymmetricMode": True})
-        try:
-            factor = spla.splu(M, **options)
-        except RuntimeError as exc:
-            raise SolverError(f"sparse LU factorization failed: {exc}") from exc
-        pivots = factor.U.diagonal()
-        solve = factor.solve
-    else:
-        lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-        pivots = np.diag(lu)
-        solve = lambda b: scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    options = {}
+    if np.all(M.diagonal() != 0.0):
+        options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                       options={"SymmetricMode": True})
+    try:
+        factor = spla.splu(M, **options)
+    except RuntimeError as exc:
+        raise SolverError(f"sparse LU factorization failed: {exc}") from exc
+    pivots = factor.U.diagonal()
     abs_M = abs(M)
     if pivots.size == 0 or np.abs(pivots).min() <= _PIVOT_TOL * abs_M.max():
         raise SolverError("matrix is singular to working precision")
-    x = solve(rhs)
+    x = factor.solve(rhs)
     if not np.all(np.isfinite(x)):
         raise SolverError("direct solve produced non-finite values")
     residual = np.abs(M @ x - rhs).max()

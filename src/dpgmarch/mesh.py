@@ -60,10 +60,6 @@ class Mesh:
     def n_edges(self) -> int:
         return self.edges.shape[0]
 
-    def element_coords(self, element: int) -> np.ndarray:
-        """Vertex coordinates of one element, shape (3, 2)."""
-        return self.vertices[self.elements[element]]
-
     def edge_vectors(self) -> np.ndarray:
         """Per edge, the vector from the lower- to the higher-indexed vertex."""
         return self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
@@ -185,11 +181,3 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     )
     return mesh_from_arrays(vertices, children)
 
-
-def edge_orientation_sign(mesh: Mesh, element: int, local_edge: int) -> int:
-    """Stored sign(n_K . n_e) for one local edge of one element."""
-    if not 0 <= element < mesh.n_elements:
-        raise IndexError(f"element index {element} out of range")
-    if not 0 <= local_edge < 3:
-        raise IndexError(f"local edge index {local_edge} out of range")
-    return int(mesh.element_edge_signs[element, local_edge])

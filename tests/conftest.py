@@ -68,7 +68,9 @@ def apply_trial_to_test(blocks, u):
     """Discrete optimal test function of a trial vector, element-blocked
     coefficients (ne, nt): v_K = G_K^{-1} B_{a,K} u_loc, applied through the
     Cholesky inverses of the element blocks."""
-    u_loc = blocks.gather_local(np.asarray(u, dtype=float))
+    from dpgmarch.assembly import gather
+
+    u_loc = gather(np.asarray(u, dtype=float), blocks.cols)
     z = np.einsum("emn,enc,ec->em", blocks.chol_inv, blocks.B_a, u_loc)
     return np.einsum("enm,en->em", blocks.chol_inv, z)
 

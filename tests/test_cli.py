@@ -208,6 +208,27 @@ def test_command_line_overrides_config_command(tmp_path):
     assert len(rows) == 1
 
 
+@pytest.mark.parametrize("command,overrides", [
+    ("run", ["levels=[4,8]"]),
+    ("heat-identity", ["levels=[4,8]"]),
+    ("converge-time", ["levels=[4,8]", "n_steps=null"]),
+    ("converge-time", ["levels=[4]", "n_steps=5"]),
+])
+def test_ignored_config_input_exits_2_before_any_mesh(tmp_path, monkeypatch, capsys,
+                                                      command, overrides):
+    # run, heat-identity and converge-time solve on levels[0] only, and
+    # converge-time marches to T_end: more levels or n_steps would be dropped
+    calls = []
+    monkeypatch.setattr(cli, "build_structured_mesh", lambda *args: calls.append("mesh"))
+    config = base_config(tmp_path, command=command, case_id="heat-decay", T_end=1.0,
+                         k_policy="list:0.25,0.125" if command == "converge-time" else "fixed:0.25")
+    assert main([command, "--config", config, *overrides]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert calls == []
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_load_config_roundtrip(tmp_path):
     config = base_config(tmp_path)
     cfg = load_config(config)

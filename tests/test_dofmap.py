@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
+from dpgmarch.assembly import PdeCoefficients, gram_blocks
 from dpgmarch.basis import lagrange_edge
 from dpgmarch.dofmap import build_dofmap
 from dpgmarch.mesh import build_structured_mesh
+
+
+def _test_space_dimension(mesh, p):
+    """Side of the element Gram blocks: the broken test space per element."""
+    coeffs = PdeCoefficients(A=np.eye(2), beta=np.zeros(2), gamma=0.0, k=0.1, T_end=1.0)
+    ne, nt, _ = gram_blocks(mesh, p, coeffs).shape
+    assert ne == mesh.n_elements
+    return nt
 
 
 def test_counts_two_by_two_p0():
@@ -28,13 +37,12 @@ def test_counts_formulas_p0():
         dofmap = build_dofmap(mesh, 0)
         assert dofmap.n_field == (n - 1) ** 2
         assert dofmap.n_trace == 3 * n**2 + 2 * n
-        assert dofmap.n_test_per_element == 6
+        assert _test_space_dimension(mesh, 0) == 6
 
 
 def test_test_space_dimension_p1():
     mesh = build_structured_mesh(2)
-    dofmap = build_dofmap(mesh, 1)
-    assert dofmap.n_test_per_element == 10  # dim P^3
+    assert _test_space_dimension(mesh, 1) == 10  # dim P^3
 
 
 def test_counts_p1():

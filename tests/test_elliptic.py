@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from dpgmarch import elliptic
 from dpgmarch.assembly import gather
 from dpgmarch.basis import lagrange_triangle, triangle_rule
 from dpgmarch.cases import make_case
@@ -167,6 +170,30 @@ def test_projection_matches_a_default_splu_solve(case_id, p):
     assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
+def test_projection_frees_the_element_blocks_before_the_solve(monkeypatch):
+    # the element blocks are set-up temporaries: once the right-hand side is
+    # built, only N and the load reach the factorization
+    mesh = build_structured_mesh(4)
+    dofmap = build_dofmap(mesh, 1)
+    case = make_case("aniso", 0.1, 1.0)
+    refs, alive = [], []
+    build, solve = elliptic.build_projection_system, elliptic.lu_solve
+
+    def recording_build(*args):
+        system = build(*args)
+        refs.append(weakref.ref(system.blocks))
+        return system
+
+    def recording_solve(M, rhs):
+        alive.append(refs[-1]() is not None)
+        return solve(M, rhs)
+
+    monkeypatch.setattr(elliptic, "build_projection_system", recording_build)
+    monkeypatch.setattr(elliptic, "lu_solve", recording_solve)
+    project(mesh, dofmap, case.coeffs, SpatialFields(*case.spatial_u(0.0)))
+    assert alive == [False]
+
+
 def test_sparse_pivoting_regime_follows_the_diagonal(monkeypatch):
     # N has a nonzero diagonal and is factored in symmetric mode; the saddle
     # matrix of the mixed form has a zero (2,2) block and keeps partial pivoting
@@ -217,6 +244,6 @@ def test_reference_gradient_contractions_match_quadrature(p):
     loads = (np.einsum("emqa,ab,eqb,eq->em", test_grads, coeffs.A, g, wdet)
              + np.einsum("mq,eq,eq->em", test.values, advection, wdet)
              - _trace_residuals(mesh, dofmap, coeffs, np.zeros(dofmap.n_trace),
-                                exact.grad_u, p + 2))
+                                exact.grad_u))
     got = exact_b_load(mesh, dofmap, coeffs, exact)
     assert np.abs(got - loads).max() <= 1e-13 * np.abs(loads).max()

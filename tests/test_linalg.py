@@ -1,30 +1,44 @@
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from dpgmarch.linalg import SolverError, cg_solve, factor_spd, lu_solve
 
 
+def unpreconditioned(r):
+    return r
+
+
+def jacobi(S):
+    diagonal = S.diagonal()
+    return lambda r: r / diagonal
+
+
+def laplacian_1d(n):
+    """tridiag(-1, 2, -1): condition number about 4 n^2 / pi^2, so CG without
+    a good preconditioner needs far more than the 50-iteration cap."""
+    return sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr()
+
+
 def test_cg_identity_single_iteration():
     S = sp.identity(6, format="csr")
     rhs = np.zeros(6)
     rhs[0] = 1.0
-    x, iterations = cg_solve(S, rhs)
+    x, iterations = cg_solve(S, rhs, unpreconditioned)
     assert np.allclose(x, rhs)
     assert iterations == 1
 
 
 def test_cg_diagonal():
     S = sp.diags([2.0, 3.0]).tocsr()
-    x, _ = cg_solve(S, np.array([2.0, 3.0]))
+    x, _ = cg_solve(S, np.array([2.0, 3.0]), unpreconditioned)
     assert np.allclose(x, [1.0, 1.0], atol=1e-13)
 
 
 def test_cg_zero_rhs():
     S = sp.identity(4, format="csr")
-    x, iterations = cg_solve(S, np.zeros(4))
+    x, iterations = cg_solve(S, np.zeros(4), unpreconditioned)
     assert iterations == 0
     assert np.all(x == 0.0)
 
@@ -35,7 +49,7 @@ def test_cg_random_spd_against_dense_solve():
     S = A.T @ A + np.eye(20)
     rhs = rng.standard_normal(20)
     expected = np.linalg.solve(S, rhs)
-    x, _ = cg_solve(sp.csr_matrix(S), rhs, rel_tol=1e-13)
+    x, _ = cg_solve(sp.csr_matrix(S), rhs, jacobi(sp.csr_matrix(S)))
     assert np.linalg.norm(S @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
     assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
 
@@ -44,27 +58,21 @@ def test_cg_reports_iteration_count():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((15, 15))
     S = sp.csr_matrix(A.T @ A + 10 * np.eye(15))
-    _, iterations = cg_solve(S, rng.standard_normal(15))
-    assert 1 <= iterations <= 150
+    _, iterations = cg_solve(S, rng.standard_normal(15), jacobi(S))
+    assert 1 <= iterations <= 50
 
 
 def test_cg_negative_curvature_surfaces():
     S = sp.diags([1.0, -1.0]).tocsr()
     with pytest.raises(SolverError, match="curvature|definite"):
-        cg_solve(S, np.array([1.0, 1.0]))
+        cg_solve(S, np.array([1.0, 1.0]), jacobi(S))
 
 
 def test_cg_max_iter_exhaustion():
-    rng = np.random.default_rng(2)
-    A = rng.standard_normal((30, 30))
-    S = sp.csr_matrix(A.T @ A + 0.01 * np.eye(30))
+    S = laplacian_1d(400)
+    rhs = np.random.default_rng(2).standard_normal(400)
     with pytest.raises(SolverError, match="converge"):
-        cg_solve(S, rng.standard_normal(30), rel_tol=1e-14, max_iter=3)
-
-
-def test_cg_validates_tolerance():
-    with pytest.raises(ValueError):
-        cg_solve(sp.identity(2, format="csr"), np.ones(2), rel_tol=2.0)
+        cg_solve(S, rhs, jacobi(S))
 
 
 class CountingMatrix:
@@ -87,62 +95,33 @@ def _spd(seed, n=20):
     return sp.csr_matrix(A.T @ A + np.eye(n)), rng
 
 
-@pytest.mark.parametrize("bad", ["rhs-nan", "rhs-inf", "x0-nan", "x0-inf"])
+@pytest.mark.parametrize("bad", ["rhs-nan", "rhs-inf"])
 def test_cg_nonfinite_data_raises_before_iterating(bad):
     S, rng = _spd(5)
-    rhs, x0 = rng.standard_normal(20), rng.standard_normal(20)
-    value = np.nan if bad.endswith("nan") else np.inf
-    (rhs if bad.startswith("rhs") else x0)[3] = value
+    rhs = rng.standard_normal(20)
+    rhs[3] = np.nan if bad.endswith("nan") else np.inf
     counting = CountingMatrix(S)
     with pytest.raises(SolverError, match="non-finite"):
-        cg_solve(counting, rhs, x0=x0)
+        cg_solve(counting, rhs, unpreconditioned)
     assert counting.products == 0
 
 
 def test_cg_nan_curvature_is_breakdown():
     S = sp.csr_matrix(np.array([[1.0, np.nan], [np.nan, 1.0]]))
     with pytest.raises(SolverError, match="curvature .* iteration 1;"):
-        cg_solve(S, np.array([1.0, 1.0]))
+        cg_solve(S, np.array([1.0, 1.0]), unpreconditioned)
 
 
-def test_cg_exact_initial_guess_takes_no_iteration():
-    S, rng = _spd(6)
-    exact = rng.standard_normal(20)
-    rhs = S @ exact
-    x, iterations = cg_solve(S, rhs, x0=exact)
-    assert iterations == 0
-    assert np.array_equal(x, exact) and x is not exact
-
-
-def test_cg_warm_start_meets_the_rhs_relative_bound():
-    S, rng = _spd(7)
-    rhs = rng.standard_normal(20)
-    x0 = 1e3 * rng.standard_normal(20)  # initial residual far above ||rhs||
-    guess = x0.copy()
-    for rel_tol in (1e-8, 1e-12):
-        x, iterations = cg_solve(S, rhs, rel_tol=rel_tol, x0=x0)
-        assert iterations >= 1
-        assert np.linalg.norm(S @ x - rhs) <= rel_tol * np.linalg.norm(rhs)
-    assert np.array_equal(x0, guess)  # the guess is not written to
-
-
-def test_cg_zero_rhs_with_nonzero_guess_returns_zeros():
-    S, rng = _spd(8)
-    x, iterations = cg_solve(S, np.zeros(20), x0=rng.standard_normal(20))
-    assert iterations == 0
-    assert np.all(x == 0.0)
-
-
-def test_cg_rejects_misshapen_guess():
-    with pytest.raises(ValueError, match="initial guess"):
-        cg_solve(sp.identity(3, format="csr"), np.ones(3), x0=np.ones(2))
+def test_cg_rejects_misshapen_rhs():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        cg_solve(sp.identity(3, format="csr"), np.ones(2), unpreconditioned)
 
 
 def test_factor_spd_preconditions_cg_to_full_accuracy():
     S, rng = _spd(9, n=40)
     saved = [S.data.copy(), S.indices.copy(), S.indptr.copy()]
     rhs = rng.standard_normal(40)
-    x, iterations = cg_solve(S, rhs, precond=factor_spd(S))
+    x, iterations = cg_solve(S, rhs, factor_spd(S))
     assert 1 <= iterations <= 3
     assert np.linalg.norm(S @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
     # the factor reads S's index arrays and writes nothing back
@@ -150,11 +129,12 @@ def test_factor_spd_preconditions_cg_to_full_accuracy():
 
 
 def test_factor_spd_cg_raises_within_the_cap():
-    S, rng = _spd(10)
+    # the factor of S's diagonal is a poor preconditioner for the Laplacian
+    S = laplacian_1d(400)
     counting = CountingMatrix(S)
     with pytest.raises(SolverError, match="within 50 iterations"):
-        cg_solve(counting, rng.standard_normal(20), rel_tol=1e-17, max_iter=50,
-                 precond=factor_spd(S))
+        cg_solve(counting, np.random.default_rng(10).standard_normal(400),
+                 factor_spd(sp.diags(S.diagonal()).tocsr()))
     # one product per iteration, at most one more per recomputed residual
     assert counting.products <= 2 * 50 + 2
 
@@ -192,13 +172,15 @@ def test_lu_random_residual():
 
 
 def test_lu_sparse_matches_dense():
+    # a dense and a sparse M take the same SuperLU path
     rng = np.random.default_rng(4)
     M = rng.standard_normal((25, 25)) + 6 * np.eye(25)
     rhs = rng.standard_normal(25)
-    assert np.allclose(lu_solve(sp.csr_matrix(M), rhs), lu_solve(M, rhs), atol=1e-10)
+    expected = np.linalg.solve(M, rhs)
+    assert np.allclose(lu_solve(sp.csr_matrix(M), rhs), expected, atol=1e-10)
+    assert np.allclose(lu_solve(M, rhs), expected, atol=1e-10)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_lu_singular_detection():
     M = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SolverError, match="singular"):
@@ -287,8 +269,8 @@ def test_lu_backward_error_guard_trips_on_a_wrong_dense_solution(monkeypatch):
     rng = np.random.default_rng(16)
     M = rng.standard_normal((10, 10)) + 5 * np.eye(10)
     rhs = rng.standard_normal(10)
-    solve = scipy.linalg.lu_solve
-    monkeypatch.setattr(scipy.linalg, "lu_solve",
-                        lambda *args, **kwargs: solve(*args, **kwargs) * (1.0 + 1e-6))
+    lu_solve(M, rhs)  # the genuine factor passes
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: PerturbedFactor(splu(*args, **kwargs)))
     with pytest.raises(SolverError, match="backward-error"):
         lu_solve(M, rhs)

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpgmarch.mesh import (build_structured_mesh, edge_orientation_sign,
-                           mesh_from_arrays, refine_uniform)
+from dpgmarch.mesh import build_structured_mesh, mesh_from_arrays, refine_uniform
 
 
 def test_build_counts_one_square():
@@ -113,7 +112,7 @@ def test_signs_match_geometric_recomputation():
         for e in range(mesh.n_elements):
             for l in range(3):
                 expected, _ = _geometric_sign(mesh, e, l)
-                assert edge_orientation_sign(mesh, e, l) == expected
+                assert mesh.element_edge_signs[e, l] == expected
 
 
 def test_boundary_normal_points_outward():
@@ -125,7 +124,7 @@ def test_boundary_normal_points_outward():
             edge = mesh.element_edges[e, l]
             if not mesh.edge_on_boundary[edge]:
                 continue
-            sign = edge_orientation_sign(mesh, e, l)
+            sign = mesh.element_edge_signs[e, l]
             midpoint = mesh.vertices[mesh.edges[edge]].mean(axis=0)
             assert sign * normals[edge] @ (midpoint - centroids[e]) > 0.0
 
@@ -142,14 +141,6 @@ def test_closed_surface_identity():
             edge = mesh.element_edges[e, l]
             total += mesh.element_edge_signs[e, l] * lengths[edge] * normals[edge]
         assert np.abs(total).max() <= 1e-14
-
-
-def test_edge_orientation_sign_bounds():
-    mesh = build_structured_mesh(1)
-    with pytest.raises(IndexError):
-        edge_orientation_sign(mesh, mesh.n_elements, 0)
-    with pytest.raises(IndexError):
-        edge_orientation_sign(mesh, 0, 3)
 
 
 def test_mesh_from_arrays_rejects_clockwise():

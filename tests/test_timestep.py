@@ -224,8 +224,8 @@ def test_march_load_matches_the_pointwise_source(case_id, monkeypatch):
 def test_factored_march_takes_few_cg_iterations(monkeypatch):
     iterations = []
 
-    def counting(S, rhs, **kwargs):
-        x, count = cg_solve(S, rhs, **kwargs)
+    def counting(S, rhs, precond):
+        x, count = cg_solve(S, rhs, precond)
         iterations.append(count)
         return x, count
 
