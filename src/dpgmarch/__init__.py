@@ -10,7 +10,7 @@ from .elliptic import project, project_mixed
 from .errors import ErrorReport, SpatialFields, eoc, field_error, trace_dual_error
 from .galerkin import galerkin_march
 from .linalg import SolverError, cg_solve, lu_solve
-from .mesh import Mesh, build_structured_mesh, mesh_from_arrays, refine_uniform
+from .mesh import Mesh, build_structured_mesh, mesh_from_arrays
 from .timestep import MarchState, TrialVector, initial_field, march, step
 
 __all__ = [
@@ -21,6 +21,6 @@ __all__ = [
     "condense_load", "edge_rule", "eoc", "field_error",
     "galerkin_march", "initial_field", "lagrange_edge", "lagrange_triangle",
     "lu_solve", "make_case", "march",
-    "mesh_from_arrays", "project", "project_mixed", "refine_uniform", "step",
+    "mesh_from_arrays", "project", "project_mixed", "step",
     "trace_dual_error", "triangle_rule",
 ]

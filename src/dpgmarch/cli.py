@@ -3,20 +3,16 @@
 Usage:
     dpgmarch <command> --config <path> [key=value ...]
 
-Commands: run, converge-space, converge-time, converge-projection,
-heat-identity.  The JSON config uses flat keys (see RunConfig); trailing
-key=value pairs override config entries, with values parsed as JSON when
-possible.  `p`, `n_steps` and the entries of the `levels` list must be
-integral numbers (4 and 4.0 are accepted, 4.6 and true are not), `T_end`
-and `k_ref` finite numbers, the numbers in `k_policy` plain decimal or
-scientific numerals, and `snapshot` a JSON boolean; nothing is coerced.
-`run`, `heat-identity` and `converge-time` take a single level, and
-`converge-time` takes no `n_steps`: input a command would ignore is rejected.
-Studies write a CSV table with the ErrorReport columns and print an EOC
-table; `run` can additionally dump the field as a legacy ASCII VTK
-snapshot.  Exit codes: 0 success, 1 verification failed (heat-identity
-FAIL), 2 validation error (including an output_path whose directory does
-not exist or that cannot be written), 3 solver failure.
+The JSON config uses flat keys; trailing key=value pairs override config
+entries, with values parsed as JSON when possible.  KEYS holds the parser and
+default of each key and COMMAND_TABLE the handler of each command with the
+keys it reads: an unknown key, a value of the wrong type or out of range, and
+a key set (not null) for a command that does not read it are configuration
+errors, raised before any mesh is built.  Nothing is coerced.  Studies write
+a CSV table with the ErrorReport columns and print an EOC table; `run` can
+additionally dump the field as a legacy ASCII VTK snapshot.  Exit codes: 0
+success, 1 verification failed (heat-identity FAIL), 2 configuration error
+(including an output_path that cannot be written), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -27,11 +23,11 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .assembly import assemble_condensed
 from .cases import CASE_IDS, make_case
 from .dofmap import build_dofmap
 from .elliptic import project
@@ -41,12 +37,12 @@ from .linalg import SolverError
 from .mesh import build_structured_mesh
 from .timestep import TrialVector, march
 
-COMMANDS = ("run", "converge-space", "converge-time", "converge-projection", "heat-identity")
-
 HEAT_IDENTITY_TOL = 1e-9
 # a plain decimal or scientific numeral: no spaces, underscores, non-ASCII
 # digits, inf or nan, all of which float() would accept
 _NUMERAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+_H_POWER = {"fixed": 0, "h": 1, "h2": 2}  # k = value * h_max**power
+REQUIRED = object()  # the default of a key the config must set
 
 
 class ConfigError(ValueError):
@@ -62,68 +58,47 @@ class KPolicy:
     values: tuple = ()
 
     @classmethod
-    def parse(cls, text: str) -> "KPolicy":
+    def parse(cls, text) -> "KPolicy":
         kind, _, payload = str(text).partition(":")
         numerals = payload.split(",") if kind == "list" else [payload]
-        if kind in ("fixed", "h", "h2", "list") and all(map(_NUMERAL.fullmatch, numerals)):
+        if (kind == "list" or kind in _H_POWER) and all(map(_NUMERAL.fullmatch, numerals)):
             values = tuple(float(v) for v in numerals)
-            if all(map(math.isfinite, values)):  # 1e400 is a numeral, but not a float
-                if kind == "list":
-                    return cls(kind="list", values=values)
-                return cls(kind=kind, value=values[0])
-        raise ConfigError(
-            f"invalid k_policy {text!r}; expected 'fixed:K', 'h:C', 'h2:C' or 'list:K1,K2,...'"
-        )
+            # 1e400 is a numeral, but not a float
+            if all(math.isfinite(v) and v > 0.0 for v in values):
+                return cls(kind=kind, value=values[0], values=values)
+        raise ConfigError(f"invalid k_policy {text!r}; expected 'fixed:K', 'h:C', 'h2:C' or "
+                          "'list:K1,K2,...' with positive numbers")
 
     def k_for(self, h_max: float) -> float:
-        if self.kind == "fixed":
-            return self.value
-        if self.kind == "h":
-            return self.value * h_max
-        if self.kind == "h2":
-            return self.value * h_max**2
-        raise ConfigError("an explicit k list cannot be evaluated per mesh level")
+        return self.value * h_max ** _H_POWER[self.kind]
 
 
 @dataclass
 class RunConfig:
     command: str
     case_id: str
-    p: int = 0
-    levels: list = field(default_factory=list)
-    k_policy: KPolicy = None
-    T_end: float = 1.0
-    n_steps: int | None = None
-    k_ref: float | None = None
-    output_path: str = "study.csv"
-    snapshot: bool = False
+    p: int
+    levels: list
+    k_policy: KPolicy
+    T_end: float
+    n_steps: int | None
+    k_ref: float | None
+    output_path: str
+    snapshot: bool
 
-    def validate(self):
-        if self.command not in COMMANDS:
-            raise ConfigError(f"unknown command {self.command!r}; available: {', '.join(COMMANDS)}")
-        if self.case_id not in CASE_IDS:
-            raise ConfigError(f"unknown case_id {self.case_id!r}; available: {', '.join(CASE_IDS)}")
-        if self.p not in (0, 1):
-            raise ConfigError(f"p must be 0 or 1, got {self.p}")
-        if not self.levels:
-            raise ConfigError("levels must be a nonempty list of mesh subdivisions")
-        if any(n < 1 for n in self.levels):
-            raise ConfigError("levels must be positive integers")
-        if list(self.levels) != sorted(set(self.levels)):
-            raise ConfigError("levels must be strictly increasing")
-        if self.command == "converge-time" and self.k_policy.kind != "list":
-            raise ConfigError("converge-time requires a fixed mesh and k_policy 'list:...'")
-        if self.command != "converge-time" and self.k_policy.kind == "list":
-            raise ConfigError(f"k_policy 'list' is only valid for converge-time, not {self.command}")
-        if self.command in ("run", "heat-identity", "converge-time") and len(self.levels) > 1:
+    def validate(self, present) -> None:
+        """Check the keys set in the config and the values against the command's row."""
+        row = COMMAND_TABLE[self.command]
+        ignored = sorted(present - row.reads)
+        if ignored:
+            raise ConfigError(f"{self.command} does not read {', '.join(ignored)}; "
+                              "leave it out or set it to null")
+        if row.single_level and len(self.levels) > 1:
             raise ConfigError(f"{self.command} runs on one mesh; levels must have one entry, "
                               f"got {self.levels}")
-        if self.command == "converge-time" and self.n_steps is not None:
-            raise ConfigError("converge-time marches to T_end with each k of its list; "
-                              "n_steps must not be set")
-        parent = os.path.dirname(self.output_path)
-        if parent and not os.path.isdir(parent):
-            raise ConfigError(f"the directory {parent!r} of output_path does not exist")
+        if row.list_policy != (self.k_policy.kind == "list"):
+            need = "a" if row.list_policy else "no"
+            raise ConfigError(f"{self.command} takes {need} k_policy 'list:...'")
 
 
 def _integer(key: str, value) -> int:
@@ -145,6 +120,44 @@ def _number(key: str, value) -> float:
         if math.isfinite(number):
             return number
     raise ConfigError(f"{key} must be a finite number, got {value!r}")
+
+
+def _checked(parse, ok, need: str):
+    """The parser `parse`, followed by the check `ok` of the parsed value."""
+    def checked(key: str, value):
+        value = parse(key, value)
+        if not ok(value):
+            raise ConfigError(f"{key} must be {need}, got {value!r}")
+        return value
+    return checked
+
+
+def _typed(kind, need: str):
+    return _checked(lambda key, value: value, lambda v: isinstance(v, kind), need)
+
+
+def _one_of(choices):
+    return _checked(_typed(str, "a string"), lambda v: v in choices, f"one of {', '.join(choices)}")
+
+
+def _levels(key: str, value) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"levels must be a nonempty list of mesh subdivisions, got {value!r}")
+    levels = [_positive_integer(key, n) for n in value]
+    if levels != sorted(set(levels)):
+        raise ConfigError("levels must be strictly increasing")
+    return levels
+
+
+def _output_path(key: str, value) -> str:
+    parent = os.path.dirname(_typed(str, "a string")(key, value))
+    if parent and not os.path.isdir(parent):
+        raise ConfigError(f"the directory {parent!r} of output_path does not exist")
+    return value
+
+
+_positive_integer = _checked(_integer, lambda v: v > 0, "positive")
+_positive_number = _checked(_number, lambda v: v > 0, "positive")
 
 
 def load_config(path: str, overrides=(), command: str | None = None) -> RunConfig:
@@ -169,35 +182,17 @@ def load_config(path: str, overrides=(), command: str | None = None) -> RunConfi
 
     if command is not None:
         data["command"] = command
-    known = {"command", "case_id", "p", "levels", "k_policy", "T_end", "n_steps",
-             "k_ref", "output_path", "snapshot"}
-    unknown = set(data) - known
+    unknown = set(data) - set(KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    if "command" not in data or "case_id" not in data:
-        raise ConfigError("config requires at least 'command' and 'case_id'")
-    if "k_policy" not in data:
-        raise ConfigError("config requires 'k_policy'")
-    levels = data.get("levels", [])
-    if not isinstance(levels, list):
-        raise ConfigError(f"levels must be a list of integers, got {levels!r}")
-    snapshot = data.get("snapshot", False)
-    if not isinstance(snapshot, bool):
-        raise ConfigError(f"snapshot must be true or false, got {snapshot!r}")
-
-    cfg = RunConfig(
-        command=str(data["command"]),
-        case_id=str(data["case_id"]),
-        p=_integer("p", data.get("p", 0)),
-        levels=[_integer("levels", n) for n in levels],
-        k_policy=KPolicy.parse(data["k_policy"]),
-        T_end=_number("T_end", data.get("T_end", 1.0)),
-        n_steps=None if data.get("n_steps") is None else _integer("n_steps", data["n_steps"]),
-        k_ref=None if data.get("k_ref") is None else _number("k_ref", data["k_ref"]),
-        output_path=str(data.get("output_path", "study.csv")),
-        snapshot=snapshot,
-    )
-    cfg.validate()
+    present = {key for key, value in data.items() if value is not None}  # null is unset
+    missing = [key for key, (_, default) in KEYS.items()
+               if default is REQUIRED and key not in present]
+    if missing:
+        raise ConfigError(f"config requires {', '.join(missing)}")
+    cfg = RunConfig(**{key: parse(key, data[key]) if key in present else default
+                       for key, (parse, default) in KEYS.items()})
+    cfg.validate(present)
     return cfg
 
 
@@ -217,13 +212,16 @@ def _write_lines(path: str, lines) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def write_csv(path: str, reports) -> None:
+def write_study(cfg: RunConfig, reports, steps=None) -> int:
+    """EOC over `steps` (h_max by default), then the study's CSV and table."""
+    steps = [r.h_max for r in reports] if steps is None else steps
+    rates = [eoc([getattr(r, name) for r in reports], steps)
+             for name in ("err_L2", "err_H1_semi", "err_trace_dual")]
+    for report, (l2, h1, tr) in zip(reports[1:], zip(*rates)):
+        report.eoc_L2, report.eoc_H1, report.eoc_trace = l2, h1, tr
     lines = [",".join(ErrorReport.FIELDS)]
     lines += [",".join(_fmt(v) for v in report.row()) for report in reports]
-    _write_lines(path, lines)
-
-
-def print_table(reports) -> None:
+    _write_lines(cfg.output_path, lines)
     print(f"{'level':>5} {'h_max':>12} {'k':>12} {'err_L2':>13} {'err_H1':>13} "
           f"{'err_trace':>13} {'eoc_L2':>7} {'eoc_H1':>7} {'eoc_tr':>7}")
     for r in reports:
@@ -231,14 +229,7 @@ def print_table(reports) -> None:
         print(f"{r.level:>5} {r.h_max:>12.5e} {r.k:>12.5e} {r.err_L2:>13.6e} "
               f"{r.err_H1_semi:>13.6e} {r.err_trace_dual:>13.6e} "
               f"{rate(r.eoc_L2)} {rate(r.eoc_H1)} {rate(r.eoc_trace)}")
-
-
-def _attach_rates(reports, steps) -> None:
-    l2 = eoc([r.err_L2 for r in reports], steps)
-    h1 = eoc([r.err_H1_semi for r in reports], steps)
-    tr = eoc([r.err_trace_dual for r in reports], steps)
-    for i, report in enumerate(reports[1:]):
-        report.eoc_L2, report.eoc_H1, report.eoc_trace = l2[i], h1[i], tr[i]
+    return 0
 
 
 def write_vtk(path: str, mesh, dofmap, field_coeffs) -> None:
@@ -263,8 +254,6 @@ def _level(cfg: RunConfig, n: int):
     mesh = build_structured_mesh(n)
     dofmap = build_dofmap(mesh, cfg.p)
     k = cfg.k_policy.k_for(mesh.h_max)
-    if k <= 0.0:
-        raise ConfigError(f"k_policy produced nonpositive time step {k}")
     T_end = cfg.n_steps * k if cfg.n_steps is not None else cfg.T_end
     return mesh, dofmap, make_case(cfg.case_id, k, T_end)
 
@@ -290,8 +279,7 @@ def _march_report(cfg: RunConfig, level: int, n: int):
 
 def cmd_run(cfg: RunConfig) -> int:
     mesh, dofmap, state, report = _march_report(cfg, 0, cfg.levels[0])
-    write_csv(cfg.output_path, [report])
-    print_table([report])
+    write_study(cfg, [report])
     if cfg.snapshot:
         write_vtk(cfg.output_path + ".vtk", mesh, dofmap, state.current.field)
         print(f"snapshot written to {cfg.output_path}.vtk")
@@ -299,11 +287,8 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def cmd_converge_space(cfg: RunConfig) -> int:
-    reports = [_march_report(cfg, level, n)[3] for level, n in enumerate(cfg.levels)]
-    _attach_rates(reports, [r.h_max for r in reports])
-    write_csv(cfg.output_path, reports)
-    print_table(reports)
-    return 0
+    return write_study(cfg, [_march_report(cfg, level, n)[3]
+                             for level, n in enumerate(cfg.levels)])
 
 
 def cmd_converge_time(cfg: RunConfig) -> int:
@@ -321,10 +306,7 @@ def cmd_converge_time(cfg: RunConfig) -> int:
         diff = TrialVector(field=state.current.field - ref_state.current.field,
                            trace=state.current.trace - ref_state.current.trace)
         reports.append(_error_report(level, mesh, dofmap, case.coeffs, diff, ZERO_FIELDS))
-    _attach_rates(reports, list(k_values))
-    write_csv(cfg.output_path, reports)
-    print_table(reports)
-    return 0
+    return write_study(cfg, reports, steps=k_values)
 
 
 def cmd_converge_projection(cfg: RunConfig) -> int:
@@ -334,10 +316,7 @@ def cmd_converge_projection(cfg: RunConfig) -> int:
         exact = SpatialFields(*case.spatial_u(0.0))
         result = project(mesh, dofmap, case.coeffs, exact)
         reports.append(_error_report(level, mesh, dofmap, case.coeffs, result, exact))
-    _attach_rates(reports, [r.h_max for r in reports])
-    write_csv(cfg.output_path, reports)
-    print_table(reports)
-    return 0
+    return write_study(cfg, reports)
 
 
 def cmd_heat_identity(cfg: RunConfig) -> int:
@@ -353,19 +332,48 @@ def cmd_heat_identity(cfg: RunConfig) -> int:
     return 0 if passed else 1
 
 
-_DISPATCH = {
-    "run": cmd_run,
-    "converge-space": cmd_converge_space,
-    "converge-time": cmd_converge_time,
-    "converge-projection": cmd_converge_projection,
-    "heat-identity": cmd_heat_identity,
+class Command(NamedTuple):
+    """A row of COMMAND_TABLE: the handler, the config keys it reads, whether
+    it runs on one level and whether its k_policy must be a 'list:'."""
+
+    handler: Callable[[RunConfig], int]
+    reads: frozenset
+    single_level: bool
+    list_policy: bool = False
+
+
+_EVERY = frozenset({"command", "case_id", "p", "levels", "k_policy", "T_end"})  # read by all
+
+COMMAND_TABLE = {
+    "run": Command(cmd_run, _EVERY | {"n_steps", "output_path", "snapshot"}, single_level=True),
+    "converge-space": Command(cmd_converge_space, _EVERY | {"n_steps", "output_path"},
+                              single_level=False),
+    "converge-time": Command(cmd_converge_time, _EVERY | {"k_ref", "output_path"},
+                             single_level=True, list_policy=True),
+    "converge-projection": Command(cmd_converge_projection, _EVERY | {"n_steps", "output_path"},
+                                   single_level=False),
+    "heat-identity": Command(cmd_heat_identity, _EVERY | {"n_steps"}, single_level=True),
+}
+
+# key -> (parser, default); a key set to null keeps its default
+KEYS = {
+    "command": (_one_of(COMMAND_TABLE), REQUIRED),
+    "case_id": (_one_of(CASE_IDS), REQUIRED),
+    "p": (_checked(_integer, lambda p: p in (0, 1), "0 or 1"), 0),
+    "levels": (_levels, REQUIRED),
+    "k_policy": (lambda key, value: KPolicy.parse(value), REQUIRED),
+    "T_end": (_positive_number, 1.0),
+    "n_steps": (_positive_integer, None),
+    "k_ref": (_positive_number, None),
+    "output_path": (_output_path, "study.csv"),
+    "snapshot": (_typed(bool, "true or false"), False),
 }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="dpgmarch", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=COMMAND_TABLE)
     parser.add_argument("--config", required=True, help="path to the JSON config file")
     try:
         args, overrides = parser.parse_known_args(argv)
@@ -379,12 +387,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, overrides, command=args.command)
-    except (ConfigError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        return _DISPATCH[cfg.command](cfg)
+        return COMMAND_TABLE[cfg.command].handler(cfg)
     except SolverError as exc:
         print(f"solver failure [{cfg.command} / {cfg.case_id}]: {exc}", file=sys.stderr)
         return 3

@@ -161,23 +161,3 @@ def build_structured_mesh(n: int) -> Mesh:
         raise RuntimeError("structured mesh does not tile the unit square")
     return mesh
 
-
-def refine_uniform(mesh: Mesh) -> Mesh:
-    """Red refinement: split every triangle into four via the edge midpoints."""
-    nv = mesh.n_vertices
-    midpoints = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
-    vertices = np.vstack((mesh.vertices, midpoints))
-
-    e = mesh.elements
-    m = nv + mesh.element_edges  # midpoint vertex of local edge l
-    children = np.concatenate(
-        [
-            np.stack([e[:, 0], m[:, 0], m[:, 2]], axis=1),
-            np.stack([m[:, 0], e[:, 1], m[:, 1]], axis=1),
-            np.stack([m[:, 2], m[:, 1], e[:, 2]], axis=1),
-            np.stack([m[:, 0], m[:, 1], m[:, 2]], axis=1),
-        ],
-        axis=0,
-    )
-    return mesh_from_arrays(vertices, children)
-

@@ -31,6 +31,28 @@ def perturbed_mesh(n, seed):
     return mesh_from_arrays(vertices, mesh.elements)
 
 
+def refine_uniform(mesh):
+    """Red refinement: split every triangle into four via the edge midpoints."""
+    from dpgmarch.mesh import mesh_from_arrays
+
+    nv = mesh.n_vertices
+    midpoints = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
+    vertices = np.vstack((mesh.vertices, midpoints))
+
+    e = mesh.elements
+    m = nv + mesh.element_edges  # midpoint vertex of local edge l
+    children = np.concatenate(
+        [
+            np.stack([e[:, 0], m[:, 0], m[:, 2]], axis=1),
+            np.stack([m[:, 0], e[:, 1], m[:, 1]], axis=1),
+            np.stack([m[:, 2], m[:, 1], e[:, 2]], axis=1),
+            np.stack([m[:, 0], m[:, 1], m[:, 2]], axis=1),
+        ],
+        axis=0,
+    )
+    return mesh_from_arrays(vertices, children)
+
+
 def field_quadratic_forms(mesh, dofmap, A):
     """Quadrature mass and A-weighted stiffness on the conforming field space,
     assembled independently of the production element blocks."""

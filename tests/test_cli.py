@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,8 @@ def write_config(path, **entries):
 
 
 def base_config(tmp_path, **overrides):
+    """A converge-space config with `overrides`; an override of None leaves
+    the key out."""
     entries = {
         "command": "converge-space",
         "case_id": "stationary-adr",
@@ -32,7 +35,19 @@ def base_config(tmp_path, **overrides):
         "output_path": str(tmp_path / "out.csv"),
     }
     entries.update(overrides)
-    return write_config(tmp_path / "config.json", **entries)
+    return write_config(tmp_path / "config.json",
+                        **{key: value for key, value in entries.items() if value is not None})
+
+
+def command_config(tmp_path, command, **overrides):
+    """A valid config of `command` that sets only keys the command reads."""
+    row = cli.COMMAND_TABLE[command]
+    entries = {"command": command, "case_id": "heat-decay", "p": 0,
+               "levels": [4] if row.single_level else [4, 8],
+               "k_policy": "list:0.25,0.125" if row.list_policy else "fixed:0.25",
+               "T_end": 1.0, "n_steps": 2, "output_path": str(tmp_path / "out.csv")}
+    entries = {key: value for key, value in entries.items() if key in row.reads}
+    return write_config(tmp_path / "config.json", **{**entries, **overrides})
 
 
 def read_csv(path):
@@ -103,7 +118,7 @@ def test_run_with_vtk_snapshot(tmp_path):
 
 def test_heat_identity_command(tmp_path, capsys):
     config = base_config(tmp_path, command="heat-identity", case_id="heat-decay",
-                         levels=[4], k_policy="fixed:0.01", n_steps=5)
+                         levels=[4], k_policy="fixed:0.01", n_steps=5, output_path=None)
     assert main(["heat-identity", "--config", config]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
@@ -115,7 +130,7 @@ def test_heat_identity_failure_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "galerkin_march",
                         lambda *args, **kwargs: oracle(*args, **kwargs) * (1.0 + 1e-6))
     config = base_config(tmp_path, command="heat-identity", case_id="heat-decay",
-                         levels=[4], k_policy="fixed:0.01", n_steps=5)
+                         levels=[4], k_policy="fixed:0.01", n_steps=5, output_path=None)
     assert main(["heat-identity", "--config", config]) == 1
     assert "FAIL" in capsys.readouterr().out
 
@@ -213,15 +228,25 @@ def test_command_line_overrides_config_command(tmp_path):
     ("heat-identity", ["levels=[4,8]"]),
     ("converge-time", ["levels=[4,8]", "n_steps=null"]),
     ("converge-time", ["levels=[4]", "n_steps=5"]),
+    ("converge-projection", ["k_ref=0.5", "snapshot=true"]),
+    ("converge-space", ["k_ref=0.5"]),
+    ("heat-identity", ["levels=[4]", "output_path={tmp}/out.csv"]),
+    ("run", ["levels=[4]", "k_policy=fixed:0"]),
+    ("run", ["levels=[4]", "T_end=-1", "n_steps=null"]),
+    ("run", ["levels=[4]", "n_steps=0"]),
+    ("converge-time", ["levels=[4]", "n_steps=null", "k_ref=-0.1"]),
+    ("converge-time", ["levels=[4]", "n_steps=null", "k_policy=list:0.25,0"]),
 ])
 def test_ignored_config_input_exits_2_before_any_mesh(tmp_path, monkeypatch, capsys,
                                                       command, overrides):
-    # run, heat-identity and converge-time solve on levels[0] only, and
-    # converge-time marches to T_end: more levels or n_steps would be dropped
+    # run, heat-identity and converge-time solve on levels[0] only, converge-time
+    # marches to T_end, only converge-time reads k_ref, only run writes a
+    # snapshot and heat-identity writes no file: such input would be dropped.
+    # Nonpositive times, step counts and steps are rejected as they are parsed.
     calls = []
     monkeypatch.setattr(cli, "build_structured_mesh", lambda *args: calls.append("mesh"))
-    config = base_config(tmp_path, command=command, case_id="heat-decay", T_end=1.0,
-                         k_policy="list:0.25,0.125" if command == "converge-time" else "fixed:0.25")
+    config = command_config(tmp_path, command)
+    overrides = [item.format(tmp=tmp_path) for item in overrides]
     assert main([command, "--config", config, *overrides]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "Traceback" not in err
@@ -276,18 +301,121 @@ def test_unwritable_vtk_snapshot_exits_2(tmp_path, capsys):
 
 @settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(p=st.sampled_from([0, 1]),
+@given(command=st.sampled_from(sorted(cli.COMMAND_TABLE)),
+       p=st.sampled_from([0, 1]),
        levels=st.lists(st.integers(1, 10**6), min_size=1, max_size=5, unique=True).map(sorted),
        T_end=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
        k_ref=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
        n_steps=st.none() | st.integers(1, 10**6),
        snapshot=st.booleans())
-def test_config_overrides_round_trip(tmp_path, p, levels, T_end, k_ref, n_steps, snapshot):
-    # valid values passed as key=<json> overrides arrive unchanged in the RunConfig
-    values = dict(p=p, levels=levels, T_end=T_end, k_ref=k_ref, n_steps=n_steps,
-                  snapshot=snapshot)
-    cfg = load_config(base_config(tmp_path),
+def test_config_overrides_round_trip(tmp_path, command, p, levels, T_end, k_ref, n_steps,
+                                     snapshot):
+    # valid values of the keys a command reads, passed as key=<json> overrides,
+    # arrive unchanged in the RunConfig
+    row = cli.COMMAND_TABLE[command]
+    values = dict(p=p, levels=levels[:1] if row.single_level else levels, T_end=T_end,
+                  k_ref=k_ref, n_steps=n_steps, snapshot=snapshot)
+    values = {key: value for key, value in values.items() if key in row.reads}
+    cfg = load_config(command_config(tmp_path, command),
                       [f"{key}={json.dumps(value)}" for key, value in values.items()])
     for key, value in values.items():
         got = getattr(cfg, key)
         assert got == value and type(got) is type(value)
+
+
+# the (command, key) pairs of a key set for a command that does not read it
+FORBIDDEN = {
+    ("run", "k_ref"), ("converge-space", "k_ref"), ("converge-projection", "k_ref"),
+    ("heat-identity", "k_ref"),
+    ("converge-space", "snapshot"), ("converge-time", "snapshot"),
+    ("converge-projection", "snapshot"), ("heat-identity", "snapshot"),
+    ("converge-time", "n_steps"),
+    ("heat-identity", "output_path"),
+}
+SINGLE_LEVEL = {"run", "heat-identity", "converge-time"}
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+VALID = {  # valid values of the keys in FORBIDDEN; an output path is a file name
+    "k_ref": POSITIVE,
+    "snapshot": st.booleans(),
+    "n_steps": st.integers(1, 10**6),
+    "output_path": st.sampled_from(["out.csv", "written.csv"]),
+}
+
+
+def test_command_table_rows():
+    table = cli.COMMAND_TABLE
+    assert {(command, key) for command, row in table.items() for key in cli.KEYS
+            if key not in row.reads} == FORBIDDEN
+    assert {command for command, row in table.items() if row.single_level} == SINGLE_LEVEL
+    assert {command for command, row in table.items() if row.list_policy} == {"converge-time"}
+    assert all(row.reads <= set(cli.KEYS) for row in table.values())
+
+
+def _rejected_before_any_mesh(tmp_path, monkeypatch, capsys, command, config, overrides):
+    """Run the command; return its stderr after checking that it exited 2
+    with a configuration error, built no mesh and wrote no file."""
+    calls = []
+    monkeypatch.setattr(cli, "build_structured_mesh", lambda *args: calls.append("mesh"))
+    assert main([command, "--config", config, *overrides]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert calls == []
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+    return err
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), in_config=st.booleans())
+def test_every_key_a_command_does_not_read_exits_2(tmp_path, monkeypatch, capsys, data,
+                                                   in_config):
+    command, key = data.draw(st.sampled_from(sorted(FORBIDDEN)))
+    value = data.draw(VALID[key])
+    if key == "output_path":
+        value = str(tmp_path / value)
+    config = command_config(tmp_path, command, **({key: value} if in_config else {}))
+    overrides = [] if in_config else [f"{key}={json.dumps(value)}"]
+    err = _rejected_before_any_mesh(tmp_path, monkeypatch, capsys, command, config, overrides)
+    assert f"{command} does not read {key}" in err
+
+
+def _rule_violation(command):
+    """A strategy of (override, message) that breaks a rule row of `command`."""
+    several_levels = st.lists(st.integers(1, 64), min_size=2, max_size=4, unique=True).map(
+        lambda levels: (f"levels={json.dumps(sorted(levels))}", "runs on one mesh"))
+    k_list = st.lists(POSITIVE, min_size=1, max_size=3).map(
+        lambda ks: ("k_policy=list:" + ",".join(map(repr, ks)), "no k_policy 'list:...'"))
+    no_list = st.tuples(st.sampled_from(["fixed", "h", "h2"]), POSITIVE).map(
+        lambda policy: (f"k_policy={policy[0]}:{policy[1]!r}", "a k_policy 'list:...'"))
+    rules = [no_list] if command == "converge-time" else [k_list]
+    return st.one_of(rules + ([several_levels] if command in SINGLE_LEVEL else []))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_rule_row_exits_2(tmp_path, monkeypatch, capsys, data):
+    # several levels on a single-level command, a 'list:' policy outside
+    # converge-time and any other policy on converge-time
+    command = data.draw(st.sampled_from(sorted(cli.COMMAND_TABLE)))
+    override, message = data.draw(_rule_violation(command))
+    err = _rejected_before_any_mesh(tmp_path, monkeypatch, capsys, command,
+                                    command_config(tmp_path, command), [override])
+    assert message in err
+
+
+def test_readme_key_table_matches_the_command_table():
+    """Each row of the README's key table names the commands that read the
+    key: `every command`, `every command but` some, or a list of them."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    header = "| key | type | read by | meaning |"
+    rows = readme.split(header, 1)[1].split("\n\n", 1)[0].strip().split("\n")[1:]
+    read_by = {}
+    for row in rows:
+        key, _, cell, _ = (column.strip() for column in row.strip("|").split("|", 3))
+        named = set(re.findall(r"`([a-z-]+)`", cell))
+        if cell.startswith("every command"):
+            named = set(cli.COMMAND_TABLE) - named
+        read_by[key.strip("`")] = named
+    assert read_by == {key: {command for command, row in cli.COMMAND_TABLE.items()
+                             if key in row.reads} for key in cli.KEYS}

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpgmarch.assembly import PdeCoefficients, gram_blocks
 from dpgmarch.basis import lagrange_edge
 from dpgmarch.dofmap import build_dofmap
 from dpgmarch.mesh import build_structured_mesh
+
+from conftest import refine_uniform
 
 
 def _test_space_dimension(mesh, p):
@@ -110,3 +114,30 @@ def test_rejects_unsupported_order():
     mesh = build_structured_mesh(1)
     with pytest.raises(ValueError):
         build_dofmap(mesh, 2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), refinements=st.integers(0, 2), p=st.sampled_from([0, 1]))
+def test_dofmap_invariants_under_refinement(n, refinements, p):
+    mesh = build_structured_mesh(n)
+    for _ in range(refinements):
+        mesh = refine_uniform(mesh)
+    dofmap = build_dofmap(mesh, p)
+
+    # an N x N structured mesh has (N-1)^2 interior vertices and 3N^2 + 2N
+    # edges, 4N of them on the boundary
+    N = n * 2**refinements
+    assert dofmap.n_field == (N - 1) ** 2 + p * (3 * N**2 - 2 * N)
+    assert dofmap.n_trace == (p + 1) * (3 * N**2 + 2 * N)
+
+    field = dofmap.element_field_dofs
+    assert set(field[field >= 0]) == set(range(dofmap.n_field))
+    assert set(dofmap.element_trace_dofs.ravel()) == set(range(dofmap.n_trace))
+
+    traces = dofmap.element_trace_dofs.reshape(mesh.n_elements, 3, p + 1)
+    sightings = {}
+    for e, l in np.ndindex(mesh.n_elements, 3):
+        sightings.setdefault(mesh.element_edges[e, l], []).append(traces[e, l])
+    for edge, seen in sightings.items():
+        assert len(seen) == (1 if mesh.edge_on_boundary[edge] else 2)
+        assert all(np.array_equal(dofs, seen[0]) for dofs in seen)

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpgmarch.mesh import build_structured_mesh, mesh_from_arrays, refine_uniform
+from dpgmarch.mesh import build_structured_mesh, mesh_from_arrays
+
+from conftest import refine_uniform
 
 
 def test_build_counts_one_square():
