@@ -22,13 +22,13 @@ symmetric positive definite on the free (field + trace) unknowns.  The
 source of a march is separable, f(t, x) = sum_s a_s(t) g_s(x) (see `cases`),
 so a step's load (f + w/k, psi)_K condenses to
 
-    rhs = R^T (a(t) @ sources + W_w w),
+    rhs = R^T (sources^T a(t) + W_w w) = F a(t) + C w,
 
 where row s of sources stacks L_K^{-1} (g_s, psi)_K over the elements,
 integrated once per march with the volume rule of degree 2(p+2), and W_w
 is the block rows of L_K^{-1} mass_field / k over the field unknowns.  A
-march keeps R^T (in CSR form, so the step's product is a row-wise SpMV),
-sources, W_w, S and its factor; the element blocks are freed, and a step
+march keeps S, its factor, F = R^T sources^T and C = R^T W_w; R, W_w, the
+source rows and the element blocks are freed before the factor, and a step
 does no quadrature.
 
 Elements are affine and A, beta, gamma constant, so each volume block is a
@@ -129,19 +129,11 @@ class LocalBlocks:
 @dataclass
 class StepOperators:
     """What a march keeps of the element blocks: the load of a step is
-    rhs = R^T (a @ sources + W_w w) for the time weights a of the source
-    terms and the previous field w.
+    rhs = F a + C w for the source time weights a and the previous field w,
+    with F = R^T sources^T, (n_dof, m), and C = R^T W_w, (n_dof, n_field)."""
 
-    Rt: R^T in CSR form, (n_dof, ne*nt), R the block rows of L^{-1} B_a,
-        with S = R^T R.
-    sources: L^{-1} (g_s, psi) per spatial source term g_s, (m, ne*nt).
-    W_w: block rows of L^{-1} mass_field / k over the field columns,
-        (ne*nt, n_field).
-    """
-
-    Rt: sp.csr_matrix
-    sources: np.ndarray
-    W_w: sp.csr_matrix
+    F: np.ndarray
+    C: sp.csr_matrix
 
 
 @dataclass
@@ -367,10 +359,12 @@ def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     W_w = block_rows(blocks.chol_inv @ blocks.mass_field / coeffs.k, dofmap.element_field_dofs,
                      dofmap.n_field)
     sources = _source_rows(mesh, dofmap.p, blocks.chol_inv, source_space)
-    del blocks  # set-up temporaries: free them before the product and the factor
+    del blocks  # set-up temporaries: free them before the products and the factor
     Rt = R.T.tocsr()
     S = Rt @ R
     del R
+    ops = StepOperators(F=Rt @ sources.T, C=Rt @ W_w)
+    del Rt, W_w, sources
     S.sort_indices()  # the product leaves rows unsorted; factor_spd would sort a copy
     # S.T is a CSC view of S's own arrays, so S x - S^T x needs no transposed
     # copy.  With x in [1, 2], one entry of S - S^T equal to delta (a stored
@@ -382,20 +376,17 @@ def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     scale = max(S.data.max(initial=0.0), -S.data.min(initial=0.0))
     if np.abs(S @ x - S.T @ x).max(initial=0.0) > 2.0 * _SYM_TOL * scale:
         raise SolverError("condensed system lost symmetry; assembly is inconsistent")
-    return CondensedSystem(S=S, blocks=StepOperators(Rt=Rt, sources=sources, W_w=W_w),
-                           dofmap=dofmap, coeffs=coeffs, precond=factor_spd(S))
+    return CondensedSystem(S=S, blocks=ops, dofmap=dofmap, coeffs=coeffs,
+                           precond=factor_spd(S))
 
 
 def condense_load(ops: StepOperators, a, w_field: np.ndarray) -> np.ndarray:
-    """Condensed right-hand side R^T (a @ sources + W_w w) of the source
-    sum_s a_s g_s and the previous field w:
-    sum_K B_{a,K}^T G_K^{-1} (sum_s a_s g_s + w/k, psi)_K."""
+    """Condensed right-hand side F a + C w of the source sum_s a_s g_s and
+    the previous field w: sum_K B_{a,K}^T G_K^{-1} (sum_s a_s g_s + w/k, psi)_K."""
     a = np.asarray(a, dtype=float)
-    if a.shape != ops.sources.shape[:1]:
-        raise ValueError(f"expected {ops.sources.shape[0]} source time weights, got shape {a.shape}")
+    if a.shape != ops.F.shape[1:]:
+        raise ValueError(f"expected {ops.F.shape[1]} source time weights, got shape {a.shape}")
     w_field = np.asarray(w_field, dtype=float)
-    if w_field.shape != (ops.W_w.shape[1],):
+    if w_field.shape != ops.C.shape[1:]:
         raise ValueError(f"field coefficient vector has wrong length {w_field.shape}")
-    b = a @ ops.sources
-    b += ops.W_w @ w_field
-    return ops.Rt @ b
+    return ops.F @ a + ops.C @ w_field

@@ -29,7 +29,7 @@ class DofMap:
     element_field_dofs[e, j] is the global field DOF of local field node j
     (-1 where the node sits on the Dirichlet boundary).  Local field nodes
     follow the reference-triangle node ordering of the degree p+1 basis.
-    element_trace_dofs[e, 3*l + r] is trace unknown r of the element's
+    element_trace_dofs[e, (p+1)*l + r] is trace unknown r of the element's
     local edge l.
     """
 

@@ -13,11 +13,12 @@ a lower bound of the continuous dual norm (the sup runs over a subspace).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .assembly import PdeCoefficients, _edge_test_tables, gather, gram_blocks, volume_quadrature
-from .basis import edge_rule, lagrange_edge, lagrange_triangle
+from .basis import edge_rule, lagrange_edge, lagrange_triangle, triangle_rule
 from .dofmap import DofMap
 from .mesh import Mesh
 
@@ -61,13 +62,22 @@ def _norm_rule_degree(p: int) -> int:
     return 2 * (p + 2) + 2
 
 
+@lru_cache(maxsize=None)
+def _field_table(p: int):
+    """Degree p+1 basis at the norm rule of order p: read-only, one per p."""
+    table = lagrange_triangle(p + 1, triangle_rule(_norm_rule_degree(p)).points)
+    for array in (table.values, table.gradients):
+        array.flags.writeable = False
+    return table
+
+
 def field_error(mesh: Mesh, dofmap: DofMap, coeffs_vector, exact: SpatialFields,
                 mode: str = "L2") -> float:
     """L2 or H1-seminorm distance between the discrete field and exact data."""
     if mode not in ("L2", "H1semi"):
         raise ValueError(f"mode must be 'L2' or 'H1semi', got {mode!r}")
-    rule, qp, wdet, invJ = volume_quadrature(mesh, _norm_rule_degree(dofmap.p))
-    table = lagrange_triangle(dofmap.p + 1, rule.points)
+    _, qp, wdet, invJ = volume_quadrature(mesh, _norm_rule_degree(dofmap.p))
+    table = _field_table(dofmap.p)
     u_loc = gather(np.asarray(coeffs_vector, dtype=float), dofmap.element_field_dofs)
 
     if mode == "L2":

@@ -1,13 +1,13 @@
 """Backward Euler marching of the condensed primal DPG system.
 
 Each step solves the condensed normal equations S x = rhs, S = R^T R, with
-the load (f^n + u^{n-1}/k, .) condensed to rhs = R^T (a(t_n) @ sources + W_w w)
-(see `assembly`).  The case's source is separable, f = sum_s a_s(t) g_s(x)
-(see `cases`): each spatial term g_s is condensed once per march, a step
-weights the rows with a(t_n) = case.source_time(t_n) and does no quadrature,
-and only the field component w of the previous step enters.  A source that
-is not given in this form cannot be marched.  The trace component of the
-initial state is irrelevant to the scheme and kept at zero.
+the load (f^n + u^{n-1}/k, .) condensed to rhs = F a(t_n) + C w (see
+`assembly`).  The case's source is separable, f = sum_s a_s(t) g_s(x) (see
+`cases`): each spatial term g_s is condensed once per march into a column of
+F, a step weights the columns with a(t_n) = case.source_time(t_n) and does
+no quadrature, and only the field component w of the previous step enters.
+A source that is not given in this form cannot be marched.  The trace
+component of the initial state is irrelevant to the scheme and kept at zero.
 
 The initial field is the nodal interpolant of u0 at the interior Lagrange
 nodes; for smooth u0 this attains the approximation orders assumed by the
@@ -16,6 +16,7 @@ error analysis, so the initial-error terms do not pollute measured rates.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,15 +108,14 @@ def march(case: PdeCase, mesh: Mesh, dofmap: DofMap, keep_history: bool = False)
 
     state = MarchState(step_index=0, time=0.0,
                        current=initial_field(case.u0, dofmap, mesh))
+    states = deque([state], maxlen=None if keep_history else 1)
     norms = [field_l2(state.current)]
-    state = MarchState(state.step_index, state.time, state.current, tuple(norms))
-    history = [state] if keep_history else None
     for n in range(1, count + 1):
         state = step(system, state, case.source_time(n * coeffs.k))
         norms.append(field_l2(state.current))
-        state = MarchState(state.step_index, state.time, state.current, tuple(norms))
-        if keep_history:
-            history.append(state)
-    if keep_history:
-        return state, history
-    return state
+        states.append(state)
+    # states holds the returned states only, and the norms go onto these
+    # alone, so a march stays linear in its step count
+    history = [MarchState(s.step_index, s.time, s.current, tuple(norms[:s.step_index + 1]))
+               for s in states]
+    return (history[-1], history) if keep_history else history[-1]

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpgmarch import assembly
-from dpgmarch.assembly import (PdeCoefficients, _build_blocks, _cholesky_blocks,
+from dpgmarch.assembly import (PdeCoefficients, _build_blocks, _cholesky_blocks, _source_rows,
                                assemble_condensed, block_rows, condense_load, gather,
                                gram_blocks, volume_quadrature)
 from dpgmarch.basis import lagrange_triangle, triangle_rule
@@ -335,12 +335,12 @@ def test_source_space_must_return_one_row_per_term():
 
 def test_local_load_constant_source():
     # g = 1 against the constant test function gives the element area; the
-    # march keeps the condensed source rows L^{-1} l, so l = L sources
+    # condensed source rows are L^{-1} l, so l = L sources
     mesh = build_structured_mesh(2)
     dofmap = build_dofmap(mesh, 0)
-    coeffs = coeffs_with()
-    sources = assemble_condensed(mesh, dofmap, coeffs, _constant_source(1.0)).blocks.sources
-    loads = _build_blocks(mesh, dofmap, coeffs).chol @ sources.reshape(mesh.n_elements, -1, 1)
+    blocks = _build_blocks(mesh, dofmap, coeffs_with())
+    sources = _source_rows(mesh, 0, blocks.chol_inv, _constant_source(1.0))
+    loads = blocks.chol @ sources.reshape(mesh.n_elements, -1, 1)
     loads = loads[:, :, 0]
     areas = mesh.signed_areas()
     assert np.abs(loads.sum(axis=1) - areas).max() <= 1e-14
@@ -396,13 +396,13 @@ def test_volume_quadrature_repeats_the_same_arrays():
         sampled.append(x)
         return np.stack([x, x * y])
 
-    ops = assemble_condensed(mesh, dofmap, coeffs_with(), source_space).blocks
     chol_inv = _build_blocks(mesh, dofmap, coeffs_with()).chol_inv
+    sources = _source_rows(mesh, 0, chol_inv, source_space)
     test_values = lagrange_triangle(2, first[0].points).values
     assert len(sampled) == 1 and sampled[0].base is first[1]
     expected = np.einsum("emn,nq,eq,seq->sem", chol_inv, test_values, first[2],
                          source_space(first[1][..., 0], first[1][..., 1]))
-    assert np.abs(ops.sources - expected.reshape(2, -1)).max() <= 1e-14 * np.abs(expected).max()
+    assert np.abs(sources - expected.reshape(2, -1)).max() <= 1e-14 * np.abs(expected).max()
 
 
 def test_volume_quadrature_arrays_are_read_only():
@@ -574,9 +574,9 @@ def _nbytes(matrix):
 
 
 def test_march_retains_only_its_step_operators():
-    # the element blocks (chol, chol_inv, B_a, B_b, mass_field) are set-up
-    # temporaries; the march keeps S, R^T, W_w, the condensed source rows, the
-    # quadrature points already cached on the mesh, and the float32 factor,
+    # the element blocks (chol, chol_inv, B_a, B_b, mass_field), R, W_w and the
+    # condensed source rows are set-up temporaries; the march keeps S, F, C,
+    # the quadrature points already cached on the mesh, and the float32 factor,
     # which SuperLU allocates outside the heap that tracemalloc sees
     mesh = build_structured_mesh(48)
     dofmap = build_dofmap(mesh, 1)
@@ -589,5 +589,7 @@ def test_march_retains_only_its_step_operators():
     finally:
         tracemalloc.stop()
     ops = system.blocks
-    assert ops.sources.shape == (2, mesh.n_elements * 10)
-    assert retained <= 1.1 * sum(map(_nbytes, (system.S, ops.Rt, ops.W_w, ops.sources)))
+    assert vars(ops).keys() == {"F", "C"}
+    assert ops.F.shape == (dofmap.n_dof, 2)
+    assert ops.C.shape == (dofmap.n_dof, dofmap.n_field)
+    assert retained <= 1.1 * sum(map(_nbytes, (system.S, ops.F, ops.C)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dpgmarch import errors
 from dpgmarch.basis import edge_rule, lagrange_edge
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
@@ -174,3 +175,25 @@ def test_exact_flux_is_evaluated_once_per_edge(p):
                        edge_tables[(l, -1)][None])
         expected += (s * length)[:, None] * np.einsum("emq,eq,q->em", psi, diff, rule.weights)
     assert np.array_equal(got, expected)
+
+
+def test_field_error_tabulates_its_basis_once(monkeypatch):
+    # the degree p+1 basis at the norm rule depends on p only: two norms of
+    # the same order share one table, and the values do not change
+    mesh = build_structured_mesh(3)
+    dofmap = build_dofmap(mesh, 1)
+    w = np.random.default_rng(5).standard_normal(dofmap.n_field)
+    before = field_error(mesh, dofmap, w, ZERO, "L2")
+    calls = []
+    tabulate = errors.lagrange_triangle
+
+    def counting(degree, points):
+        calls.append(degree)
+        return tabulate(degree, points)
+
+    monkeypatch.setattr(errors, "lagrange_triangle", counting)
+    first = field_error(mesh, dofmap, w, ZERO, "L2")
+    again = field_error(mesh, dofmap, w, _sine_exact(), "H1semi")
+    assert len(calls) <= 1
+    assert first == before
+    assert again == field_error(mesh, dofmap, w, _sine_exact(), "H1semi")

@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from dpgmarch import timestep
-from dpgmarch.assembly import _build_blocks, assemble_condensed, condense_load, volume_quadrature
+from dpgmarch.assembly import (_build_blocks, assemble_condensed, block_rows, condense_load,
+                               volume_quadrature)
 from dpgmarch.basis import lagrange_triangle
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
@@ -111,6 +112,24 @@ def test_march_time_grid():
         assert state.l2_history[-1] == pytest.approx(norm, rel=1e-14)
 
 
+def test_march_does_not_copy_the_norm_history_every_step(monkeypatch):
+    # the l2_history tuple goes only on the returned states: a step's input
+    # state carrying the norms so far would make a march quadratic in its
+    # step count
+    lengths = []
+
+    def recording(system, state, a):
+        lengths.append(len(state.l2_history))
+        return step(system, state, a)
+
+    monkeypatch.setattr(timestep, "step", recording)
+    mesh = build_structured_mesh(2)
+    final = march(make_case("heat-decay", 1 / 16, 1.0), mesh, build_dofmap(mesh, 0))
+    assert len(lengths) == 16
+    assert sum(lengths) <= 16 + 1
+    assert len(final.l2_history) == 17
+
+
 def test_march_rejects_incompatible_grid():
     with pytest.raises(ValueError):
         n_steps(0.3, 1.0)
@@ -196,29 +215,34 @@ def test_march_evaluates_the_source_once(monkeypatch):
 @pytest.mark.parametrize("case_id", ["heat-decay", "aniso"])
 def test_march_load_matches_the_pointwise_source(case_id, monkeypatch):
     # every step's load equals R^T (L^{-1} T diag(w det J) f(t_n, x_q) + W_w w),
-    # built here from the pointwise source f at the volume quadrature points
-    mesh = build_structured_mesh(4)
-    dofmap = build_dofmap(mesh, 1)
-    k = 0.05
-    case = make_case(case_id, k, 4 * k)
-    chol_inv = _build_blocks(mesh, dofmap, case.coeffs).chol_inv
-    rule, points, wdet, _ = volume_quadrature(mesh, 2 * (dofmap.p + 2))
-    W_f = np.einsum("emn,nq,eq->emq", chol_inv,
-                    lagrange_triangle(dofmap.p + 2, rule.points).values, wdet)
-    loads = []
+    # built here from the element blocks and the pointwise source f at the
+    # volume quadrature points, without the march's own operators
+    for p in (0, 1):
+        mesh = build_structured_mesh(4)
+        dofmap = build_dofmap(mesh, p)
+        k = 0.05
+        case = make_case(case_id, k, 4 * k)
+        blocks = _build_blocks(mesh, dofmap, case.coeffs)
+        R = block_rows(blocks.chol_inv @ blocks.B_a, blocks.cols, dofmap.n_dof)
+        W_w = block_rows(blocks.chol_inv @ blocks.mass_field / k, dofmap.element_field_dofs,
+                         dofmap.n_field)
+        rule, points, wdet, _ = volume_quadrature(mesh, 2 * (p + 2))
+        W_f = np.einsum("emn,nq,eq->emq", blocks.chol_inv,
+                        lagrange_triangle(p + 2, rule.points).values, wdet)
+        loads = []
 
-    def recording(ops, a, w):
-        rhs = condense_load(ops, a, w)
-        loads.append((ops, w, rhs))
-        return rhs
+        def recording(ops, a, w):
+            rhs = condense_load(ops, a, w)
+            loads.append((w, rhs))
+            return rhs
 
-    monkeypatch.setattr(timestep, "condense_load", recording)
-    march(case, mesh, dofmap)
-    assert len(loads) == 4
-    for n, (ops, w, rhs) in enumerate(loads, start=1):
-        fq = case.f(n * k, points[..., 0], points[..., 1])
-        pointwise = ops.Rt @ (np.einsum("emq,eq->em", W_f, fq).ravel() + ops.W_w @ w)
-        assert np.linalg.norm(rhs - pointwise) <= 1e-12 * np.linalg.norm(pointwise)
+        monkeypatch.setattr(timestep, "condense_load", recording)
+        march(case, mesh, dofmap)
+        assert len(loads) == 4
+        for n, (w, rhs) in enumerate(loads, start=1):
+            fq = case.f(n * k, points[..., 0], points[..., 1])
+            pointwise = R.T @ (np.einsum("emq,eq->em", W_f, fq).ravel() + W_w @ w)
+            assert np.linalg.norm(rhs - pointwise) <= 1e-12 * np.linalg.norm(pointwise)
 
 
 def test_factored_march_takes_few_cg_iterations(monkeypatch):
