@@ -174,7 +174,7 @@ def volume_quadrature(mesh: Mesh, degree: int):
     if degree not in mesh.quadrature:
         rule = triangle_rule(degree)
         v, J, invJ, detJ = _geometry(mesh)
-        points = v[:, 0, None, :] + np.einsum("eab,qb->eqa", J, rule.points)
+        points = v[:, 0, None, :] + rule.points @ J.transpose(0, 2, 1)
         wdet = rule.weights[None, :] * detJ[:, None]
         for array in (points, wdet, invJ):
             array.flags.writeable = False
@@ -183,10 +183,9 @@ def volume_quadrature(mesh: Mesh, degree: int):
 
 
 def gather(vector: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Entries of vector per element slot, 0.0 where the column is -1."""
-    if not vector.size:
-        return np.zeros(cols.shape)
-    return np.where(cols >= 0, vector[np.clip(cols, 0, None)], 0.0)
+    """Entries of vector per element slot, 0.0 where the column is -1: a take
+    from the vector padded with one zero, which slot -1 reads."""
+    return np.append(vector, 0.0)[cols]
 
 
 @lru_cache(maxsize=None)

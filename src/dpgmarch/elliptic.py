@@ -89,7 +89,12 @@ def exact_b_load(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
 
 def discrete_b_load(blocks: LocalBlocks, coefficients: np.ndarray) -> np.ndarray:
     """Element test loads b(u_h, psi_m) of a discrete trial vector."""
-    u_loc = gather(np.asarray(coefficients, dtype=float), blocks.cols)
+    coefficients = np.asarray(coefficients, dtype=float)
+    n_dof = int(blocks.cols.max()) + 1  # every unknown sits in some element slot
+    if coefficients.shape != (n_dof,):
+        raise ValueError(f"trial coefficient vector must have shape ({n_dof},), "
+                         f"got {coefficients.shape}")
+    u_loc = gather(coefficients, blocks.cols)
     return np.einsum("emc,ec->em", blocks.B_b, u_loc)
 
 

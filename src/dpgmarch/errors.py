@@ -76,14 +76,17 @@ def field_error(mesh: Mesh, dofmap: DofMap, coeffs_vector, exact: SpatialFields,
     """L2 or H1-seminorm distance between the discrete field and exact data."""
     if mode not in ("L2", "H1semi"):
         raise ValueError(f"mode must be 'L2' or 'H1semi', got {mode!r}")
+    coeffs_vector = np.asarray(coeffs_vector, dtype=float)
+    if coeffs_vector.shape != (dofmap.n_field,):
+        raise ValueError(f"field coefficient vector must have shape ({dofmap.n_field},), "
+                         f"got {coeffs_vector.shape}")
     _, qp, wdet, invJ = volume_quadrature(mesh, _norm_rule_degree(dofmap.p))
     table = _field_table(dofmap.p)
-    u_loc = gather(np.asarray(coeffs_vector, dtype=float), dofmap.element_field_dofs)
+    u_loc = gather(coeffs_vector, dofmap.element_field_dofs)
 
     if mode == "L2":
-        uh = np.einsum("ej,jq->eq", u_loc, table.values)
-        diff = exact.u(qp[..., 0], qp[..., 1]) - uh
-        return float(np.sqrt(np.sum(wdet * diff**2)))
+        diff = exact.u(qp[..., 0], qp[..., 1]) - u_loc @ table.values
+        return float(np.sqrt((diff * diff).ravel() @ wdet.ravel()))
     # contract on the reference element, then map: grad_x u_h = J^{-T} grad_ref u_h
     gh = np.tensordot(u_loc, table.gradients, axes=1) @ invJ
     g = np.moveaxis(np.asarray(exact.grad_u(qp[..., 0], qp[..., 1])), 0, -1)

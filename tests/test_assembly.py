@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dpgmarch import assembly
 from dpgmarch.assembly import (PdeCoefficients, _build_blocks, _cholesky_blocks, _source_rows,
@@ -426,6 +427,42 @@ def test_volume_quadrature_is_never_shared_between_meshes():
         mesh = build_structured_mesh(n)
         _, points, wdet, _ = volume_quadrature(mesh, 4)
         assert wdet.shape[0] == points.shape[0] == mesh.n_elements == 2 * n * n
+
+
+@st.composite
+def vector_and_columns(draw):
+    vector = draw(hnp.arrays(float, st.integers(0, 12), elements=st.floats(allow_nan=False)))
+    cols = draw(hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0),
+                           elements=st.integers(-1, len(vector) - 1)))
+    return vector, cols
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(vector_and_columns())
+@example((np.zeros(0), np.full((3, 4), -1)))  # the empty vector, every slot eliminated
+def test_gather_is_a_take_with_zero_at_eliminated_slots(args):
+    vector, cols = args
+    got = gather(vector, cols)
+    expected = (np.where(cols >= 0, vector[np.clip(cols, 0, None)], 0.0) if vector.size
+                else np.zeros(cols.shape))
+    assert got.shape == cols.shape and got.dtype == np.float64
+    assert np.array_equal(got, expected)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), degree=st.integers(1, 8))
+def test_volume_quadrature_points_are_the_affine_map_of_the_rule(n, seed, degree):
+    mesh = perturbed_mesh(n, seed)
+    rule, points, wdet, _ = volume_quadrature(mesh, degree)
+    v, J, _, _ = assembly._geometry(mesh)
+    # a rule of degree >= 1 integrates linear functions exactly, so its mean
+    # point is the centroid
+    centroid = rule.weights @ points / rule.weights.sum()
+    eps = np.finfo(float).eps
+    assert np.abs(centroid - v.mean(axis=1)).max() <= 4 * eps
+    # within an ulp at 1.0 of the einsum form of the same map
+    einsum_form = v[:, 0, None, :] + np.einsum("eab,qb->eqa", J, rule.points)
+    assert np.abs(points - einsum_form).max() <= eps
 
 
 ANISO = dict(A=np.array([[1.0, 0.2], [0.2, 0.5]]), beta=[1.0, 0.5], gamma=1.0, k=0.01)

@@ -154,6 +154,18 @@ def test_discrete_b_load_matches_matrix_action():
     assert np.abs(condensed - system.N @ data).max() <= 1e-12 * np.abs(condensed).max()
 
 
+@pytest.mark.parametrize("extra", [1, -1])
+def test_discrete_b_load_rejects_a_vector_of_the_wrong_length(extra):
+    # one entry long was dropped silently; one entry short would read the
+    # zero that pads the gather
+    coeffs, _ = _adr_exact()
+    mesh = build_structured_mesh(3)
+    dofmap = build_dofmap(mesh, 1)
+    blocks = build_projection_system(mesh, dofmap, coeffs).blocks
+    with pytest.raises(ValueError, match="trial coefficient vector"):
+        discrete_b_load(blocks, np.ones(dofmap.n_dof + extra))
+
+
 @pytest.mark.parametrize("case_id,p", [("aniso", 1), ("adr-decay", 0)])
 def test_projection_matches_a_default_splu_solve(case_id, p):
     # independent oracle for the symmetric-mode factor: scipy's default

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from dpgmarch import errors
+from dpgmarch.assembly import PdeCoefficients, _element_weights, _reference_tensors, block_rows
 from dpgmarch.basis import edge_rule, lagrange_edge
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
-from dpgmarch.errors import SpatialFields, eoc, field_error, trace_dual_error
+from dpgmarch.errors import ZERO_FIELDS, SpatialFields, eoc, field_error, trace_dual_error
 from dpgmarch.mesh import build_structured_mesh
 
 from conftest import evaluate_field, function_l2_norm, perturbed_mesh
@@ -197,3 +198,41 @@ def test_field_error_tabulates_its_basis_once(monkeypatch):
     assert len(calls) <= 1
     assert first == before
     assert again == field_error(mesh, dofmap, w, _sine_exact(), "H1semi")
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_field_norms_match_assembled_quadratic_forms(p):
+    # oracle off the quadrature path: ||w||^2 = w^T M w and |w|_1^2 = w^T K w
+    # with M, K the reference-triangle tensors of the degree p+1 field basis
+    # weighted per element and assembled through block_rows
+    mesh = perturbed_mesh(4, 11)
+    dofmap = build_dofmap(mesh, p)
+    cols = dofmap.element_field_dofs
+    assert (cols < 0).any(axis=1).sum() > 0  # boundary elements with eliminated slots
+    ref = _reference_tensors(p + 1, p + 1)
+    W, detJ, _ = _element_weights(mesh, PdeCoefficients(A=np.eye(2), beta=np.zeros(2),
+                                                        gamma=0.0, k=1.0, T_end=1.0))
+    ne, nfl = cols.shape
+    scatter = block_rows(np.broadcast_to(np.eye(nfl), (ne, nfl, nfl)), cols, dofmap.n_field)
+    mass = scatter.T @ block_rows(detJ[:, None, None] * ref[4], cols, dofmap.n_field)
+    stiff = scatter.T @ block_rows(np.einsum("ea,amj->emj", W, ref[:4]), cols, dofmap.n_field)
+    rng = np.random.default_rng(p)
+    for w in (rng.standard_normal(dofmap.n_field), np.ones(dofmap.n_field)):
+        l2 = field_error(mesh, dofmap, w, ZERO_FIELDS, "L2")
+        h1 = field_error(mesh, dofmap, w, ZERO_FIELDS, "H1semi")
+        assert abs(l2**2 - w @ (mass @ w)) <= 1e-12 * (w @ (mass @ w))
+        assert abs(h1**2 - w @ (stiff @ w)) <= 1e-12 * (w @ (stiff @ w))
+
+
+@pytest.mark.parametrize("length", ["field_and_trace", "one_long", "one_short"])
+def test_field_error_rejects_a_vector_of_the_wrong_length(length):
+    # a field+trace vector would give the norm of its first n_field entries,
+    # and one entry short the padded gather would read its zero
+    mesh = build_structured_mesh(4)
+    dofmap = build_dofmap(mesh, 1)
+    n = {"field_and_trace": dofmap.n_dof, "one_long": dofmap.n_field + 1,
+         "one_short": dofmap.n_field - 1}[length]
+    w = np.random.default_rng(3).standard_normal(n)
+    for mode in ("L2", "H1semi"):
+        with pytest.raises(ValueError, match="field coefficient vector"):
+            field_error(mesh, dofmap, w, ZERO_FIELDS, mode)
