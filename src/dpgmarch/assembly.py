@@ -29,7 +29,9 @@ integrated once per march with the volume rule of degree 2(p+2), and W_w
 is the block rows of L_K^{-1} mass_field / k over the field unknowns.  A
 march keeps S, its factor, F = R^T sources^T and C = R^T W_w; R, W_w, the
 source rows and the element blocks are freed before the factor, and a step
-does no quadrature.
+does no quadrature.  The factor numbers the unknowns in the
+`nested_dissection` order of the element centroids and columns, taken
+before the blocks are freed.
 
 Elements are affine and A, beta, gamma constant, so each volume block is a
 fixed combination of reference-triangle integrals (the tensor representation
@@ -56,7 +58,7 @@ import scipy.sparse as sp
 
 from .basis import TRIANGLE_VERTICES, edge_rule, lagrange_edge, lagrange_triangle, triangle_rule
 from .dofmap import DofMap
-from .linalg import SolverError, factor_spd
+from .linalg import SolverError, factor_spd, nested_dissection
 from .mesh import Mesh
 
 _SYM_TOL = 1e-12
@@ -139,8 +141,8 @@ class StepOperators:
 @dataclass
 class CondensedSystem:
     """Global condensed normal-equation system S = R^T R and the operators of
-    the step load; precond applies the inverse of a single-precision factor
-    of S."""
+    the step load; precond applies the inverse of a float64 factor of S,
+    numbered by nested dissection."""
 
     S: sp.csr_matrix
     blocks: StepOperators
@@ -358,13 +360,14 @@ def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     W_w = block_rows(blocks.chol_inv @ blocks.mass_field / coeffs.k, dofmap.element_field_dofs,
                      dofmap.n_field)
     sources = _source_rows(mesh, dofmap.p, blocks.chol_inv, source_space)
+    order = nested_dissection(mesh.vertices[mesh.elements].mean(axis=1), blocks.cols,
+                              dofmap.n_dof)
     del blocks  # set-up temporaries: free them before the products and the factor
     Rt = R.T.tocsr()
     S = Rt @ R
     del R
     ops = StepOperators(F=Rt @ sources.T, C=Rt @ W_w)
     del Rt, W_w, sources
-    S.sort_indices()  # the product leaves rows unsorted; factor_spd would sort a copy
     # S.T is a CSC view of S's own arrays, so S x - S^T x needs no transposed
     # copy.  With x in [1, 2], one entry of S - S^T equal to delta (a stored
     # entry whose mirror is missing counts as one) moves the difference by
@@ -376,7 +379,7 @@ def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     if np.abs(S @ x - S.T @ x).max(initial=0.0) > 2.0 * _SYM_TOL * scale:
         raise SolverError("condensed system lost symmetry; assembly is inconsistent")
     return CondensedSystem(S=S, blocks=ops, dofmap=dofmap, coeffs=coeffs,
-                           precond=factor_spd(S))
+                           precond=factor_spd(S, order))
 
 
 def condense_load(ops: StepOperators, a, w_field: np.ndarray) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Sparse linear solvers: CG for the condensed SPD system, preconditioned by a
-single-precision sparse factor of it, and a pivoted sparse LU for the
-nonsymmetric projection systems.
+float64 sparse factor of it in nested-dissection order, and a pivoted sparse
+LU for the nonsymmetric projection systems.
 
 Matrix storage is scipy CSR/CSC.  `cg_solve` takes the preconditioner it is
-given (the march passes `factor_spd(S)`), starts from zero and stops at a
-residual of 1e-12 times the right-hand side, or raises after 50 iterations.
+given (the march passes `factor_spd(S, order)` with the order of
+`nested_dissection`), starts from zero and stops at a residual of 1e-12
+times the right-hand side, or raises after 50 iterations.  With the float64
+factor the first iterate already passes, so a march step is one iteration;
+CG stays as the residual gate and the check of positive definiteness.
 `lu_solve` runs every matrix through SuperLU and picks the pivoting regime
 from the matrix itself.  A matrix with no zero on its diagonal, such as the
 condensed projection matrix N (the pattern of S, a strong diagonal), is
@@ -24,7 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 _CG_REL_TOL = 1e-12
-_CG_MAX_ITER = 50  # a factor-preconditioned step takes about 3
+_CG_MAX_ITER = 50  # a step preconditioned by the float64 factor takes 1
 _PIVOT_TOL = 1e-14
 _BACKWARD_TOL = 1e-10
 
@@ -33,32 +36,86 @@ class SolverError(RuntimeError):
     """A linear solve failed in a way that must be surfaced, never masked."""
 
 
-def factor_spd(S):
-    """Single-precision sparse factor of a symmetric positive definite S, as a
-    preconditioner r -> M^{-1} r for `cg_solve`.
+def nested_dissection(points, cols, n):
+    """Nested-dissection order of the n unknowns of a finite element system
+    whose elements have centroids points (ne, 2) and hold the unknowns
+    cols (ne, nc), -1 at an eliminated slot.
 
-    SuperLU factors a float32 copy of S's values in symmetric mode (minimum
-    degree ordering on S + S^T, diagonal pivots), reading S's CSR index arrays
-    as the CSC arrays of S^T = S.  The preconditioner works in float32 and
-    returns float64, so it costs CG iterations but never accuracy: CG's
-    stopping test stays in float64.  Raises SolverError when the float32
-    values are not finite or SuperLU fails.
+    Returns order, order[i] the unknown numbered i.  Level by level, every
+    part of the elements is bisected at the median of its longer bounding-box
+    side, down to parts of two elements.  Each unknown is numbered after both
+    halves of the smallest part that holds all of its elements.  Two unknowns
+    couple in S = R^T R only through an element they share, so this is a
+    nested dissection on any conforming mesh (A. George, "Nested dissection
+    of a regular finite element mesh", SIAM J. Numer. Anal. 10, 1973).
+    """
+    points = np.asarray(points, dtype=float)
+    cols = np.asarray(cols)
+    ne = len(points)
+    depth = 0  # levels of bisection until no part holds more than two elements
+    while -(-ne // 2**depth) > 2:
+        depth += 1
+    perm = np.arange(ne)  # the elements, grouped by part
+    bounds = np.array([0, ne])  # part j holds perm[bounds[j]:bounds[j + 1]]
+    for _ in range(depth):
+        sizes = np.diff(bounds)  # no part is empty: part sizes differ by at most one
+        part = np.repeat(np.arange(len(sizes)), sizes)
+        xy = points[perm]
+        extent = np.maximum.reduceat(xy, bounds[:-1]) - np.minimum.reduceat(xy, bounds[:-1])
+        axis = (extent[:, 1] > extent[:, 0]).astype(int)
+        perm = perm[np.lexsort((xy[np.arange(ne), axis[part]], part))]
+        halves = np.column_stack([bounds[:-1], bounds[:-1] + sizes // 2]).ravel()
+        bounds = np.append(halves, ne)
+    leaf = np.empty(ne, dtype=np.int64)
+    leaf[perm] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+
+    # the smallest part holding an unknown's elements is the common ancestor
+    # of its first and last leaf; an unknown in no element goes to the root
+    free = cols >= 0
+    unknowns = cols[free]
+    leaves = np.broadcast_to(leaf[:, None], cols.shape)[free]
+    first = np.full(n, 2**depth - 1, dtype=np.int64)
+    last = np.zeros(n, dtype=np.int64)
+    np.minimum.at(first, unknowns, leaves)
+    np.maximum.at(last, unknowns, leaves)
+    height = np.frexp(first ^ last)[1]  # levels from the leaves up to that part
+    # postorder: parts by the last leaf they hold, a part after its descendants
+    end = first | ((1 << height) - 1)
+    return np.argsort(end * (depth + 1) + height, kind="stable")
+
+
+def factor_spd(S, order):
+    """Sparse factor of a symmetric positive definite S in float64, numbered
+    in order (order[i] the unknown numbered i, see `nested_dissection`), as
+    the preconditioner r -> S^{-1} r of `cg_solve`.
+
+    SuperLU factors P S P^T in symmetric mode with its NATURAL column order
+    and diagonal pivots, so the fill is the one the order gives, and the
+    preconditioner returns P^T solve(P r).  Raises ValueError when order is
+    not a permutation of range(n), and SolverError when S has entries that
+    are not finite or SuperLU fails.
     """
     S = sp.csr_matrix(S)
-    if not S.has_canonical_format:  # SuperLU would sort the shared index arrays in place
-        S = S.copy()
-        S.sum_duplicates()
-    with np.errstate(over="ignore"):
-        data = S.data.astype(np.float32)
-    if not np.all(np.isfinite(data)):
-        raise SolverError("matrix has entries that are not finite in single precision")
+    n = S.shape[0]
+    order = np.asarray(order)
+    if order.shape != (n,) or np.any(np.bincount(order, minlength=n) != 1):
+        raise ValueError(f"order must be a permutation of range({n})")
+    if not np.all(np.isfinite(S.data)):
+        raise SolverError("matrix has entries that are not finite")
+    rank = np.empty(n, dtype=S.indices.dtype)
+    rank[order] = np.arange(n)
+    permuted = S[order]  # a copy: the rows in order, relabelled columns next
+    permuted.indices = rank[permuted.indices]
+    permuted.sum_duplicates()
     try:
-        factor = spla.splu(sp.csc_matrix((data, S.indices, S.indptr), shape=S.shape),
-                           permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        # P S P^T is symmetric, so its CSR arrays are its CSC arrays
+        factor = spla.splu(sp.csc_matrix((permuted.data, permuted.indices, permuted.indptr),
+                                         shape=S.shape),
+                           permc_spec="NATURAL", diag_pivot_thresh=0.0,
                            options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
-    return lambda r: factor.solve(r.astype(np.float32)).astype(float)
+    return lambda r: factor.solve(r[order])[rank]
 
 
 def cg_solve(S, rhs, precond):

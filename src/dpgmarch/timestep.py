@@ -70,8 +70,8 @@ def step(system: CondensedSystem, state: MarchState, a) -> MarchState:
     """One backward Euler step; a must be the source time weights at the new
     time level, case.source_time(t_n).
 
-    CG is preconditioned by the factor of S built once per march and needs a
-    few iterations.
+    CG is preconditioned by the float64 factor of S built once per march and
+    stops after one iteration.
     """
     rhs = condense_load(system.blocks, a, state.current.field)
     x, _ = cg_solve(system.S, rhs, system.precond)

@@ -16,7 +16,7 @@ from dpgmarch.assembly import (PdeCoefficients, _build_blocks, _cholesky_blocks,
 from dpgmarch.basis import lagrange_triangle, triangle_rule
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
-from dpgmarch.linalg import SolverError
+from dpgmarch.linalg import SolverError, factor_spd, nested_dissection
 from dpgmarch.mesh import build_structured_mesh, mesh_from_arrays
 
 from conftest import (apply_trial_to_test, embed_field_in_test, evaluate_field,
@@ -190,19 +190,30 @@ def test_condensed_symmetry():
 
 
 @pytest.mark.parametrize("n,p", [(32, 0), (8, 1)])
-def test_assembled_S_is_canonical_and_factored_without_a_copy(n, p, monkeypatch):
-    # S = R^T R leaves its column indices unsorted; assembly sorts them in
-    # place once, so the float32 factor reads S's own index arrays
-    factored = []
+def test_factor_receives_S_permuted_by_its_order(n, p, monkeypatch):
+    # SuperLU factors P S P^T, a permuted copy of S in the nested-dissection
+    # order of the assembly; S's own arrays stay as the product left them
+    orders, saved, factored = [], [], []
+
+    def recording_order(*args):
+        orders.append(nested_dissection(*args))
+        return orders[-1]
+
+    def recording_factor(S, order):
+        saved.append([S.data.copy(), S.indices.copy(), S.indptr.copy()])
+        return factor_spd(S, order)
+
     splu = spla.splu
+    monkeypatch.setattr(assembly, "nested_dissection", recording_order)
+    monkeypatch.setattr(assembly, "factor_spd", recording_factor)
     monkeypatch.setattr(spla, "splu", lambda M, **kwargs: factored.append(M) or splu(M, **kwargs))
     mesh = build_structured_mesh(n)
     dofmap = build_dofmap(mesh, p)
-    system = assemble_condensed(mesh, dofmap, coeffs_with(**ANISO), no_source)
-    assert system.S.has_canonical_format
-    (M,) = factored
-    assert np.shares_memory(M.indices, system.S.indices)
-    assert np.shares_memory(M.indptr, system.S.indptr)
+    S = assemble_condensed(mesh, dofmap, coeffs_with(**ANISO), no_source).S
+    (order,), (M,) = orders, factored
+    assert M.shape == S.shape and M.has_canonical_format
+    assert abs(M - S[order][:, order]).max() == 0.0
+    assert all(np.array_equal(a, b) for a, b in zip(saved[0], (S.data, S.indices, S.indptr)))
 
 
 def test_lost_symmetry_raises_solver_error(monkeypatch):
@@ -613,8 +624,9 @@ def _nbytes(matrix):
 def test_march_retains_only_its_step_operators():
     # the element blocks (chol, chol_inv, B_a, B_b, mass_field), R, W_w and the
     # condensed source rows are set-up temporaries; the march keeps S, F, C,
-    # the quadrature points already cached on the mesh, and the float32 factor,
-    # which SuperLU allocates outside the heap that tracemalloc sees
+    # the quadrature points already cached on the mesh, the float64 factor,
+    # which SuperLU allocates outside the heap that tracemalloc sees, and the
+    # factor's order (12 bytes an unknown)
     mesh = build_structured_mesh(48)
     dofmap = build_dofmap(mesh, 1)
     volume_quadrature(mesh, 6)
