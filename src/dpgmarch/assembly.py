@@ -12,26 +12,23 @@ realize
     a(u, v) = (1/k)(u, v) + b(u, v),
 
 with columns ordered field nodes first, then 3*(p+1) trace slots.  Dirichlet
-field nodes are eliminated.  Every condensation is a product with block
-rows: `block_rows` stacks element blocks over ne*nt test rows at their global
-columns, and with R = block_rows(L_K^{-1} B_{a,K}) the condensed matrix is
+field nodes are eliminated.  The test space is broken, so every condensation
+is a sum of small element products: with E_K = L_K^{-1} B_{a,K},
 
-    S = sum_K B_{a,K}^T G_K^{-1} B_{a,K} = R^T R,
+    S = sum_K B_{a,K}^T G_K^{-1} B_{a,K} = sum_K E_K^T E_K,
 
-symmetric positive definite on the free (field + trace) unknowns.  The
-source of a march is separable, f(t, x) = sum_s a_s(t) g_s(x) (see `cases`),
-so a step's load (f + w/k, psi)_K condenses to
+symmetric positive definite on the free (field + trace) unknowns, summed
+by `scatter` in one conversion to compressed storage.  The source of a
+march is separable, f(t, x) = sum_s a_s(t) g_s(x) (see `cases`), so a
+step's load (f + w/k, psi)_K condenses to
 
-    rhs = R^T (sources^T a(t) + W_w w) = F a(t) + C w,
+    rhs = sum_K E_K^T L_K^{-1} ((sum_s a_s g_s, psi)_K + mass_field w_K / k)
+        = F a(t) + C w,
 
-where row s of sources stacks L_K^{-1} (g_s, psi)_K over the elements,
-integrated once per march with the volume rule of degree 2(p+2), and W_w
-is the block rows of L_K^{-1} mass_field / k over the field unknowns.  A
-march keeps S, its factor, F = R^T sources^T and C = R^T W_w; R, W_w, the
-source rows and the element blocks are freed before the factor, and a step
-does no quadrature.  The factor numbers the unknowns in the
-`nested_dissection` order of the element centroids and columns, taken
-before the blocks are freed.
+with (g_s, psi)_K integrated once per march by the volume rule of degree
+2(p+2).  A march keeps S, its factor, F and C, all numbered in the
+`nested_dissection` order that the factor needs, and a step does no
+quadrature.
 
 Elements are affine and A, beta, gamma constant, so each volume block is a
 fixed combination of reference-triangle integrals (the tensor representation
@@ -132,7 +129,7 @@ class LocalBlocks:
 class StepOperators:
     """What a march keeps of the element blocks: the load of a step is
     rhs = F a + C w for the source time weights a and the previous field w,
-    with F = R^T sources^T, (n_dof, m), and C = R^T W_w, (n_dof, n_field)."""
+    F (n_dof, m) dense and C (n_dof, n_field) sparse, numbered as S."""
 
     F: np.ndarray
     C: sp.csr_matrix
@@ -140,15 +137,16 @@ class StepOperators:
 
 @dataclass
 class CondensedSystem:
-    """Global condensed normal-equation system S = R^T R and the operators of
-    the step load; precond applies the inverse of a float64 factor of S,
-    numbered by nested dissection."""
+    """Global condensed system S = sum_K E_K^T E_K and the operators of the
+    step load, numbered by nested dissection: unknown i of the dofmap is
+    unknown rank[i] of S.  precond applies the inverse of a factor of S."""
 
     S: sp.csr_matrix
     blocks: StepOperators
     dofmap: DofMap
     coeffs: PdeCoefficients
     precond: Callable[[np.ndarray], np.ndarray]
+    rank: np.ndarray
 
 
 def _geometry(mesh: Mesh):
@@ -221,13 +219,15 @@ def _combine(weights: np.ndarray, tensors: np.ndarray) -> np.ndarray:
     return (weights @ tensors.reshape(len(tensors), -1)).reshape(-1, *tensors.shape[1:])
 
 
-def _edge_test_tables(test_degree: int, rule):
-    """Test-basis values along each local edge, keyed by (local_edge, sign).
-
-    The trace unknown lives in the global edge parametrization t in [0,1]
-    (lower vertex -> higher vertex); sign -1 means the element traverses the
-    edge the other way round.
-    """
+@lru_cache(maxsize=None)
+def _edge_tables(p: int, rule_degree: int):
+    """Edge rule of the given degree, the degree p trace basis at its points
+    and the degree p+2 test basis along each local edge, keyed by
+    (local_edge, sign); read-only and shared by every caller.  The trace
+    unknown lives in the global edge parametrization t in [0,1] (lower
+    vertex -> higher vertex); sign -1 means the element traverses the edge
+    the other way round."""
+    rule = edge_rule(rule_degree)
     tables = {}
     for l in range(3):
         a = TRIANGLE_VERTICES[l]
@@ -235,8 +235,11 @@ def _edge_test_tables(test_degree: int, rule):
         for s in (1, -1):
             start, end = (a, b) if s == 1 else (b, a)
             pts = start[None, :] + rule.points[:, None] * (end - start)[None, :]
-            tables[(l, s)] = lagrange_triangle(test_degree, pts).values
-    return tables
+            tables[(l, s)] = lagrange_triangle(p + 2, pts).values
+    trace = lagrange_edge(p, rule.points).values
+    for array in (trace, *tables.values()):
+        array.flags.writeable = False
+    return rule, trace, tables
 
 
 def gram_blocks(mesh: Mesh, p: int, coeffs: PdeCoefficients) -> np.ndarray:
@@ -273,23 +276,25 @@ def _cholesky_blocks(gram: np.ndarray) -> np.ndarray:
     return chol
 
 
+def _forward_substitution(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """X with L_K X_K = rhs_K for stacked Cholesky factors L (ne, nt, nt) and
+    right-hand sides (ne, nt, m), one row of every element at a time."""
+    x = np.zeros(rhs.shape)
+    for i in range(L.shape[1]):
+        x[:, i] = (rhs[:, i] - np.einsum("ej,ejk->ek", L[:, i, :i], x[:, :i])) / L[:, i, i, None]
+    return x
+
+
 def _build_blocks(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> LocalBlocks:
     p = dofmap.p
     k = coeffs.k
     test_degree = p + 2
-    erule = edge_rule(2 * p + 2)
-    trace_tab = lagrange_edge(p, erule.points)
-    edge_tables = _edge_test_tables(test_degree, erule)
+    erule, trace, edge_tables = _edge_tables(p, 2 * p + 2)
 
     W, detJ, b = _element_weights(mesh, coeffs)
     chol = _cholesky_blocks(_gram(W, detJ, k, test_degree))
     ne, nt, _ = chol.shape
-    # forward substitution L X = I, one row of every element at a time
-    chol_inv = np.zeros_like(chol)
-    eye = np.eye(nt)
-    for i in range(nt):
-        chol_inv[:, i] = (eye[i] - np.einsum("ej,ejk->ek", chol[:, i, :i], chol_inv[:, :i])) \
-            / chol[:, i, i, None]
+    chol_inv = _forward_substitution(chol, np.broadcast_to(np.eye(nt), chol.shape))
 
     ref = _reference_tensors(test_degree, p + 1)
     nfl = ref.shape[2]
@@ -300,9 +305,8 @@ def _build_blocks(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> LocalB
     B_b[:, :, :nfl] = _combine(np.column_stack([W, coeffs.gamma * detJ, b]), ref)
 
     # trace pairing: column block of local edge l carries -sign * length * int_e tau psi
-    pair = {(l, s): np.einsum("mq,rq,q->mr", edge_tables[(l, s)], trace_tab.values,
-                              erule.weights)
-            for l in range(3) for s in (1, -1)}
+    pair = {key: np.einsum("mq,rq,q->mr", table, trace, erule.weights)
+            for key, table in edge_tables.items()}
     lengths = mesh.edge_lengths()[mesh.element_edges]
     for l in range(3):
         s = mesh.element_edge_signs[:, l]
@@ -318,36 +322,44 @@ def _build_blocks(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> LocalB
                        mass_field=mass_field, cols=cols)
 
 
-def block_rows(blocks: np.ndarray, cols: np.ndarray, n_cols: int) -> sp.csr_matrix:
-    """Element blocks (ne, nt, nc) as a CSR matrix of shape (ne*nt, n_cols):
-    row e*nt + m holds blocks[e, m] at the global columns cols[e], leaving out
-    the slots whose column is -1."""
-    ne, nt, _ = blocks.shape
+def scatter(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape,
+            format: str) -> sp.spmatrix:
+    """Sum over the elements e of blocks[e] (ne, nr, nc) at the global rows[e]
+    and columns cols[e], leaving out slots at -1, in canonical `format`."""
+    index = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
+    r = np.broadcast_to(rows.astype(index)[:, :, None], blocks.shape)
+    c = np.broadcast_to(cols.astype(index)[:, None, :], blocks.shape)
+    keep = (r >= 0) & (c >= 0)
+    matrix = sp.coo_matrix((blocks[keep], (r[keep], c[keep])), shape=shape).asformat(format)
+    # summing the duplicates leaves views of arrays of the unsummed length
+    matrix.data, matrix.indices = matrix.data.copy(), matrix.indices.copy()
+    return matrix
+
+
+def scatter_load(values: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Sum over the elements of values (ne, nc, m) at the rows cols, (n, m)."""
     free = cols >= 0
-    mask = np.broadcast_to(free[:, None, :], blocks.shape)
-    indices = np.broadcast_to(cols.astype(np.int32)[:, None, :], blocks.shape)[mask]
-    indptr = np.concatenate([[0], np.cumsum(np.repeat(free.sum(axis=1), nt))])
-    return sp.csr_matrix((blocks[mask], indices, indptr), shape=(ne * nt, n_cols))
+    m = values.shape[2]
+    index = cols[free][:, None] * m + np.arange(m)
+    return np.bincount(index.ravel(), values[free].ravel(), minlength=n * m).reshape(n, m)
 
 
 def _source_rows(mesh: Mesh, p: int, chol_inv: np.ndarray, source_space) -> np.ndarray:
     """L_K^{-1} (g_s, psi)_K for the spatial source terms g_s = source_space(x, y)[s],
-    stacked (m, ne*nt)."""
-    ne, nt, _ = chol_inv.shape
+    stacked (ne, nt, m)."""
     rule, points, wdet, _ = volume_quadrature(mesh, 2 * (p + 2))
     values = np.asarray(source_space(points[..., 0], points[..., 1]), dtype=float)
     if values.ndim != 3 or values.shape[1:] != wdet.shape:
-        raise ValueError(f"source_space must return shape (m, {ne}, {wdet.shape[1]}) "
-                         f"at the quadrature points, got {values.shape}")
+        raise ValueError(f"source_space must return shape (m, {wdet.shape[0]}, "
+                         f"{wdet.shape[1]}) at the quadrature points, got {values.shape}")
     loads = (values * wdet) @ lagrange_triangle(p + 2, rule.points).values.T
-    return (chol_inv @ loads[..., None]).reshape(len(values), ne * nt)
+    return chol_inv @ loads.transpose(1, 2, 0)
 
 
 def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
                        source_space) -> CondensedSystem:
-    """Assemble S = R^T R, R the block rows of L_K^{-1} B_{a,K}, over the free
-    unknowns, and the operators of the step load for the spatial source terms
-    source_space(x, y) -> (m, *x.shape)."""
+    """Assemble S = sum_K E_K^T E_K, E_K = L_K^{-1} B_{a,K}, and the step
+    operators of the source terms source_space(x, y) -> (m, *x.shape)."""
     ratio = mesh.h_max / np.sqrt(coeffs.k)
     if ratio > _TRACE_EQUIV_WARN:
         warnings.warn(
@@ -356,35 +368,38 @@ def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
             RuntimeWarning, stacklevel=2,
         )
     blocks = _build_blocks(mesh, dofmap, coeffs)
-    R = block_rows(blocks.chol_inv @ blocks.B_a, blocks.cols, dofmap.n_dof)
-    W_w = block_rows(blocks.chol_inv @ blocks.mass_field / coeffs.k, dofmap.element_field_dofs,
-                     dofmap.n_field)
+    n = dofmap.n_dof
+    order = nested_dissection(mesh.vertices[mesh.elements].mean(axis=1), blocks.cols, n)
+    rank = np.argsort(order)
+    cols = np.append(rank, -1)[blocks.cols]  # the element slots, renumbered
+    Et = (blocks.chol_inv @ blocks.B_a).transpose(0, 2, 1)
+    W_w = blocks.chol_inv @ blocks.mass_field / coeffs.k
     sources = _source_rows(mesh, dofmap.p, blocks.chol_inv, source_space)
-    order = nested_dissection(mesh.vertices[mesh.elements].mean(axis=1), blocks.cols,
-                              dofmap.n_dof)
-    del blocks  # set-up temporaries: free them before the products and the factor
-    Rt = R.T.tocsr()
-    S = Rt @ R
-    del R
-    ops = StepOperators(F=Rt @ sources.T, C=Rt @ W_w)
-    del Rt, W_w, sources
+    del blocks  # set-up temporaries: free them before the scatters and the factor
+    ops = StepOperators(F=scatter_load(Et @ sources, cols, n),
+                        C=scatter(Et @ W_w, cols, dofmap.element_field_dofs,
+                                  (n, dofmap.n_field), "csr"))
+    del W_w, sources  # before the largest scatter
+    S = scatter(Et @ Et.transpose(0, 2, 1), cols, cols, (n, n), "csr")
+    del Et
     # S.T is a CSC view of S's own arrays, so S x - S^T x needs no transposed
     # copy.  With x in [1, 2], one entry of S - S^T equal to delta (a stored
     # entry whose mirror is missing counts as one) moves the difference by
     # delta to 2 delta: an asymmetry above 2 _SYM_TOL max|S| always trips,
-    # one below _SYM_TOL max|S| never does.  The symmetric product leaves
+    # one below _SYM_TOL max|S| never does.  The element products leave
     # about 1e-15 max|S| of rounding.
     x = np.random.default_rng(0).uniform(1.0, 2.0, S.shape[0])
     scale = max(S.data.max(initial=0.0), -S.data.min(initial=0.0))
     if np.abs(S @ x - S.T @ x).max(initial=0.0) > 2.0 * _SYM_TOL * scale:
         raise SolverError("condensed system lost symmetry; assembly is inconsistent")
     return CondensedSystem(S=S, blocks=ops, dofmap=dofmap, coeffs=coeffs,
-                           precond=factor_spd(S, order))
+                           precond=factor_spd(S), rank=rank)
 
 
 def condense_load(ops: StepOperators, a, w_field: np.ndarray) -> np.ndarray:
     """Condensed right-hand side F a + C w of the source sum_s a_s g_s and
-    the previous field w: sum_K B_{a,K}^T G_K^{-1} (sum_s a_s g_s + w/k, psi)_K."""
+    the previous field w: sum_K B_{a,K}^T G_K^{-1} (sum_s a_s g_s + w/k, psi)_K,
+    in the numbering of S."""
     a = np.asarray(a, dtype=float)
     if a.shape != ops.F.shape[1:]:
         raise ValueError(f"expected {ops.F.shape[1]} source time weights, got shape {a.shape}")

@@ -10,16 +10,18 @@ which in condensed form is the nonsymmetric system N x = r with
     N[i, j] = (B_a e_i)^T G^{-1} (B_b e_j),
     r[i]    = (B_a e_i)^T G^{-1} l_b,     l_b[m] = b(u, psi_m).
 
-With G_K = L_K L_K^T and the block rows R = block_rows(L^{-1} B_a) and
-R_b = block_rows(L^{-1} B_b) of `assembly`, N = R^T R_b and r = R^T L^{-1} l_b.
+The test space is broken, so with G_K = L_K L_K^T and E = L_K^{-1} B_K both
+are sums of element products scattered by `assembly`: N = sum_K
+E_{a,K}^T E_{b,K} and r = sum_K E_{a,K}^T L_K^{-1} l_{b,K}.
 
 It is equivalent to the mixed saddle-point system
 
     (v_h, dv)_{V,k} + b(u_h, dv) = b(u, dv),      a(dw, v_h) = 0,
 
 which is solved monolithically as an independent cross-check, with the
-saddle matrix built from the block rows of G, B_b and B_a; its auxiliary
-component v_h represents the projection residual in the test space.
+saddle matrix scattered from G_K, B_{b,K} and B_{a,K} at test rows e*nt + m;
+its auxiliary component v_h represents the projection residual in the test
+space.
 
 Note that the projection depends on the time step k through the optimal test
 functions and the (V,k) inner product; rate studies must fix the same k
@@ -33,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import LocalBlocks, PdeCoefficients, _build_blocks, block_rows, gather, \
-    volume_quadrature
+from .assembly import LocalBlocks, PdeCoefficients, _build_blocks, gather, scatter, \
+    scatter_load, volume_quadrature
 from .basis import lagrange_triangle
 from .dofmap import DofMap
 from .errors import SpatialFields, _trace_residuals
@@ -45,25 +47,25 @@ from .timestep import TrialVector
 
 @dataclass
 class ProjectionSystem:
-    """N = R^T R_b, the block rows R of L^{-1} B_a for the load, and the
-    element blocks."""
+    """N = sum_K E_{a,K}^T E_{b,K} in CSC, and the element blocks for the load."""
 
-    N: sp.csr_matrix
-    R: sp.csr_matrix
+    N: sp.csc_matrix
     blocks: LocalBlocks
 
 
 def build_projection_system(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> ProjectionSystem:
     blocks = _build_blocks(mesh, dofmap, coeffs)
-    R = block_rows(blocks.chol_inv @ blocks.B_a, blocks.cols, dofmap.n_dof)
-    N = (R.T @ block_rows(blocks.chol_inv @ blocks.B_b, blocks.cols, dofmap.n_dof)).tocsr()
-    return ProjectionSystem(N=N, R=R, blocks=blocks)
+    products = (blocks.chol_inv @ blocks.B_a).transpose(0, 2, 1) @ (blocks.chol_inv @ blocks.B_b)
+    N = scatter(products, blocks.cols, blocks.cols, (dofmap.n_dof, dofmap.n_dof), "csc")
+    return ProjectionSystem(N=N, blocks=blocks)
 
 
 def condense_element_loads(system: ProjectionSystem, loads: np.ndarray) -> np.ndarray:
-    """Condensed right-hand side R^T L^{-1} l = sum_K B_{a,K}^T G_K^{-1} l_K of
-    element test loads l, shape (ne, nt)."""
-    return system.R.T @ np.einsum("emn,en->em", system.blocks.chol_inv, loads).ravel()
+    """Condensed right-hand side sum_K E_{a,K}^T L_K^{-1} l_K of element test
+    loads l, shape (ne, nt)."""
+    blocks = system.blocks
+    loads = (blocks.chol_inv @ blocks.B_a).transpose(0, 2, 1) @ (blocks.chol_inv @ loads[..., None])
+    return scatter_load(loads, blocks.cols, system.N.shape[0])[:, 0]
 
 
 def exact_b_load(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
@@ -105,17 +107,16 @@ def project(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     system = build_projection_system(mesh, dofmap, coeffs)
     rhs = condense_element_loads(system, exact_b_load(mesh, dofmap, coeffs, exact))
     N = system.N
-    del system  # free the element blocks and R before the factorization
-    x = lu_solve(N, rhs)
-    return TrialVector.from_vector(x, dofmap.n_field)
+    del system  # free the element blocks before the factorization
+    return TrialVector.from_vector(lu_solve(N, rhs), dofmap.n_field)
 
 
 def _mixed_matrix(blocks: LocalBlocks, n_dof: int) -> sp.csc_matrix:
     ne, nt, _ = blocks.chol.shape
-    G = block_rows(blocks.chol @ blocks.chol.transpose(0, 2, 1),
-                   np.arange(ne * nt).reshape(ne, nt), ne * nt)
-    Bb = block_rows(blocks.B_b, blocks.cols, n_dof)
-    Ba = block_rows(blocks.B_a, blocks.cols, n_dof)
+    rows = np.arange(ne * nt).reshape(ne, nt)
+    G = scatter(blocks.chol @ blocks.chol.transpose(0, 2, 1), rows, rows, (ne * nt,) * 2, "csr")
+    Bb = scatter(blocks.B_b, rows, blocks.cols, (ne * nt, n_dof), "csr")
+    Ba = scatter(blocks.B_a, rows, blocks.cols, (ne * nt, n_dof), "csr")
     return sp.bmat([[G, Bb], [Ba.T, None]], format="csc")
 
 

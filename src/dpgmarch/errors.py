@@ -17,8 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .assembly import PdeCoefficients, _edge_test_tables, gather, gram_blocks, volume_quadrature
-from .basis import edge_rule, lagrange_edge, lagrange_triangle, triangle_rule
+from .assembly import PdeCoefficients, _cholesky_blocks, _edge_tables, _forward_substitution, \
+    gather, gram_blocks, volume_quadrature
+from .basis import lagrange_triangle, triangle_rule
 from .dofmap import DofMap
 from .mesh import Mesh
 
@@ -98,9 +99,7 @@ def _trace_residuals(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients, sigma_
                      grad_u) -> np.ndarray:
     """r_K[m] = <sigma - sigma_h, psi_m>_K with sigma = A grad_u . n."""
     p = dofmap.p
-    erule = edge_rule(min(2 * p + 4, 8))
-    trace_tab = lagrange_edge(p, erule.points)
-    edge_tables = _edge_test_tables(p + 2, erule)
+    erule, trace, edge_tables = _edge_tables(p, min(2 * p + 4, 8))
 
     sigma_h = np.asarray(sigma_h, dtype=float)
     if sigma_h.shape != (dofmap.n_trace,):
@@ -110,12 +109,11 @@ def _trace_residuals(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients, sigma_
     lo = mesh.vertices[mesh.edges[:, 0]]
     pts = lo[:, None, :] + erule.points[None, :, None] * mesh.edge_vectors()[:, None, :]
     g = np.moveaxis(np.asarray(grad_u(pts[..., 0], pts[..., 1])), 0, -1)
-    sig_vals = np.einsum("er,rq->eq", sigma_h.reshape(mesh.n_edges, p + 1), trace_tab.values)
+    sig_vals = np.einsum("er,rq->eq", sigma_h.reshape(mesh.n_edges, p + 1), trace)
     diff = np.einsum("eqa,ea->eq", g @ coeffs.A.T, mesh.edge_normals()) - sig_vals
 
     lengths = mesh.edge_lengths()
-    nt = edge_tables[(0, 1)].shape[0]
-    r = np.zeros((mesh.n_elements, nt))
+    r = np.zeros((mesh.n_elements, edge_tables[(0, 1)].shape[0]))
     for l in range(3):
         edge_idx = mesh.element_edges[:, l]
         s = mesh.element_edge_signs[:, l]
@@ -128,11 +126,12 @@ def _trace_residuals(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients, sigma_
 
 def trace_dual_error(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients, sigma_h,
                      grad_u) -> float:
-    """Discrete dual-norm surrogate of || A grad u . n - sigma_h ||_{-1/2,k}."""
+    """Discrete dual-norm surrogate of || A grad u . n - sigma_h ||_{-1/2,k}:
+    the square root of sum_K r_K^T G_K^{-1} r_K = sum_K ||L_K^{-1} r_K||^2."""
     r = _trace_residuals(mesh, dofmap, coeffs, sigma_h, grad_u)
-    gram = gram_blocks(mesh, dofmap.p, coeffs)
-    y = np.linalg.solve(gram, r[:, :, None])[:, :, 0]
-    return float(np.sqrt(np.sum(r * y)))
+    y = _forward_substitution(_cholesky_blocks(gram_blocks(mesh, dofmap.p, coeffs)),
+                              r[:, :, None])
+    return float(np.sqrt(np.sum(y * y)))
 
 
 def eoc(errors, steps):

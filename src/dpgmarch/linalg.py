@@ -1,13 +1,13 @@
 """Sparse linear solvers: CG for the condensed SPD system, preconditioned by a
-float64 sparse factor of it in nested-dissection order, and a pivoted sparse
-LU for the nonsymmetric projection systems.
+float64 sparse factor of it, and a pivoted sparse LU for the nonsymmetric
+projection systems.
 
-Matrix storage is scipy CSR/CSC.  `cg_solve` takes the preconditioner it is
-given (the march passes `factor_spd(S, order)` with the order of
-`nested_dissection`), starts from zero and stops at a residual of 1e-12
-times the right-hand side, or raises after 50 iterations.  With the float64
-factor the first iterate already passes, so a march step is one iteration;
-CG stays as the residual gate and the check of positive definiteness.
+Matrix storage is scipy CSR/CSC.  `factor_spd` factors S in its own
+numbering, which the march assembles in the order of `nested_dissection`.
+`cg_solve` first takes x = precond(rhs): one product S x gives both the
+curvature check and the true residual, and x is accepted when that residual
+is at most 1e-12 times the right-hand side, as it is with the float64
+factor; otherwise CG continues from x, and raises after 50 iterations.
 `lu_solve` runs every matrix through SuperLU and picks the pivoting regime
 from the matrix itself.  A matrix with no zero on its diagonal, such as the
 condensed projection matrix N (the pattern of S, a strong diagonal), is
@@ -45,7 +45,7 @@ def nested_dissection(points, cols, n):
     part of the elements is bisected at the median of its longer bounding-box
     side, down to parts of two elements.  Each unknown is numbered after both
     halves of the smallest part that holds all of its elements.  Two unknowns
-    couple in S = R^T R only through an element they share, so this is a
+    couple in S = sum_K E_K^T E_K only through an element they share: a
     nested dissection on any conforming mesh (A. George, "Nested dissection
     of a regular finite element mesh", SIAM J. Numer. Anal. 10, 1973).
     """
@@ -84,47 +84,37 @@ def nested_dissection(points, cols, n):
     return np.argsort(end * (depth + 1) + height, kind="stable")
 
 
-def factor_spd(S, order):
-    """Sparse factor of a symmetric positive definite S in float64, numbered
-    in order (order[i] the unknown numbered i, see `nested_dissection`), as
-    the preconditioner r -> S^{-1} r of `cg_solve`.
+def factor_spd(S):
+    """Sparse float64 factor of a symmetric positive definite S, as the
+    preconditioner r -> S^{-1} r of `cg_solve`.
 
-    SuperLU factors P S P^T in symmetric mode with its NATURAL column order
-    and diagonal pivots, so the fill is the one the order gives, and the
-    preconditioner returns P^T solve(P r).  Raises ValueError when order is
-    not a permutation of range(n), and SolverError when S has entries that
-    are not finite or SuperLU fails.
+    SuperLU factors S's own arrays in symmetric mode with its NATURAL column
+    order and diagonal pivots, so the fill is the one S's numbering gives
+    (see `nested_dissection`).  Raises ValueError unless S is canonical CSR,
+    and SolverError when S has entries that are not finite or SuperLU fails.
     """
-    S = sp.csr_matrix(S)
-    n = S.shape[0]
-    order = np.asarray(order)
-    if order.shape != (n,) or np.any(np.bincount(order, minlength=n) != 1):
-        raise ValueError(f"order must be a permutation of range({n})")
+    if not (sp.isspmatrix_csr(S) and S.has_canonical_format):
+        raise ValueError("S must be a CSR matrix in canonical format")
     if not np.all(np.isfinite(S.data)):
         raise SolverError("matrix has entries that are not finite")
-    rank = np.empty(n, dtype=S.indices.dtype)
-    rank[order] = np.arange(n)
-    permuted = S[order]  # a copy: the rows in order, relabelled columns next
-    permuted.indices = rank[permuted.indices]
-    permuted.sum_duplicates()
     try:
-        # P S P^T is symmetric, so its CSR arrays are its CSC arrays
-        factor = spla.splu(sp.csc_matrix((permuted.data, permuted.indices, permuted.indptr),
-                                         shape=S.shape),
+        # S is symmetric, so its CSR arrays are its CSC arrays
+        factor = spla.splu(sp.csc_matrix((S.data, S.indices, S.indptr), shape=S.shape),
                            permc_spec="NATURAL", diag_pivot_thresh=0.0,
                            options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
-    return lambda r: factor.solve(r[order])[rank]
+    return factor.solve
 
 
 def cg_solve(S, rhs, precond):
-    """Conjugate gradients on S x = rhs started from zero, preconditioned by
-    precond: r -> M^{-1} r (see `factor_spd`).
+    """Conjugate gradients on S x = rhs, preconditioned by precond:
+    r -> M^{-1} r (see `factor_spd`), from the first iterate precond(rhs).
 
     Returns (x, iterations) with ||S x - rhs|| <= 1e-12 ||rhs||, the residual
-    recomputed before it is accepted.  Raises SolverError on non-finite rhs,
-    on nonpositive or NaN curvature (S not positive definite) and when 50
+    recomputed before it is accepted; (precond(rhs), 1) when that first
+    iterate already passes.  Raises SolverError on non-finite rhs, on
+    nonpositive or NaN curvature (S not positive definite) and when 50
     iterations do not reach the tolerance.
     """
     rhs = np.asarray(rhs, dtype=float)
@@ -136,12 +126,10 @@ def cg_solve(S, rhs, precond):
     b_norm = np.linalg.norm(rhs)
     if b_norm == 0.0:
         return np.zeros(n), 0
+    tolerance = _CG_REL_TOL * b_norm
 
-    x = np.zeros(n)
-    r = rhs.copy()
-    z = precond(r)
-    p = z.copy()
-    rz = r @ z
+    p = precond(rhs)
+    restart = True  # p is the preconditioned residual, with no earlier direction
     for iteration in range(1, _CG_MAX_ITER + 1):
         Sp = S @ p
         curvature = p @ Sp
@@ -150,23 +138,21 @@ def cg_solve(S, rhs, precond):
                 f"nonpositive or NaN curvature {curvature:.3e} at CG iteration {iteration}; "
                 "matrix is not positive definite"
             )
-        alpha = rz / curvature
-        x += alpha * p
-        r -= alpha * Sp
-        if np.linalg.norm(r) <= _CG_REL_TOL * b_norm:
-            # guard against recurrence drift before declaring victory
-            r = rhs - S @ x
-            if np.linalg.norm(r) <= _CG_REL_TOL * b_norm:
-                return x, iteration
-            z = precond(r)
-            p = z.copy()
-            rz = r @ z
-            continue
+        if iteration == 1:
+            # a first step of length one: x = precond(rhs), its residual exact
+            x, r = p, rhs - Sp
+        else:
+            alpha = rz / curvature
+            x, r = x + alpha * p, r - alpha * Sp
+            restart = np.linalg.norm(r) <= tolerance
+            if restart:  # guard against recurrence drift before declaring victory
+                r = rhs - S @ x
+        if restart and np.linalg.norm(r) <= tolerance:
+            return x, iteration
         z = precond(r)
         rz_next = r @ z
-        beta = rz_next / rz
+        p = z if restart else z + (rz_next / rz) * p
         rz = rz_next
-        p = z + beta * p
     raise SolverError(f"CG did not converge within {_CG_MAX_ITER} iterations "
                       f"(residual {np.linalg.norm(rhs - S @ x) / b_norm:.3e} relative)")
 

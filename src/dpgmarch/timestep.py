@@ -1,8 +1,9 @@
 """Backward Euler marching of the condensed primal DPG system.
 
-Each step solves the condensed normal equations S x = rhs, S = R^T R, with
-the load (f^n + u^{n-1}/k, .) condensed to rhs = F a(t_n) + C w (see
-`assembly`).  The case's source is separable, f = sum_s a_s(t) g_s(x) (see
+Each step solves the condensed normal equations S x = rhs, with
+S = sum_K E_K^T E_K and the load (f^n + u^{n-1}/k, .) condensed to
+rhs = F a(t_n) + C w (see `assembly`), both in the nested-dissection
+numbering of S.  The case's source is separable, f = sum_s a_s(t) g_s(x) (see
 `cases`): each spatial term g_s is condensed once per march into a column of
 F, a step weights the columns with a(t_n) = case.source_time(t_n) and does
 no quadrature, and only the field component w of the previous step enters.
@@ -78,7 +79,7 @@ def step(system: CondensedSystem, state: MarchState, a) -> MarchState:
     return MarchState(
         step_index=state.step_index + 1,
         time=(state.step_index + 1) * system.coeffs.k,
-        current=TrialVector.from_vector(x, system.dofmap.n_field),
+        current=TrialVector.from_vector(x[system.rank], system.dofmap.n_field),
     )
 
 

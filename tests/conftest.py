@@ -16,8 +16,23 @@ def adr_coeffs():
 
 def no_source(x, y):
     """A source of no terms, for tests that need only S: the march then keeps
-    source rows of shape (0, ne*nt)."""
+    an F of shape (n_dof, 0)."""
     return np.zeros((0,) + np.shape(x))
+
+
+def block_rows(blocks, cols, n_cols):
+    """Element blocks (ne, nt, nc) as a CSR matrix of shape (ne*nt, n_cols):
+    row e*nt + m holds blocks[e, m] at the global columns cols[e], leaving out
+    the slots whose column is -1.  An oracle of the condensed products, built
+    apart from the production scatter: S = R^T R for R = block_rows(L^{-1} B_a)."""
+    import scipy.sparse as sp
+
+    ne, nt, _ = blocks.shape
+    free = cols >= 0
+    mask = np.broadcast_to(free[:, None, :], blocks.shape)
+    indices = np.broadcast_to(cols[:, None, :], blocks.shape)[mask]
+    indptr = np.concatenate([[0], np.cumsum(np.repeat(free.sum(axis=1), nt))])
+    return sp.csr_matrix((blocks[mask], indices, indptr), shape=(ne * nt, n_cols))
 
 
 def perturbed_mesh(n, seed):

@@ -11,15 +11,15 @@ from hypothesis.extra import numpy as hnp
 
 from dpgmarch import assembly
 from dpgmarch.assembly import (PdeCoefficients, _build_blocks, _cholesky_blocks, _source_rows,
-                               assemble_condensed, block_rows, condense_load, gather,
-                               gram_blocks, volume_quadrature)
+                               assemble_condensed, condense_load, gather, gram_blocks, scatter,
+                               volume_quadrature)
 from dpgmarch.basis import lagrange_triangle, triangle_rule
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
-from dpgmarch.linalg import SolverError, factor_spd, nested_dissection
+from dpgmarch.linalg import SolverError
 from dpgmarch.mesh import build_structured_mesh, mesh_from_arrays
 
-from conftest import (apply_trial_to_test, embed_field_in_test, evaluate_field,
+from conftest import (apply_trial_to_test, block_rows, embed_field_in_test, evaluate_field,
                       field_quadratic_forms, integrate_on_reference_triangle, no_source,
                       perturbed_mesh)
 
@@ -191,53 +191,49 @@ def test_condensed_symmetry():
 
 @pytest.mark.parametrize("n,p", [(32, 0), (8, 1)])
 def test_factor_receives_S_permuted_by_its_order(n, p, monkeypatch):
-    # SuperLU factors P S P^T, a permuted copy of S in the nested-dissection
-    # order of the assembly; S's own arrays stay as the product left them
-    orders, saved, factored = [], [], []
-
-    def recording_order(*args):
-        orders.append(nested_dissection(*args))
-        return orders[-1]
-
-    def recording_factor(S, order):
-        saved.append([S.data.copy(), S.indices.copy(), S.indptr.copy()])
-        return factor_spd(S, order)
-
+    # S is born in the nested-dissection numbering, so SuperLU receives S's
+    # own canonical arrays and no permuted copy; renumbered back, S is the
+    # product R^T R of the block rows R of L^{-1} B_a
+    factored = []
     splu = spla.splu
-    monkeypatch.setattr(assembly, "nested_dissection", recording_order)
-    monkeypatch.setattr(assembly, "factor_spd", recording_factor)
     monkeypatch.setattr(spla, "splu", lambda M, **kwargs: factored.append(M) or splu(M, **kwargs))
     mesh = build_structured_mesh(n)
     dofmap = build_dofmap(mesh, p)
-    S = assemble_condensed(mesh, dofmap, coeffs_with(**ANISO), no_source).S
-    (order,), (M,) = orders, factored
-    assert M.shape == S.shape and M.has_canonical_format
-    assert abs(M - S[order][:, order]).max() == 0.0
-    assert all(np.array_equal(a, b) for a, b in zip(saved[0], (S.data, S.indices, S.indptr)))
+    coeffs = coeffs_with(**ANISO)
+    system = assemble_condensed(mesh, dofmap, coeffs, no_source)
+    S, rank = system.S, system.rank
+    (M,) = factored
+    assert S.has_canonical_format and M.shape == S.shape
+    assert all(np.shares_memory(a, b) and np.array_equal(a, b)
+               for a, b in zip((M.data, M.indices, M.indptr), (S.data, S.indices, S.indptr)))
+    blocks = _build_blocks(mesh, dofmap, coeffs)
+    R = block_rows(blocks.chol_inv @ blocks.B_a, blocks.cols, dofmap.n_dof)
+    oracle = (R.T @ R).tocsr()
+    assert sorted(rank) == list(range(dofmap.n_dof))
+    assert abs(S[rank][:, rank] - oracle).max() <= 1e-14 * abs(oracle).max()
 
 
 def test_lost_symmetry_raises_solver_error(monkeypatch):
-    # S = R^T R is symmetric by construction; an inconsistent product must not
-    # reach the factor.  Every sparse-sparse product moves one off-diagonal
-    # entry by a multiple of its largest entry: above 2 _SYM_TOL the check
-    # trips, also at the 4 097 unknowns of n=32, below _SYM_TOL it does not
-    def asymmetric(product, relative):
-        def wrapped(self, other):
-            result = product(self, other)
-            if not sp.issparse(other):
+    # S = sum_K E_K^T E_K is symmetric by construction; an inconsistent
+    # scatter must not reach the factor.  Every square scatter moves one
+    # off-diagonal entry by a multiple of its largest entry: above 2 _SYM_TOL
+    # the check trips, also at the 4 097 unknowns of n=32, below _SYM_TOL it
+    # does not
+    def asymmetric(relative):
+        def wrapped(blocks, rows, cols, shape, format):
+            result = scatter(blocks, rows, cols, shape, format)
+            if shape[0] != shape[1]:
                 return result
             S = sp.csr_matrix(result)
-            rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
-            S.data[np.flatnonzero(S.indices != rows)[0]] += relative * np.abs(S.data).max()
+            diagonal = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+            S.data[np.flatnonzero(S.indices != diagonal)[0]] += relative * np.abs(S.data).max()
             return S
         return wrapped
 
-    products = {cls: cls.__matmul__ for cls in (sp.csr_matrix, sp.csc_matrix)}
     for n, relative in ((4, 1e-6), (32, 1e-10), (32, 2.5e-12), (32, 0.5e-12)):
         mesh = build_structured_mesh(n)
         dofmap = build_dofmap(mesh, 0)
-        for cls, product in products.items():
-            monkeypatch.setattr(cls, "__matmul__", asymmetric(product, relative))
+        monkeypatch.setattr(assembly, "scatter", asymmetric(relative))
         if relative > 2.0 * assembly._SYM_TOL:
             with pytest.raises(SolverError, match="lost symmetry"):
                 assemble_condensed(mesh, dofmap, coeffs_with(beta=[1.0, 0.5], gamma=1.0),
@@ -276,12 +272,13 @@ def test_coercivity_bound(adr_coeffs):
         coeffs = PdeCoefficients(A=adr_coeffs.A, beta=adr_coeffs.beta,
                                  gamma=adr_coeffs.gamma, k=k, T_end=1.0)
         system = assemble_condensed(mesh, dofmap, coeffs, no_source)
+        S = system.S[system.rank][:, system.rank]  # in the numbering of the dofmap
         mass, stiff = field_quadratic_forms(mesh, dofmap, coeffs.A)
         for _ in range(100):
             x = rng.standard_normal(dofmap.n_dof)
             u = x[:dofmap.n_field]
             lhs = (u @ mass @ u) / k + u @ stiff @ u
-            assert lhs <= x @ (system.S @ x) + 1e-10
+            assert lhs <= x @ (S @ x) + 1e-10
 
 
 def test_heat_case_theta_identity(heat_coeffs):
@@ -414,7 +411,7 @@ def test_volume_quadrature_repeats_the_same_arrays():
     assert len(sampled) == 1 and sampled[0].base is first[1]
     expected = np.einsum("emn,nq,eq,seq->sem", chol_inv, test_values, first[2],
                          source_space(first[1][..., 0], first[1][..., 1]))
-    assert np.abs(sources - expected.reshape(2, -1)).max() <= 1e-14 * np.abs(expected).max()
+    assert np.abs(sources - expected.transpose(1, 2, 0)).max() <= 1e-14 * np.abs(expected).max()
 
 
 def test_volume_quadrature_arrays_are_read_only():
@@ -595,24 +592,41 @@ def test_block_assembly_peak_memory_stays_near_its_output():
     assert peak <= 1.6 * returned
 
 
-@pytest.mark.parametrize("p", [0, 1])
-def test_block_rows_match_a_dense_element_loop(p):
-    mesh = build_structured_mesh(3)
-    dofmap = build_dofmap(mesh, p)
-    cols = _build_blocks(mesh, dofmap, coeffs_with()).cols
-    assert np.any(cols < 0)  # the boundary field slots are eliminated
-    ne, nc = cols.shape
-    nt = 4
-    blocks = np.random.default_rng(p).standard_normal((ne, nt, nc))
-    dense = np.zeros((ne * nt, dofmap.n_dof))
-    for e in range(ne):
-        for j in range(nc):
-            if cols[e, j] >= 0:
-                dense[e * nt:(e + 1) * nt, cols[e, j]] += blocks[e, :, j]
-    R = block_rows(blocks, cols, dofmap.n_dof)
-    assert R.shape == dense.shape
-    assert R.nnz == nt * np.count_nonzero(cols >= 0)
-    assert np.array_equal(R.toarray(), dense)
+@st.composite
+def element_blocks(draw):
+    """Element blocks with global rows and columns in -1..n-1: eliminated
+    slots and columns repeated within and across elements."""
+    ne = draw(st.integers(1, 5))
+    nr, nc = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = draw(hnp.arrays(np.int64, (ne, nr), elements=st.integers(-1, n_rows - 1)))
+    cols = draw(hnp.arrays(np.int64, (ne, nc), elements=st.integers(-1, n_cols - 1)))
+    # small integers: every sum is exact, whatever the order of summation
+    blocks = draw(hnp.arrays(np.int64, (ne, nr, nc), elements=st.integers(-9, 9)))
+    return blocks.astype(float), rows, cols, (n_rows, n_cols)
+
+
+@pytest.mark.parametrize("format", ["csr", "csc"])
+@settings(max_examples=60, deadline=None)
+@given(data=element_blocks(), relabel=st.randoms(use_true_random=False))
+def test_scatter_matches_a_dense_element_loop(format, data, relabel):
+    blocks, rows, cols, shape = data
+    dense = np.zeros(shape)
+    for e in range(len(blocks)):
+        for i, row in enumerate(rows[e]):
+            for j, col in enumerate(cols[e]):
+                if row >= 0 and col >= 0:
+                    dense[row, col] += blocks[e, i, j]
+    matrix = scatter(blocks, rows, cols, shape, format)
+    assert matrix.format == format and matrix.has_canonical_format
+    assert np.array_equal(matrix.toarray(), dense)
+    # relabelled rows and columns, as by a nested-dissection rank: the
+    # scatter is the permuted matrix, -1 slots still left out
+    row_rank = np.array(relabel.sample(range(shape[0]), shape[0]))
+    col_rank = np.array(relabel.sample(range(shape[1]), shape[1]))
+    relabelled = scatter(blocks, np.append(row_rank, -1)[rows], np.append(col_rank, -1)[cols],
+                         shape, format)
+    assert np.array_equal(relabelled.toarray()[row_rank][:, col_rank], dense)
 
 
 def _nbytes(matrix):
@@ -622,11 +636,11 @@ def _nbytes(matrix):
 
 
 def test_march_retains_only_its_step_operators():
-    # the element blocks (chol, chol_inv, B_a, B_b, mass_field), R, W_w and the
-    # condensed source rows are set-up temporaries; the march keeps S, F, C,
-    # the quadrature points already cached on the mesh, the float64 factor,
-    # which SuperLU allocates outside the heap that tracemalloc sees, and the
-    # factor's order (12 bytes an unknown)
+    # the element blocks (chol, chol_inv, B_a, B_b, mass_field), their
+    # products and the condensed source rows are set-up temporaries; the march
+    # keeps S, F, C, the quadrature points already cached on the mesh, the
+    # float64 factor, which SuperLU allocates outside the heap that
+    # tracemalloc sees, and the nested-dissection rank (8 bytes an unknown)
     mesh = build_structured_mesh(48)
     dofmap = build_dofmap(mesh, 1)
     volume_quadrature(mesh, 6)

@@ -259,3 +259,37 @@ def test_reference_gradient_contractions_match_quadrature(p):
                                 exact.grad_u))
     got = exact_b_load(mesh, dofmap, coeffs, exact)
     assert np.abs(got - loads).max() <= 1e-13 * np.abs(loads).max()
+
+
+def test_projection_system_is_N_in_csc_and_the_element_blocks():
+    # N is scattered straight into canonical CSC, the format the LU reads;
+    # no block rows are kept for the load
+    coeffs, _ = _adr_exact()
+    mesh = build_structured_mesh(4)
+    system = build_projection_system(mesh, build_dofmap(mesh, 1), coeffs)
+    assert vars(system).keys() == {"N", "blocks"}
+    assert system.N.format == "csc" and system.N.has_canonical_format
+
+
+def test_a_projection_level_tabulates_no_edge_basis(monkeypatch):
+    # the edge rule, the trace basis and the test basis along the edges are
+    # tabulated once per degree and rule: a repeated level evaluates no basis
+    # in the element blocks, the exact load or the trace error
+    from dpgmarch import assembly
+
+    case = make_case("aniso", 0.1, 1.0)
+    exact = SpatialFields(*case.spatial_u(0.0))
+    calls = []
+    for name in ("lagrange_triangle", "lagrange_edge"):
+        tabulate = getattr(assembly, name)
+        monkeypatch.setattr(assembly, name,
+                            lambda *args, tabulate=tabulate: calls.append(args) or tabulate(*args))
+    for n in (3, 4):
+        mesh = build_structured_mesh(n)
+        dofmap = build_dofmap(mesh, 1)
+        calls.clear()
+        system = build_projection_system(mesh, dofmap, case.coeffs)
+        loads = exact_b_load(mesh, dofmap, case.coeffs, exact)
+        condense_element_loads(system, loads)
+        trace_dual_error(mesh, dofmap, case.coeffs, np.zeros(dofmap.n_trace), exact.grad_u)
+    assert calls == []

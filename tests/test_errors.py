@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dpgmarch import errors
-from dpgmarch.assembly import PdeCoefficients, _element_weights, _reference_tensors, block_rows
+from dpgmarch.assembly import PdeCoefficients, _element_weights, _reference_tensors, scatter
 from dpgmarch.basis import edge_rule, lagrange_edge
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
@@ -137,7 +137,7 @@ def test_function_l2_norm():
 def test_exact_flux_is_evaluated_once_per_edge(p):
     # both neighbours of an edge share its points, so grad_u sees each edge once;
     # the residuals equal an evaluation on every element's three edges bit for bit
-    from dpgmarch.assembly import _edge_test_tables
+    from dpgmarch.assembly import _edge_tables
     from dpgmarch.errors import _trace_residuals
 
     mesh = perturbed_mesh(4, seed=3)
@@ -156,7 +156,7 @@ def test_exact_flux_is_evaluated_once_per_edge(p):
     assert sum(points) == mesh.n_edges * len(rule.weights)
 
     trace_tab = lagrange_edge(p, rule.points)
-    edge_tables = _edge_test_tables(p + 2, rule)
+    edge_tables = _edge_tables(p, rule.exact_degree)[2]
     v = mesh.vertices[mesh.elements]
     expected = np.zeros((mesh.n_elements, edge_tables[(0, 1)].shape[0]))
     for l in range(3):
@@ -204,7 +204,7 @@ def test_field_error_tabulates_its_basis_once(monkeypatch):
 def test_field_norms_match_assembled_quadratic_forms(p):
     # oracle off the quadrature path: ||w||^2 = w^T M w and |w|_1^2 = w^T K w
     # with M, K the reference-triangle tensors of the degree p+1 field basis
-    # weighted per element and assembled through block_rows
+    # weighted per element and assembled through scatter
     mesh = perturbed_mesh(4, 11)
     dofmap = build_dofmap(mesh, p)
     cols = dofmap.element_field_dofs
@@ -212,10 +212,9 @@ def test_field_norms_match_assembled_quadratic_forms(p):
     ref = _reference_tensors(p + 1, p + 1)
     W, detJ, _ = _element_weights(mesh, PdeCoefficients(A=np.eye(2), beta=np.zeros(2),
                                                         gamma=0.0, k=1.0, T_end=1.0))
-    ne, nfl = cols.shape
-    scatter = block_rows(np.broadcast_to(np.eye(nfl), (ne, nfl, nfl)), cols, dofmap.n_field)
-    mass = scatter.T @ block_rows(detJ[:, None, None] * ref[4], cols, dofmap.n_field)
-    stiff = scatter.T @ block_rows(np.einsum("ea,amj->emj", W, ref[:4]), cols, dofmap.n_field)
+    shape = (dofmap.n_field, dofmap.n_field)
+    mass = scatter(detJ[:, None, None] * ref[4], cols, cols, shape, "csr")
+    stiff = scatter(np.einsum("ea,amj->emj", W, ref[:4]), cols, cols, shape, "csr")
     rng = np.random.default_rng(p)
     for w in (rng.standard_normal(dofmap.n_field), np.ones(dofmap.n_field)):
         l2 = field_error(mesh, dofmap, w, ZERO_FIELDS, "L2")
@@ -236,3 +235,22 @@ def test_field_error_rejects_a_vector_of_the_wrong_length(length):
     for mode in ("L2", "H1semi"):
         with pytest.raises(ValueError, match="field coefficient vector"):
             field_error(mesh, dofmap, w, ZERO_FIELDS, mode)
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_trace_dual_error_matches_a_gram_solve(p):
+    # ||L_K^{-1} r_K||^2 from the Cholesky factors is r_K^T G_K^{-1} r_K, here
+    # solved with the Gram blocks themselves
+    from dpgmarch.assembly import gram_blocks
+    from dpgmarch.errors import _trace_residuals
+
+    mesh = perturbed_mesh(4, seed=6)
+    dofmap = build_dofmap(mesh, p)
+    case = make_case("aniso", 0.05, 1.0)
+    _, grad_u = case.spatial_u(0.2)
+    sigma = np.random.default_rng(p).standard_normal(dofmap.n_trace)
+    r = _trace_residuals(mesh, dofmap, case.coeffs, sigma, grad_u)
+    gram = gram_blocks(mesh, p, case.coeffs)
+    expected = np.sqrt(np.sum(r * np.linalg.solve(gram, r[:, :, None])[:, :, 0]))
+    got = trace_dual_error(mesh, dofmap, case.coeffs, sigma, grad_u)
+    assert abs(got - expected) <= 1e-13 * expected
