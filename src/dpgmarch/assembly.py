@@ -371,7 +371,7 @@ def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     n = dofmap.n_dof
     order = nested_dissection(mesh.vertices[mesh.elements].mean(axis=1), blocks.cols, n)
     rank = np.argsort(order)
-    cols = np.append(rank, -1)[blocks.cols]  # the element slots, renumbered
+    cols = np.append(rank, -1)[blocks.cols]  # the element slots in the numbering of S
     Et = (blocks.chol_inv @ blocks.B_a).transpose(0, 2, 1)
     W_w = blocks.chol_inv @ blocks.mass_field / coeffs.k
     sources = _source_rows(mesh, dofmap.p, blocks.chol_inv, source_space)
@@ -386,8 +386,8 @@ def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     # copy.  With x in [1, 2], one entry of S - S^T equal to delta (a stored
     # entry whose mirror is missing counts as one) moves the difference by
     # delta to 2 delta: an asymmetry above 2 _SYM_TOL max|S| always trips,
-    # one below _SYM_TOL max|S| never does.  The element products leave
-    # about 1e-15 max|S| of rounding.
+    # one below _SYM_TOL max|S| never does.  The scattered element products
+    # come out exactly symmetric (measured at n=32, p=0 and n=64, p=1).
     x = np.random.default_rng(0).uniform(1.0, 2.0, S.shape[0])
     scale = max(S.data.max(initial=0.0), -S.data.min(initial=0.0))
     if np.abs(S @ x - S.T @ x).max(initial=0.0) > 2.0 * _SYM_TOL * scale:
