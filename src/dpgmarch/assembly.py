@@ -41,6 +41,16 @@ and det J:
     B_field = W_K : K_tf + b_K . C_tf + gamma mass_field,
 
 with t the test and f the field basis.
+
+These weights, and with them every block, depend on the element only
+through J, the signs of its edges and their lengths.  `element_classes`
+groups the elements that are translates of each other, bit for bit, with
+equally oriented edges; the blocks are built once per class, for its first
+element, and element e reads those of class cls[e].  A structured mesh has a handful of classes
+(2 when the grid spacing is a power of two), a perturbed one one class per
+element.  The element products of a condensation are formed per class too,
+and taken to the elements, in element order, only by a scatter or by an
+element load, so S, C and F are bitwise those of a per-element build.
 """
 
 from __future__ import annotations
@@ -60,6 +70,7 @@ from .mesh import Mesh
 
 _SYM_TOL = 1e-12
 _TRACE_EQUIV_WARN = 10.0  # h / sqrt(k) beyond which the trace-norm equivalence degrades
+_FNV_OFFSET, _FNV_PRIME = np.uint64(0xCBF29CE484222325), np.uint64(0x100000001B3)
 
 
 @dataclass(frozen=True)
@@ -108,13 +119,17 @@ class PdeCoefficients:
 
 @dataclass
 class LocalBlocks:
-    """Stacked per-element blocks, the set-up temporaries of a condensation.
+    """Blocks stacked per class of congruent elements (see `element_classes`),
+    the set-up temporaries of a condensation; element e has the blocks of
+    class cls[e].
 
-    chol / chol_inv: Cholesky factor L_K of G_K and its inverse, (ne, nt, nt),
-        the inverse by forward substitution.
-    B_a, B_b: trial-to-test blocks, (ne, nt, nc).
-    mass_field: test-against-field mass block, (ne, nt, nfl).
-    cols: global column index per local trial slot, -1 where eliminated.
+    chol / chol_inv: Cholesky factor L_K of G_K and its inverse,
+        (n_classes, nt, nt), the inverse by forward substitution.
+    B_a, B_b: trial-to-test blocks, (n_classes, nt, nc).
+    mass_field: test-against-field mass block, (n_classes, nt, nfl).
+    cls: class of each element, (ne,).
+    cols: global column index per element and local trial slot, (ne, nc),
+        -1 where eliminated.
     """
 
     chol: np.ndarray
@@ -122,6 +137,7 @@ class LocalBlocks:
     B_a: np.ndarray
     B_b: np.ndarray
     mass_field: np.ndarray
+    cls: np.ndarray
     cols: np.ndarray
 
 
@@ -149,8 +165,8 @@ class CondensedSystem:
     rank: np.ndarray
 
 
-def _geometry(mesh: Mesh):
-    v = mesh.vertices[mesh.elements]
+def _affine(v: np.ndarray):
+    """J (n, 2, 2), J^{-1} and det J of the triangles with vertices v (n, 3, 2)."""
     J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)  # columns of the affine map
     detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
     if not np.all(detJ > 0.0):  # also catches NaN
@@ -161,7 +177,12 @@ def _geometry(mesh: Mesh):
     invJ[:, 1, 0] = -J[:, 1, 0]
     invJ[:, 1, 1] = J[:, 0, 0]
     invJ /= detJ[:, None, None]
-    return v, J, invJ, detJ
+    return J, invJ, detJ
+
+
+def _geometry(mesh: Mesh):
+    v = mesh.vertices[mesh.elements]
+    return (v, *_affine(v))
 
 
 def volume_quadrature(mesh: Mesh, degree: int):
@@ -180,6 +201,39 @@ def volume_quadrature(mesh: Mesh, degree: int):
             array.flags.writeable = False
         mesh.quadrature[degree] = (rule, points, wdet, invJ)
     return mesh.quadrature[degree]
+
+
+def element_classes(mesh: Mesh):
+    """Classes of congruent elements, (first, cls): cls[e] is the class of
+    element e and first[c] the lowest element of class c, the classes
+    numbered in the order of their first elements.
+
+    The key of an element is the bits of its edge vectors v_{l+1} - v_l and
+    its edge signs, so the elements of a class are translates of each other
+    with equally oriented edges.  J holds two edge vectors, up to sign, and
+    each edge length is the norm of one, so J, the edge lengths and with them
+    every element block are bitwise functions of the key.  The elements are
+    sorted by a 64-bit FNV-1 hash of the key, and a class starts wherever the
+    key changes: a class never mixes keys, and two distinct keys with one
+    hash (a chance below ne^2 2^-64) can only split a class."""
+    v = mesh.vertices[mesh.elements]
+    edges = (v[:, [1, 2, 0]] - v).reshape(-1, 6)
+    keys = (*edges.view(np.uint64).T, *mesh.element_edge_signs.astype(np.uint64).T)
+    digest = np.full(len(v), _FNV_OFFSET)
+    for key in keys:
+        digest = (digest * _FNV_PRIME) ^ key
+    order = np.argsort(digest, kind="stable")
+    head = np.zeros(len(order), dtype=bool)
+    head[:1] = True
+    for key in keys:
+        ranked = key[order]
+        head[1:] |= ranked[1:] != ranked[:-1]
+    # the sort is stable, so each run of equal keys starts at its lowest element
+    lowest = np.empty(len(order), dtype=np.intp)
+    lowest[order] = order[head][np.cumsum(head) - 1]
+    is_first = np.zeros(len(order), dtype=bool)
+    is_first[lowest] = True
+    return np.flatnonzero(is_first), np.cumsum(is_first)[lowest] - 1
 
 
 def gather(vector: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -205,10 +259,11 @@ def _reference_tensors(test_degree: int, trial_degree: int) -> np.ndarray:
     return tensors
 
 
-def _element_weights(mesh: Mesh, coeffs: PdeCoefficients):
-    """det J J^{-1} A J^{-T} flattened to (ne, 4), det J (ne,) and
-    det J J^{-1} beta (ne, 2): the weights of the reference tensors."""
-    _, _, invJ, detJ = _geometry(mesh)
+def _element_weights(mesh: Mesh, coeffs: PdeCoefficients, elements: np.ndarray):
+    """det J J^{-1} A J^{-T} flattened to (n, 4), det J (n,) and
+    det J J^{-1} beta (n, 2) of the n given elements: the weights of the
+    reference tensors."""
+    _, invJ, detJ = _affine(mesh.vertices[mesh.elements[elements]])
     W = detJ[:, None, None] * (invJ @ coeffs.A @ invJ.transpose(0, 2, 1))
     b = detJ[:, None] * (invJ @ coeffs.beta)
     return W.reshape(-1, 4), detJ, b
@@ -242,10 +297,10 @@ def _edge_tables(p: int, rule_degree: int):
     return rule, trace, tables
 
 
-def gram_blocks(mesh: Mesh, p: int, coeffs: PdeCoefficients) -> np.ndarray:
-    """All Gram matrices G_K = W_K : K_tt + (det J / k) M_tt, (ne, nt, nt),
-    over the degree p + 2 test space."""
-    W, detJ, _ = _element_weights(mesh, coeffs)
+def gram_blocks(mesh: Mesh, p: int, coeffs: PdeCoefficients, elements) -> np.ndarray:
+    """Gram matrices G_K = W_K : K_tt + (det J / k) M_tt of the n given
+    elements, (n, nt, nt), over the degree p + 2 test space."""
+    W, detJ, _ = _element_weights(mesh, coeffs, elements)
     return _gram(W, detJ, coeffs.k, p + 2)
 
 
@@ -253,26 +308,27 @@ def _gram(W: np.ndarray, detJ: np.ndarray, k: float, degree: int) -> np.ndarray:
     return _combine(np.column_stack([W, detJ / k]), _reference_tensors(degree, degree)[:5])
 
 
-def _cholesky_blocks(gram: np.ndarray) -> np.ndarray:
-    """Cholesky factors of stacked Gram blocks; SolverError names the first
-    element whose block is not positive definite or whose factor is not finite."""
+def _cholesky_blocks(gram: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Cholesky factors of the Gram blocks gram[i] of elements[i]; SolverError
+    names the first of these elements whose block is not positive definite or
+    whose factor is not finite."""
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        for e in range(gram.shape[0]):
+        for block, element in zip(gram, elements):
             try:
-                np.linalg.cholesky(gram[e])
+                np.linalg.cholesky(block)
             except np.linalg.LinAlgError:
                 raise SolverError(
-                    f"Cholesky factorization of the Gram block of element {e} failed; "
+                    f"Cholesky factorization of the Gram block of element {element} failed; "
                     "degenerate element or invalid time step"
                 ) from None
         raise
     # LAPACK passes NaN through without raising
     bad = np.flatnonzero(~np.isfinite(chol).all(axis=(1, 2)))
     if bad.size:
-        raise SolverError(f"the Cholesky factor of the Gram block of element {bad[0]} "
-                          "is not finite; NaN or Inf data")
+        raise SolverError(f"the Cholesky factor of the Gram block of element "
+                          f"{elements[bad[0]]} is not finite; NaN or Inf data")
     return chol
 
 
@@ -291,9 +347,10 @@ def _build_blocks(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> LocalB
     test_degree = p + 2
     erule, trace, edge_tables = _edge_tables(p, 2 * p + 2)
 
-    W, detJ, b = _element_weights(mesh, coeffs)
-    chol = _cholesky_blocks(_gram(W, detJ, k, test_degree))
-    ne, nt, _ = chol.shape
+    first, cls = element_classes(mesh)
+    W, detJ, b = _element_weights(mesh, coeffs, first)
+    chol = _cholesky_blocks(_gram(W, detJ, k, test_degree), first)
+    n_classes, nt, _ = chol.shape
     chol_inv = _forward_substitution(chol, np.broadcast_to(np.eye(nt), chol.shape))
 
     ref = _reference_tensors(test_degree, p + 1)
@@ -301,15 +358,15 @@ def _build_blocks(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> LocalB
     n_per_edge = p + 1
     nc = nfl + 3 * n_per_edge
     mass_field = detJ[:, None, None] * ref[4]
-    B_b = np.empty((ne, nt, nc))
+    B_b = np.empty((n_classes, nt, nc))
     B_b[:, :, :nfl] = _combine(np.column_stack([W, coeffs.gamma * detJ, b]), ref)
 
     # trace pairing: column block of local edge l carries -sign * length * int_e tau psi
     pair = {key: np.einsum("mq,rq,q->mr", table, trace, erule.weights)
             for key, table in edge_tables.items()}
-    lengths = mesh.edge_lengths()[mesh.element_edges]
+    lengths = mesh.edge_lengths()[mesh.element_edges[first]]
     for l in range(3):
-        s = mesh.element_edge_signs[:, l]
+        s = mesh.element_edge_signs[first, l]
         block = np.where((s == 1)[:, None, None], pair[(l, 1)][None], pair[(l, -1)][None])
         B_b[:, :, nfl + l * n_per_edge:nfl + (l + 1) * n_per_edge] = \
             -(s * lengths[:, l])[:, None, None] * block
@@ -319,7 +376,7 @@ def _build_blocks(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> LocalB
     cols = np.hstack([dofmap.element_field_dofs,
                       dofmap.n_field + dofmap.element_trace_dofs])
     return LocalBlocks(chol=chol, chol_inv=chol_inv, B_a=B_a, B_b=B_b,
-                       mass_field=mass_field, cols=cols)
+                       mass_field=mass_field, cls=cls, cols=cols)
 
 
 def scatter(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape,
@@ -329,7 +386,7 @@ def scatter(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape,
     index = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
     r = np.broadcast_to(rows.astype(index)[:, :, None], blocks.shape)
     c = np.broadcast_to(cols.astype(index)[:, None, :], blocks.shape)
-    keep = (r >= 0) & (c >= 0)
+    keep = (rows >= 0)[:, :, None] & (cols >= 0)[:, None, :]
     matrix = sp.coo_matrix((blocks[keep], (r[keep], c[keep])), shape=shape).asformat(format)
     # summing the duplicates leaves views of arrays of the unsummed length
     matrix.data, matrix.indices = matrix.data.copy(), matrix.indices.copy()
@@ -344,16 +401,16 @@ def scatter_load(values: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(index.ravel(), values[free].ravel(), minlength=n * m).reshape(n, m)
 
 
-def _source_rows(mesh: Mesh, p: int, chol_inv: np.ndarray, source_space) -> np.ndarray:
-    """L_K^{-1} (g_s, psi)_K for the spatial source terms g_s = source_space(x, y)[s],
-    stacked (ne, nt, m)."""
+def _source_loads(mesh: Mesh, p: int, source_space) -> np.ndarray:
+    """Element loads (g_s, psi)_K of the spatial source terms
+    g_s = source_space(x, y)[s], stacked (ne, nt, m)."""
     rule, points, wdet, _ = volume_quadrature(mesh, 2 * (p + 2))
     values = np.asarray(source_space(points[..., 0], points[..., 1]), dtype=float)
     if values.ndim != 3 or values.shape[1:] != wdet.shape:
         raise ValueError(f"source_space must return shape (m, {wdet.shape[0]}, "
                          f"{wdet.shape[1]}) at the quadrature points, got {values.shape}")
     loads = (values * wdet) @ lagrange_triangle(p + 2, rule.points).values.T
-    return chol_inv @ loads.transpose(1, 2, 0)
+    return loads.transpose(1, 2, 0)
 
 
 def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
@@ -372,15 +429,15 @@ def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     order = nested_dissection(mesh.vertices[mesh.elements].mean(axis=1), blocks.cols, n)
     rank = np.argsort(order)
     cols = np.append(rank, -1)[blocks.cols]  # the element slots in the numbering of S
-    Et = (blocks.chol_inv @ blocks.B_a).transpose(0, 2, 1)
+    cls = blocks.cls
+    Et = (blocks.chol_inv @ blocks.B_a).transpose(0, 2, 1)  # per class
+    sources = Et[cls] @ (blocks.chol_inv[cls] @ _source_loads(mesh, dofmap.p, source_space))
     W_w = blocks.chol_inv @ blocks.mass_field / coeffs.k
-    sources = _source_rows(mesh, dofmap.p, blocks.chol_inv, source_space)
-    del blocks  # set-up temporaries: free them before the scatters and the factor
-    ops = StepOperators(F=scatter_load(Et @ sources, cols, n),
-                        C=scatter(Et @ W_w, cols, dofmap.element_field_dofs,
+    ops = StepOperators(F=scatter_load(sources, cols, n),
+                        C=scatter((Et @ W_w)[cls], cols, dofmap.element_field_dofs,
                                   (n, dofmap.n_field), "csr"))
-    del W_w, sources  # before the largest scatter
-    S = scatter(Et @ Et.transpose(0, 2, 1), cols, cols, (n, n), "csr")
+    del blocks, sources  # set-up temporaries: free them before the largest scatter
+    S = scatter((Et @ Et.transpose(0, 2, 1))[cls], cols, cols, (n, n), "csr")
     del Et
     # S.T is a CSC view of S's own arrays, so S x - S^T x needs no transposed
     # copy.  With x in [1, 2], one entry of S - S^T equal to delta (a stored

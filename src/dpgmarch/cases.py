@@ -30,23 +30,32 @@ import numpy as np
 from .assembly import PdeCoefficients
 
 
-# A spatial profile maps (x, y) to the factor phi and its derivatives
-# (phi, phi_x, phi_y, phi_xx, phi_xy, phi_yy), evaluating the shared factors
-# once.  Products keep their left-to-right operand order: regrouping them
-# changes the rounding, and with it the recorded CLI outputs.
+# A spatial profile maps (x, y, order) to what a callback of that derivative
+# order needs of the factor phi: phi (order 0), (phi_x, phi_y) (order 1) or
+# (phi, phi_x, phi_y, phi_xx, phi_xy, phi_yy) (order 2), evaluating only the
+# factors these share.  Products keep their left-to-right operand order:
+# regrouping them changes the rounding, and with it the recorded CLI outputs.
 
 
-def _sine_profile(x, y):
+def _sine_profile(x, y, order):
     pi = np.pi
-    sx, cx = np.sin(pi * x), np.cos(pi * x)
-    sy, cy = np.sin(pi * y), np.cos(pi * y)
+    sx, sy = np.sin(pi * x), np.sin(pi * y)
+    if order == 0:
+        return sx * sy
+    cx, cy = np.cos(pi * x), np.cos(pi * y)
+    if order == 1:
+        return pi * cx * sy, pi * sx * cy
     second = -pi**2 * sx * sy
     return sx * sy, pi * cx * sy, pi * sx * cy, second, pi**2 * cx * cy, second
 
 
-def _bubble_profile(x, y):
+def _bubble_profile(x, y, order):
     mx, my = 1 - x, 1 - y
+    if order == 0:
+        return x * mx * y * my
     dx, dy = 1 - 2 * x, 1 - 2 * y
+    if order == 1:
+        return dx * y * my, x * mx * dy
     return (x * mx * y * my, dx * y * my, x * mx * dy,
             -2.0 * y * my + 0.0 * x, dx * dy, -2.0 * x * mx + 0.0 * y)
 
@@ -82,21 +91,21 @@ def _make_case(name, coeffs, profile, time_factor, time_factor_dot) -> PdeCase:
     A, beta, gamma = coeffs.A, coeffs.beta, coeffs.gamma
 
     def u(t, x, y):
-        return time_factor(t) * profile(x, y)[0]
+        return time_factor(t) * profile(x, y, 0)
 
     def grad_u(t, x, y):
         g = time_factor(t)
-        _, ux, uy, *_ = profile(x, y)
+        ux, uy = profile(x, y, 1)
         return np.stack([g * ux, g * uy])
 
     def u_t(t, x, y):
-        return time_factor_dot(t) * profile(x, y)[0]
+        return time_factor_dot(t) * profile(x, y, 0)
 
     def source_time(t):
         return np.array([time_factor_dot(t), time_factor(t)], dtype=float)
 
     def source_space(x, y):
-        phi, ux, uy, uxx, uxy, uyy = profile(x, y)
+        phi, ux, uy, uxx, uxy, uyy = profile(x, y, 2)
         diffusion = A[0, 0] * uxx + 2.0 * A[0, 1] * uxy + A[1, 1] * uyy
         advection = beta[0] * ux + beta[1] * uy
         return np.stack([phi, -diffusion + advection + gamma * phi])

@@ -12,7 +12,8 @@ which in condensed form is the nonsymmetric system N x = r with
 
 The test space is broken, so with G_K = L_K L_K^T and E = L_K^{-1} B_K both
 are sums of element products scattered by `assembly`: N = sum_K
-E_{a,K}^T E_{b,K} and r = sum_K E_{a,K}^T L_K^{-1} l_{b,K}.
+E_{a,K}^T E_{b,K} and r = sum_K E_{a,K}^T L_K^{-1} l_{b,K}, with E_{a,K} and
+the products E_{a,K}^T E_{b,K} formed once per class of congruent elements.
 
 It is equivalent to the mixed saddle-point system
 
@@ -31,13 +32,14 @@ policy as the march they accompany.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from .assembly import LocalBlocks, PdeCoefficients, _build_blocks, gather, scatter, \
     scatter_load, volume_quadrature
-from .basis import lagrange_triangle
+from .basis import lagrange_triangle, triangle_rule
 from .dofmap import DofMap
 from .errors import SpatialFields, _trace_residuals
 from .linalg import lu_solve
@@ -47,33 +49,48 @@ from .timestep import TrialVector
 
 @dataclass
 class ProjectionSystem:
-    """N = sum_K E_{a,K}^T E_{b,K} in CSC, and the element blocks for the load."""
+    """N = sum_K E_{a,K}^T E_{b,K} in CSC, the element blocks, and E_{a,K}^T
+    per class, (n_classes, nc, nt), for the load."""
 
     N: sp.csc_matrix
     blocks: LocalBlocks
+    Et: np.ndarray
 
 
 def build_projection_system(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> ProjectionSystem:
     blocks = _build_blocks(mesh, dofmap, coeffs)
-    products = (blocks.chol_inv @ blocks.B_a).transpose(0, 2, 1) @ (blocks.chol_inv @ blocks.B_b)
-    N = scatter(products, blocks.cols, blocks.cols, (dofmap.n_dof, dofmap.n_dof), "csc")
-    return ProjectionSystem(N=N, blocks=blocks)
+    Et = (blocks.chol_inv @ blocks.B_a).transpose(0, 2, 1)
+    N = scatter((Et @ (blocks.chol_inv @ blocks.B_b))[blocks.cls], blocks.cols, blocks.cols,
+                (dofmap.n_dof, dofmap.n_dof), "csc")
+    return ProjectionSystem(N=N, blocks=blocks, Et=Et)
 
 
 def condense_element_loads(system: ProjectionSystem, loads: np.ndarray) -> np.ndarray:
     """Condensed right-hand side sum_K E_{a,K}^T L_K^{-1} l_K of element test
     loads l, shape (ne, nt)."""
     blocks = system.blocks
-    loads = (blocks.chol_inv @ blocks.B_a).transpose(0, 2, 1) @ (blocks.chol_inv @ loads[..., None])
+    cls = blocks.cls
+    loads = system.Et[cls] @ (blocks.chol_inv[cls] @ loads[..., None])
     return scatter_load(loads, blocks.cols, system.N.shape[0])[:, 0]
+
+
+@lru_cache(maxsize=None)
+def _test_table(p: int, rule_degree: int):
+    """Degree p+2 test basis at the triangle rule of the given degree:
+    read-only, one per (p, rule)."""
+    table = lagrange_triangle(p + 2, triangle_rule(rule_degree).points)
+    for array in (table.values, table.gradients):
+        array.flags.writeable = False
+    return table
 
 
 def exact_b_load(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
                  exact: SpatialFields) -> np.ndarray:
     """Element test loads l_b[m] = b((u, A grad u . n), psi_m) for exact data."""
     p = dofmap.p
-    rule, qp, wdet, invJ = volume_quadrature(mesh, 2 * (p + 2) + 2)
-    table = lagrange_triangle(p + 2, rule.points)
+    rule_degree = 2 * (p + 2) + 2
+    _, qp, wdet, invJ = volume_quadrature(mesh, rule_degree)
+    table = _test_table(p, rule_degree)
     g = np.moveaxis(np.asarray(exact.grad_u(qp[..., 0], qp[..., 1])), 0, -1)
     # (A grad u, J^{-T} grad_ref psi) w det J: map the data, not the basis
     mapped = (g @ coeffs.A.T @ invJ.transpose(0, 2, 1)) * wdet[..., None]
@@ -97,7 +114,7 @@ def discrete_b_load(blocks: LocalBlocks, coefficients: np.ndarray) -> np.ndarray
         raise ValueError(f"trial coefficient vector must have shape ({n_dof},), "
                          f"got {coefficients.shape}")
     u_loc = gather(coefficients, blocks.cols)
-    return np.einsum("emc,ec->em", blocks.B_b, u_loc)
+    return np.einsum("emc,ec->em", blocks.B_b[blocks.cls], u_loc)
 
 
 def project(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
@@ -112,11 +129,13 @@ def project(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
 
 
 def _mixed_matrix(blocks: LocalBlocks, n_dof: int) -> sp.csc_matrix:
-    ne, nt, _ = blocks.chol.shape
+    cls = blocks.cls
+    ne, nt = len(cls), blocks.chol.shape[1]
     rows = np.arange(ne * nt).reshape(ne, nt)
-    G = scatter(blocks.chol @ blocks.chol.transpose(0, 2, 1), rows, rows, (ne * nt,) * 2, "csr")
-    Bb = scatter(blocks.B_b, rows, blocks.cols, (ne * nt, n_dof), "csr")
-    Ba = scatter(blocks.B_a, rows, blocks.cols, (ne * nt, n_dof), "csr")
+    G = scatter((blocks.chol @ blocks.chol.transpose(0, 2, 1))[cls], rows, rows,
+                (ne * nt,) * 2, "csr")
+    Bb = scatter(blocks.B_b[cls], rows, blocks.cols, (ne * nt, n_dof), "csr")
+    Ba = scatter(blocks.B_a[cls], rows, blocks.cols, (ne * nt, n_dof), "csr")
     return sp.bmat([[G, Bb], [Ba.T, None]], format="csc")
 
 

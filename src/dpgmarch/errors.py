@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .assembly import PdeCoefficients, _cholesky_blocks, _edge_tables, _forward_substitution, \
-    gather, gram_blocks, volume_quadrature
+    element_classes, gather, gram_blocks, volume_quadrature
 from .basis import lagrange_triangle, triangle_rule
 from .dofmap import DofMap
 from .mesh import Mesh
@@ -127,10 +127,12 @@ def _trace_residuals(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients, sigma_
 def trace_dual_error(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients, sigma_h,
                      grad_u) -> float:
     """Discrete dual-norm surrogate of || A grad u . n - sigma_h ||_{-1/2,k}:
-    the square root of sum_K r_K^T G_K^{-1} r_K = sum_K ||L_K^{-1} r_K||^2."""
+    the square root of sum_K r_K^T G_K^{-1} r_K = sum_K ||L_K^{-1} r_K||^2,
+    with L_K factored once per class of congruent elements."""
     r = _trace_residuals(mesh, dofmap, coeffs, sigma_h, grad_u)
-    y = _forward_substitution(_cholesky_blocks(gram_blocks(mesh, dofmap.p, coeffs)),
-                              r[:, :, None])
+    first, cls = element_classes(mesh)
+    chol = _cholesky_blocks(gram_blocks(mesh, dofmap.p, coeffs, first), first)
+    y = _forward_substitution(chol[cls], r[:, :, None])
     return float(np.sqrt(np.sum(y * y)))
 
 

@@ -97,7 +97,7 @@ def field_quadratic_forms(mesh, dofmap, A):
 
 def norm_in_test_space(blocks, v):
     """(V,k)-norm of an element-blocked test function, sqrt(sum_K v_K^T G_K v_K)."""
-    z = np.einsum("enm,en->em", blocks.chol, v)
+    z = np.einsum("enm,en->em", blocks.chol[blocks.cls], v)
     return float(np.sqrt(np.sum(z * z)))
 
 
@@ -108,8 +108,9 @@ def apply_trial_to_test(blocks, u):
     from dpgmarch.assembly import gather
 
     u_loc = gather(np.asarray(u, dtype=float), blocks.cols)
-    z = np.einsum("emn,enc,ec->em", blocks.chol_inv, blocks.B_a, u_loc)
-    return np.einsum("enm,en->em", blocks.chol_inv, z)
+    chol_inv = blocks.chol_inv[blocks.cls]
+    z = np.einsum("emn,enc,ec->em", chol_inv, blocks.B_a[blocks.cls], u_loc)
+    return np.einsum("enm,en->em", chol_inv, z)
 
 
 def embed_field_in_test(p):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dpgmarch import assembly
-from dpgmarch.assembly import (PdeCoefficients, _build_blocks, _cholesky_blocks, _source_rows,
-                               assemble_condensed, condense_load, gather, gram_blocks, scatter,
-                               volume_quadrature)
+from dpgmarch.assembly import (PdeCoefficients, _build_blocks, _cholesky_blocks, _source_loads,
+                               assemble_condensed, condense_load, element_classes, gather,
+                               gram_blocks, scatter, volume_quadrature)
 from dpgmarch.basis import lagrange_triangle, triangle_rule
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
@@ -66,7 +66,7 @@ def test_gram_constant_test_function():
     # so 1^T G 1 = |K| / k
     mesh = build_structured_mesh(2)
     coeffs = coeffs_with(k=0.25)
-    gram = gram_blocks(mesh, 0, coeffs)[3]
+    gram = gram_blocks(mesh, 0, coeffs, [3])[0]
     area = mesh.signed_areas()[3]
     ones = np.ones(gram.shape[0])
     assert ones @ gram @ ones == pytest.approx(area / coeffs.k, rel=1e-13)
@@ -76,7 +76,7 @@ def test_gram_matches_symbolic_on_reference_triangle():
     sympy = pytest.importorskip("sympy")
     x, y = sympy.symbols("x y")
     mesh = reference_triangle_mesh()
-    gram = gram_blocks(mesh, 0, coeffs_with(k=1.0, T_end=1.0))[0]
+    gram = gram_blocks(mesh, 0, coeffs_with(k=1.0, T_end=1.0), [0])[0]
 
     from dpgmarch.basis import triangle_nodes
     nodes = [(sympy.nsimplify(px), sympy.nsimplify(py)) for px, py in triangle_nodes(2)]
@@ -95,9 +95,9 @@ def test_gram_matches_symbolic_on_reference_triangle():
 
 def test_gram_linear_in_inverse_timestep():
     mesh = build_structured_mesh(2)
-    g1 = gram_blocks(mesh, 0, coeffs_with(k=1.0, T_end=1.0))[0]
-    g2 = gram_blocks(mesh, 0, coeffs_with(k=0.5, T_end=1.0))[0]
-    g4 = gram_blocks(mesh, 0, coeffs_with(k=0.25, T_end=1.0))[0]
+    g1 = gram_blocks(mesh, 0, coeffs_with(k=1.0, T_end=1.0), [0])[0]
+    g2 = gram_blocks(mesh, 0, coeffs_with(k=0.5, T_end=1.0), [0])[0]
+    g4 = gram_blocks(mesh, 0, coeffs_with(k=0.25, T_end=1.0), [0])[0]
     assert np.abs((g4 - g2) - 2.0 * (g2 - g1)).max() <= 1e-12 * np.abs(g4).max()
 
 
@@ -105,10 +105,10 @@ def test_gram_scaling_under_coordinate_scaling():
     # mass scales with s^2, the 2D stiffness is scale invariant
     s = 1.7
     k = 0.3
-    gram = gram_blocks(reference_triangle_mesh(), 0, coeffs_with(k=k, T_end=1.0))[0]
-    gram_big = gram_blocks(reference_triangle_mesh(1.0), 0, coeffs_with(k=1.0, T_end=1.0))[0]
+    gram = gram_blocks(reference_triangle_mesh(), 0, coeffs_with(k=k, T_end=1.0), [0])[0]
+    gram_big = gram_blocks(reference_triangle_mesh(1.0), 0, coeffs_with(k=1.0, T_end=1.0), [0])[0]
     mass = gram_big - local_gram_stiffness_part()
-    scaled = gram_blocks(reference_triangle_mesh(s), 0, coeffs_with(k=k, T_end=1.0))[0]
+    scaled = gram_blocks(reference_triangle_mesh(s), 0, coeffs_with(k=k, T_end=1.0), [0])[0]
     expected = (s**2 / k) * mass + (gram_big - mass)
     assert np.abs(scaled - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -116,8 +116,8 @@ def test_gram_scaling_under_coordinate_scaling():
 def local_gram_stiffness_part():
     # G(k) = M/k + K  =>  M = G(1/2) - G(1), K = G(1) - M
     mesh = reference_triangle_mesh()
-    g1 = gram_blocks(mesh, 0, coeffs_with(k=1.0, T_end=1.0))[0]
-    g_half = gram_blocks(mesh, 0, coeffs_with(k=0.5, T_end=1.0))[0]
+    g1 = gram_blocks(mesh, 0, coeffs_with(k=1.0, T_end=1.0), [0])[0]
+    g_half = gram_blocks(mesh, 0, coeffs_with(k=0.5, T_end=1.0), [0])[0]
     mass = g_half - g1
     return g1 - mass
 
@@ -127,7 +127,8 @@ def test_trial_to_test_pure_gradient_rows_vanish():
     # leaves only the gradient term, which vanishes
     mesh = build_structured_mesh(2)
     dofmap = build_dofmap(mesh, 0)
-    B = _build_blocks(mesh, dofmap, coeffs_with()).B_b[1]
+    blocks = _build_blocks(mesh, dofmap, coeffs_with())
+    B = blocks.B_b[blocks.cls[1]]
     ones = np.ones(B.shape[0])
     assert np.abs(ones @ B[:, :3]).max() <= 1e-13
 
@@ -137,7 +138,7 @@ def test_trial_to_test_form_difference_is_mass():
     dofmap = build_dofmap(mesh, 0)
     coeffs = coeffs_with(beta=[1.0, 0.5], gamma=1.0, k=0.2)
     blocks = _build_blocks(mesh, dofmap, coeffs)
-    Ba, Bb = blocks.B_a[2], blocks.B_b[2]
+    Ba, Bb = blocks.B_a[blocks.cls[2]], blocks.B_b[blocks.cls[2]]
     diff = Ba - Bb
     assert np.abs(diff[:, 3:]).max() == 0.0  # trace columns unchanged
 
@@ -157,9 +158,9 @@ def test_trace_columns_telescope_for_constant_flux():
     dofmap = build_dofmap(mesh, 0)
     normals = mesh.edge_normals()
     sigma0 = np.array([0.3, -1.2])
-    B_b = _build_blocks(mesh, dofmap, coeffs_with()).B_b
+    blocks = _build_blocks(mesh, dofmap, coeffs_with())
     for element in range(mesh.n_elements):
-        B = B_b[element]
+        B = blocks.B_b[blocks.cls[element]]
         local_edges = mesh.element_edges[element]
         sigma_loc = normals[local_edges] @ sigma0
         ones = np.ones(B.shape[0])
@@ -207,7 +208,7 @@ def test_factor_receives_S_permuted_by_its_order(n, p, monkeypatch):
     assert all(np.shares_memory(a, b) and np.array_equal(a, b)
                for a, b in zip((M.data, M.indices, M.indptr), (S.data, S.indices, S.indptr)))
     blocks = _build_blocks(mesh, dofmap, coeffs)
-    R = block_rows(blocks.chol_inv @ blocks.B_a, blocks.cols, dofmap.n_dof)
+    R = block_rows((blocks.chol_inv @ blocks.B_a)[blocks.cls], blocks.cols, dofmap.n_dof)
     oracle = (R.T @ R).tocsr()
     assert sorted(rank) == list(range(dofmap.n_dof))
     assert abs(S[rank][:, rank] - oracle).max() <= 1e-14 * abs(oracle).max()
@@ -307,7 +308,7 @@ def test_trace_annihilation(adr_coeffs):
     w[:dofmap.n_field] = rng.standard_normal(dofmap.n_field)
     w_loc = gather(w, dofmap.element_field_dofs)
     w_test = np.einsum("ej,jm->em", w_loc, embed_field_in_test(0))
-    trace_block = blocks.B_b[:, :, w_loc.shape[1]:]
+    trace_block = blocks.B_b[blocks.cls][:, :, w_loc.shape[1]:]
     sigma_loc = sigma[dofmap.element_trace_dofs]
     pairing = -np.einsum("emr,er,em->", trace_block, sigma_loc, w_test)
     scale = np.abs(sigma).max() * np.abs(w).max() * mesh.n_elements
@@ -343,13 +344,10 @@ def test_source_space_must_return_one_row_per_term():
 
 
 def test_local_load_constant_source():
-    # g = 1 against the constant test function gives the element area; the
-    # condensed source rows are L^{-1} l, so l = L sources
+    # g = 1 against the constant test function gives the element area
     mesh = build_structured_mesh(2)
-    dofmap = build_dofmap(mesh, 0)
-    blocks = _build_blocks(mesh, dofmap, coeffs_with())
-    sources = _source_rows(mesh, 0, blocks.chol_inv, _constant_source(1.0))
-    loads = blocks.chol @ sources.reshape(mesh.n_elements, -1, 1)
+    loads = _source_loads(mesh, 0, _constant_source(1.0))
+    assert loads.shape == (mesh.n_elements, 6, 1)
     loads = loads[:, :, 0]
     areas = mesh.signed_areas()
     assert np.abs(loads.sum(axis=1) - areas).max() <= 1e-14
@@ -396,20 +394,18 @@ def test_volume_quadrature_repeats_the_same_arrays():
     assert all(a is b for a, b in zip(first, again))
     other_degree = volume_quadrature(mesh, 6)
     assert other_degree[1].shape[1] != first[1].shape[1]
-    # the march's source rows read the cached copy: the source is sampled at
+    # the march's source loads read the cached copy: the source is sampled at
     # its points and integrated with its weights
-    dofmap = build_dofmap(mesh, 0)
     sampled = []
 
     def source_space(x, y):
         sampled.append(x)
         return np.stack([x, x * y])
 
-    chol_inv = _build_blocks(mesh, dofmap, coeffs_with()).chol_inv
-    sources = _source_rows(mesh, 0, chol_inv, source_space)
+    sources = _source_loads(mesh, 0, source_space)
     test_values = lagrange_triangle(2, first[0].points).values
     assert len(sampled) == 1 and sampled[0].base is first[1]
-    expected = np.einsum("emn,nq,eq,seq->sem", chol_inv, test_values, first[2],
+    expected = np.einsum("nq,eq,seq->sen", test_values, first[2],
                          source_space(first[1][..., 0], first[1][..., 1]))
     assert np.abs(sources - expected.transpose(1, 2, 0)).max() <= 1e-14 * np.abs(expected).max()
 
@@ -504,16 +500,23 @@ def _relative_deviation(got, want):
 
 @pytest.mark.parametrize("p", [0, 1])
 def test_tensor_blocks_match_quadrature(p):
-    mesh = perturbed_mesh(4, seed=7)
+    # the perturbed mesh has one class per element, the structured one 50
+    # classes among 288 elements: every element reads its blocks through cls
     coeffs = coeffs_with(**ANISO)
-    gram, mass, B_field = quadrature_blocks(mesh, p, coeffs)
-    blocks = _build_blocks(mesh, build_dofmap(mesh, p), coeffs)
-    nfl = mass.shape[2]
-    assert _relative_deviation(gram_blocks(mesh, p, coeffs), gram) <= 1e-13
-    assert _relative_deviation(blocks.chol @ blocks.chol.transpose(0, 2, 1), gram) <= 1e-13
-    assert _relative_deviation(blocks.mass_field, mass) <= 1e-13
-    assert _relative_deviation(blocks.B_b[:, :, :nfl], B_field) <= 1e-13
-    assert _relative_deviation(blocks.B_a[:, :, :nfl], B_field + mass / coeffs.k) <= 1e-13
+    for mesh, n_classes in ((perturbed_mesh(4, seed=7), 32), (build_structured_mesh(12), 50)):
+        gram, mass, B_field = quadrature_blocks(mesh, p, coeffs)
+        blocks = _build_blocks(mesh, build_dofmap(mesh, p), coeffs)
+        cls = blocks.cls
+        assert len(blocks.chol) == n_classes
+        nfl = mass.shape[2]
+        every = np.arange(mesh.n_elements)
+        assert _relative_deviation(gram_blocks(mesh, p, coeffs, every), gram) <= 1e-13
+        assert _relative_deviation((blocks.chol @ blocks.chol.transpose(0, 2, 1))[cls],
+                                   gram) <= 1e-13
+        assert _relative_deviation(blocks.mass_field[cls], mass) <= 1e-13
+        assert _relative_deviation(blocks.B_b[cls][:, :, :nfl], B_field) <= 1e-13
+        assert _relative_deviation(blocks.B_a[cls][:, :, :nfl],
+                                   B_field + mass / coeffs.k) <= 1e-13
 
 
 @pytest.mark.parametrize("p", [0, 1])
@@ -527,7 +530,98 @@ def test_build_blocks_evaluates_the_element_weights_once(p, monkeypatch):
     blocks = _build_blocks(mesh, build_dofmap(mesh, p), coeffs)
     assert len(calls) == 1
     # the Gram blocks inside the build are bit for bit those of gram_blocks
-    assert np.array_equal(blocks.chol, np.linalg.cholesky(gram_blocks(mesh, p, coeffs)))
+    first, _ = element_classes(mesh)
+    assert np.array_equal(blocks.chol, np.linalg.cholesky(gram_blocks(mesh, p, coeffs, first)))
+
+
+def _class_keys(mesh):
+    """J, edge signs and edge lengths of every element as raw bits, (ne, 10),
+    computed apart from element_classes."""
+    v = mesh.vertices[mesh.elements]
+    J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2).reshape(-1, 4)
+    lengths = np.linalg.norm(mesh.edge_vectors(), axis=1)[mesh.element_edges]
+    return np.hstack([J.view(np.int64), mesh.element_edge_signs, lengths.view(np.int64)])
+
+
+def _two_triangles(vertices, elements):
+    return element_classes(mesh_from_arrays(vertices, elements))
+
+
+def test_translated_copies_share_a_class():
+    triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.25, 0.75]])
+    first, cls = _two_triangles(np.vstack([triangle, triangle + [2.0, 0.5]]),
+                                [[0, 1, 2], [3, 4, 5]])
+    assert list(first) == [0] and list(cls) == [0, 0]
+
+
+def test_a_flipped_edge_orientation_separates_classes():
+    # the same triangle twice; renumbering the copy's last two vertices flips
+    # the global orientation of its local edge 1 and leaves J as it is
+    triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.25, 0.75]])
+    copy = triangle + [2.0, 0.5]
+    vertices = np.vstack([triangle, copy[[0, 2, 1]]])
+    mesh = mesh_from_arrays(vertices, [[0, 1, 2], [3, 5, 4]])
+    keys = _class_keys(mesh)
+    assert np.array_equal(keys[0, :4], keys[1, :4])
+    assert list(mesh.element_edge_signs[:, 1]) == [1, -1]
+    first, cls = element_classes(mesh)
+    assert list(first) == [0, 1] and list(cls) == [0, 1]
+
+
+def test_a_different_edge_length_separates_classes():
+    # a translated copy whose J and edge signs agree bit for bit while the
+    # length of its third edge, v2 - v1 taken from the translated vertices,
+    # rounds apart
+    triangle = np.array([[0.0, 0.0], [0.1, 0.2], [0.05, 0.3]])
+    mesh = mesh_from_arrays(np.vstack([triangle, triangle + [0.027, 0.02]]),
+                            [[0, 1, 2], [3, 4, 5]])
+    keys = _class_keys(mesh)
+    assert np.array_equal(keys[0, :7], keys[1, :7])
+    assert np.sum(keys[0, 7:] != keys[1, 7:]) == 1
+    first, cls = element_classes(mesh)
+    assert list(first) == [0, 1] and list(cls) == [0, 1]
+
+
+def test_class_counts_of_structured_and_perturbed_meshes():
+    first, cls = element_classes(build_structured_mesh(16))
+    assert len(first) == 2 and np.bincount(cls).tolist() == [256, 256]
+    mesh = perturbed_mesh(4, seed=7)
+    first, cls = element_classes(mesh)
+    assert np.array_equal(first, np.arange(mesh.n_elements))
+    assert np.array_equal(cls, np.arange(mesh.n_elements))
+
+
+@pytest.mark.parametrize("n", [12, 24, 48])
+def test_every_element_has_the_key_of_its_class(n):
+    mesh = build_structured_mesh(n)
+    first, cls = element_classes(mesh)
+    keys = _class_keys(mesh)
+    assert np.array_equal(keys, keys[first][cls])
+    # first[c] is the lowest element of class c, and the classes are numbered
+    # in the order of their first elements
+    assert np.array_equal(cls[first], np.arange(len(first)))
+    assert np.all(first[cls] <= np.arange(mesh.n_elements))
+    assert np.all(np.diff(first) > 0)
+    # distinct classes have distinct keys
+    assert len(np.unique(keys[first], axis=0)) == len(first)
+
+
+@pytest.mark.parametrize("failure", ["indefinite", "nan"])
+def test_a_failing_gram_block_names_the_first_element_of_its_class(failure, monkeypatch):
+    mesh = build_structured_mesh(12)
+    first, cls = element_classes(mesh)
+    bad = 7
+    assert first[bad] > bad  # the class index is not the element index
+    gram = assembly._gram
+
+    def broken(*args):
+        blocks = gram(*args)
+        blocks[bad] = -np.eye(blocks.shape[1]) if failure == "indefinite" else np.nan
+        return blocks
+
+    monkeypatch.setattr(assembly, "_gram", broken)
+    with pytest.raises(SolverError, match=f"element {first[bad]} "):
+        _build_blocks(mesh, build_dofmap(mesh, 0), coeffs_with())
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -544,14 +638,15 @@ def test_tensor_gram_matches_quadrature_on_random_triangles(coords, p, k):
     mesh = mesh_from_arrays(v, [[0, 1, 2]])
     coeffs = coeffs_with(A=ANISO["A"], k=k, T_end=1.0)
     gram, _, _ = quadrature_blocks(mesh, p, coeffs)
-    assert _relative_deviation(gram_blocks(mesh, p, coeffs), gram) <= 1e-12
+    assert _relative_deviation(gram_blocks(mesh, p, coeffs, [0]), gram) <= 1e-12
 
 
 def test_cholesky_blocks_reject_nan_gram_data():
+    # the message names the element of the block, not its position
     gram = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
     gram[2, 1, 1] = np.nan
-    with pytest.raises(SolverError, match="element 2 is not finite"):
-        _cholesky_blocks(gram)
+    with pytest.raises(SolverError, match="element 5 is not finite"):
+        _cholesky_blocks(gram, np.array([0, 3, 5, 8]))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -574,7 +669,7 @@ def test_non_finite_jacobian_raises_solver_error(bad):
     vertices[4] = bad
     broken = dataclasses.replace(mesh, vertices=vertices)
     with pytest.raises(SolverError, match="Jacobian"):
-        gram_blocks(broken, 0, coeffs_with())
+        gram_blocks(broken, 0, coeffs_with(), np.arange(broken.n_elements))
 
 
 def test_block_assembly_peak_memory_stays_near_its_output():

@@ -14,7 +14,7 @@ from conftest import refine_uniform
 def _test_space_dimension(mesh, p):
     """Side of the element Gram blocks: the broken test space per element."""
     coeffs = PdeCoefficients(A=np.eye(2), beta=np.zeros(2), gamma=0.0, k=0.1, T_end=1.0)
-    ne, nt, _ = gram_blocks(mesh, p, coeffs).shape
+    ne, nt, _ = gram_blocks(mesh, p, coeffs, np.arange(mesh.n_elements)).shape
     assert ne == mesh.n_elements
     return nt
 

@@ -263,12 +263,14 @@ def test_reference_gradient_contractions_match_quadrature(p):
 
 def test_projection_system_is_N_in_csc_and_the_element_blocks():
     # N is scattered straight into canonical CSC, the format the LU reads;
-    # no block rows are kept for the load
+    # no block rows are kept for the load, only E_a^T per class
     coeffs, _ = _adr_exact()
     mesh = build_structured_mesh(4)
     system = build_projection_system(mesh, build_dofmap(mesh, 1), coeffs)
-    assert vars(system).keys() == {"N", "blocks"}
+    assert vars(system).keys() == {"N", "blocks", "Et"}
     assert system.N.format == "csc" and system.N.has_canonical_format
+    n_classes, nt, nc = system.blocks.B_a.shape
+    assert system.Et.shape == (n_classes, nc, nt) and n_classes == 2
 
 
 def test_a_projection_level_tabulates_no_edge_basis(monkeypatch):
@@ -280,9 +282,10 @@ def test_a_projection_level_tabulates_no_edge_basis(monkeypatch):
     case = make_case("aniso", 0.1, 1.0)
     exact = SpatialFields(*case.spatial_u(0.0))
     calls = []
-    for name in ("lagrange_triangle", "lagrange_edge"):
-        tabulate = getattr(assembly, name)
-        monkeypatch.setattr(assembly, name,
+    for module, name in ((assembly, "lagrange_triangle"), (assembly, "lagrange_edge"),
+                         (elliptic, "lagrange_triangle")):
+        tabulate = getattr(module, name)
+        monkeypatch.setattr(module, name,
                             lambda *args, tabulate=tabulate: calls.append(args) or tabulate(*args))
     for n in (3, 4):
         mesh = build_structured_mesh(n)

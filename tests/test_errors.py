@@ -211,7 +211,8 @@ def test_field_norms_match_assembled_quadratic_forms(p):
     assert (cols < 0).any(axis=1).sum() > 0  # boundary elements with eliminated slots
     ref = _reference_tensors(p + 1, p + 1)
     W, detJ, _ = _element_weights(mesh, PdeCoefficients(A=np.eye(2), beta=np.zeros(2),
-                                                        gamma=0.0, k=1.0, T_end=1.0))
+                                                        gamma=0.0, k=1.0, T_end=1.0),
+                                  np.arange(mesh.n_elements))
     shape = (dofmap.n_field, dofmap.n_field)
     mass = scatter(detJ[:, None, None] * ref[4], cols, cols, shape, "csr")
     stiff = scatter(np.einsum("ea,amj->emj", W, ref[:4]), cols, cols, shape, "csr")
@@ -250,7 +251,7 @@ def test_trace_dual_error_matches_a_gram_solve(p):
     _, grad_u = case.spatial_u(0.2)
     sigma = np.random.default_rng(p).standard_normal(dofmap.n_trace)
     r = _trace_residuals(mesh, dofmap, case.coeffs, sigma, grad_u)
-    gram = gram_blocks(mesh, p, case.coeffs)
+    gram = gram_blocks(mesh, p, case.coeffs, np.arange(mesh.n_elements))
     expected = np.sqrt(np.sum(r * np.linalg.solve(gram, r[:, :, None])[:, :, 0]))
     got = trace_dual_error(mesh, dofmap, case.coeffs, sigma, grad_u)
     assert abs(got - expected) <= 1e-13 * expected

@@ -224,11 +224,12 @@ def test_march_load_matches_the_pointwise_source(case_id, monkeypatch):
         k = 0.05
         case = make_case(case_id, k, 4 * k)
         blocks = _build_blocks(mesh, dofmap, case.coeffs)
-        R = block_rows(blocks.chol_inv @ blocks.B_a, blocks.cols, dofmap.n_dof)
-        W_w = block_rows(blocks.chol_inv @ blocks.mass_field / k, dofmap.element_field_dofs,
-                         dofmap.n_field)
+        chol_inv = blocks.chol_inv[blocks.cls]
+        R = block_rows(chol_inv @ blocks.B_a[blocks.cls], blocks.cols, dofmap.n_dof)
+        W_w = block_rows(chol_inv @ blocks.mass_field[blocks.cls] / k,
+                         dofmap.element_field_dofs, dofmap.n_field)
         rule, points, wdet, _ = volume_quadrature(mesh, 2 * (p + 2))
-        W_f = np.einsum("emn,nq,eq->emq", blocks.chol_inv,
+        W_f = np.einsum("emn,nq,eq->emq", chol_inv,
                         lagrange_triangle(p + 2, rule.points).values, wdet)
         loads = []
 
