@@ -46,9 +46,9 @@ These weights, and with them every block, depend on the element only
 through J, the signs of its edges and their lengths.  `element_classes`
 groups the elements that are translates of each other, bit for bit, with
 equally oriented edges; the blocks are built once per class, for its first
-element, and element e reads those of class cls[e].  A structured mesh has a handful of classes
-(2 when the grid spacing is a power of two), a perturbed one one class per
-element.  The element products of a condensation are formed per class too,
+element, and element e reads those of class cls[e].  A structured n-by-n
+mesh has 2 classes when n is a power of two and 50-98 at n = 12, 24, 48; a
+perturbed mesh has one class per element.  The element products of a condensation are formed per class too,
 and taken to the elements, in element order, only by a scatter or by an
 element load, so S, C and F are bitwise those of a per-element build.
 """
