@@ -21,7 +21,7 @@ from dpgmarch.mesh import build_structured_mesh, mesh_from_arrays
 
 from conftest import (apply_trial_to_test, block_rows, embed_field_in_test, evaluate_field,
                       field_quadratic_forms, integrate_on_reference_triangle, no_source,
-                      perturbed_mesh)
+                      perturbed_mesh, refine_uniform)
 
 
 def reference_triangle_mesh(scale=1.0):
@@ -591,9 +591,14 @@ def test_class_counts_of_structured_and_perturbed_meshes():
     assert np.array_equal(cls, np.arange(mesh.n_elements))
 
 
-@pytest.mark.parametrize("n", [12, 24, 48])
-def test_every_element_has_the_key_of_its_class(n):
-    mesh = build_structured_mesh(n)
+@pytest.mark.parametrize("mesh", [build_structured_mesh(12), build_structured_mesh(24),
+                                  build_structured_mesh(48),
+                                  refine_uniform(build_structured_mesh(4))],
+                         ids=["structured-12", "structured-24", "structured-48",
+                              "refined-4"])
+def test_every_element_has_the_key_of_its_class(mesh):
+    # the refined mesh numbers its vertices apart from the grid order (7
+    # classes among 128 elements)
     first, cls = element_classes(mesh)
     keys = _class_keys(mesh)
     assert np.array_equal(keys, keys[first][cls])
