@@ -8,10 +8,10 @@ from .cases import CASE_IDS, PdeCase, make_case
 from .dofmap import DofMap, build_dofmap
 from .elliptic import project, project_mixed
 from .errors import ErrorReport, SpatialFields, eoc, field_error, trace_dual_error
-from .galerkin import galerkin_march
+from .galerkin import galerkin_march, galerkin_states
 from .linalg import SolverError, cg_solve, lu_solve
 from .mesh import Mesh, build_structured_mesh, mesh_from_arrays
-from .timestep import MarchState, TrialVector, initial_field, march, step
+from .timestep import MarchState, TrialVector, initial_field, march, states, step
 
 __all__ = [
     "CASE_IDS", "CondensedSystem", "DofMap", "ErrorReport", "MarchState", "Mesh",
@@ -19,8 +19,8 @@ __all__ = [
     "SpatialFields", "TrialVector", "assemble_condensed", "build_dofmap",
     "build_structured_mesh", "cg_solve",
     "condense_load", "edge_rule", "eoc", "field_error",
-    "galerkin_march", "initial_field", "lagrange_edge", "lagrange_triangle",
+    "galerkin_march", "galerkin_states", "initial_field", "lagrange_edge", "lagrange_triangle",
     "lu_solve", "make_case", "march",
-    "mesh_from_arrays", "project", "project_mixed", "step",
+    "mesh_from_arrays", "project", "project_mixed", "states", "step",
     "trace_dual_error", "triangle_rule",
 ]

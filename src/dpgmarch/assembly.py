@@ -63,7 +63,8 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import TRIANGLE_VERTICES, edge_rule, lagrange_edge, lagrange_triangle, triangle_rule
+from .basis import TRIANGLE_VERTICES, edge_rule, lagrange_edge, lagrange_triangle, triangle_rule, \
+    triangle_table
 from .dofmap import DofMap
 from .linalg import SolverError, factor_spd, nested_dissection
 from .mesh import Mesh
@@ -247,9 +248,10 @@ def _reference_tensors(test_degree: int, trial_degree: int) -> np.ndarray:
     """Reference-triangle integrals of the test basis psi_m against the trial
     basis phi_j, stacked (7, nt, n) as K^{xx}, K^{xy}, K^{yx}, K^{yy}, M, C^x,
     C^y (see the module docstring).  Read-only and shared by every caller."""
-    rule = triangle_rule(test_degree + trial_degree)
-    test = lagrange_triangle(test_degree, rule.points)
-    trial = lagrange_triangle(trial_degree, rule.points)
+    degree = test_degree + trial_degree
+    rule = triangle_rule(degree)
+    test = triangle_table(test_degree, degree)
+    trial = triangle_table(trial_degree, degree)
     w = rule.weights
     stiffness = np.einsum("mqa,jqb,q->abmj", test.gradients, trial.gradients, w)
     mass = np.einsum("mq,jq,q->mj", test.values, trial.values, w)
@@ -404,12 +406,13 @@ def scatter_load(values: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
 def _source_loads(mesh: Mesh, p: int, source_space) -> np.ndarray:
     """Element loads (g_s, psi)_K of the spatial source terms
     g_s = source_space(x, y)[s], stacked (ne, nt, m)."""
-    rule, points, wdet, _ = volume_quadrature(mesh, 2 * (p + 2))
+    rule_degree = 2 * (p + 2)
+    _, points, wdet, _ = volume_quadrature(mesh, rule_degree)
     values = np.asarray(source_space(points[..., 0], points[..., 1]), dtype=float)
     if values.ndim != 3 or values.shape[1:] != wdet.shape:
         raise ValueError(f"source_space must return shape (m, {wdet.shape[0]}, "
                          f"{wdet.shape[1]}) at the quadrature points, got {values.shape}")
-    loads = (values * wdet) @ lagrange_triangle(p + 2, rule.points).values.T
+    loads = (values * wdet) @ triangle_table(p + 2, rule_degree).values.T
     return loads.transpose(1, 2, 0)
 
 

@@ -93,6 +93,16 @@ def lagrange_triangle(degree: int, points) -> ShapeTable:
     return ShapeTable(degree=degree, points=points, values=values, gradients=gradients)
 
 
+@lru_cache(maxsize=None)
+def triangle_table(degree: int, rule_degree: int) -> ShapeTable:
+    """Degree `degree` basis at the points of triangle_rule(rule_degree):
+    read-only and shared by every caller."""
+    table = lagrange_triangle(degree, triangle_rule(rule_degree).points)
+    for array in (table.values, table.gradients):
+        array.flags.writeable = False
+    return table
+
+
 def edge_nodes(degree: int) -> np.ndarray:
     if degree not in _EDGE_DEGREES:
         raise ValueError(f"unsupported edge degree {degree}; supported: {_EDGE_DEGREES}")

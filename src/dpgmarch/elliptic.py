@@ -32,14 +32,13 @@ policy as the march they accompany.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from .assembly import LocalBlocks, PdeCoefficients, _build_blocks, gather, scatter, \
     scatter_load, volume_quadrature
-from .basis import lagrange_triangle, triangle_rule
+from .basis import triangle_table
 from .dofmap import DofMap
 from .errors import SpatialFields, _trace_residuals
 from .linalg import lu_solve
@@ -74,23 +73,13 @@ def condense_element_loads(system: ProjectionSystem, loads: np.ndarray) -> np.nd
     return scatter_load(loads, blocks.cols, system.N.shape[0])[:, 0]
 
 
-@lru_cache(maxsize=None)
-def _test_table(p: int, rule_degree: int):
-    """Degree p+2 test basis at the triangle rule of the given degree:
-    read-only, one per (p, rule)."""
-    table = lagrange_triangle(p + 2, triangle_rule(rule_degree).points)
-    for array in (table.values, table.gradients):
-        array.flags.writeable = False
-    return table
-
-
 def exact_b_load(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
                  exact: SpatialFields) -> np.ndarray:
     """Element test loads l_b[m] = b((u, A grad u . n), psi_m) for exact data."""
     p = dofmap.p
     rule_degree = 2 * (p + 2) + 2
     _, qp, wdet, invJ = volume_quadrature(mesh, rule_degree)
-    table = _test_table(p, rule_degree)
+    table = triangle_table(p + 2, rule_degree)
     g = np.moveaxis(np.asarray(exact.grad_u(qp[..., 0], qp[..., 1])), 0, -1)
     # (A grad u, J^{-T} grad_ref psi) w det J: map the data, not the basis
     mapped = (g @ coeffs.A.T @ invJ.transpose(0, 2, 1)) * wdet[..., None]

@@ -13,13 +13,12 @@ a lower bound of the continuous dual norm (the sup runs over a subspace).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .assembly import PdeCoefficients, _cholesky_blocks, _edge_tables, _forward_substitution, \
     element_classes, gather, gram_blocks, volume_quadrature
-from .basis import lagrange_triangle, triangle_rule
+from .basis import triangle_table
 from .dofmap import DofMap
 from .mesh import Mesh
 
@@ -63,15 +62,6 @@ def _norm_rule_degree(p: int) -> int:
     return 2 * (p + 2) + 2
 
 
-@lru_cache(maxsize=None)
-def _field_table(p: int):
-    """Degree p+1 basis at the norm rule of order p: read-only, one per p."""
-    table = lagrange_triangle(p + 1, triangle_rule(_norm_rule_degree(p)).points)
-    for array in (table.values, table.gradients):
-        array.flags.writeable = False
-    return table
-
-
 def field_error(mesh: Mesh, dofmap: DofMap, coeffs_vector, exact: SpatialFields,
                 mode: str = "L2") -> float:
     """L2 or H1-seminorm distance between the discrete field and exact data."""
@@ -81,8 +71,9 @@ def field_error(mesh: Mesh, dofmap: DofMap, coeffs_vector, exact: SpatialFields,
     if coeffs_vector.shape != (dofmap.n_field,):
         raise ValueError(f"field coefficient vector must have shape ({dofmap.n_field},), "
                          f"got {coeffs_vector.shape}")
-    _, qp, wdet, invJ = volume_quadrature(mesh, _norm_rule_degree(dofmap.p))
-    table = _field_table(dofmap.p)
+    rule_degree = _norm_rule_degree(dofmap.p)
+    _, qp, wdet, invJ = volume_quadrature(mesh, rule_degree)
+    table = triangle_table(dofmap.p + 1, rule_degree)
     u_loc = gather(coeffs_vector, dofmap.element_field_dofs)
 
     if mode == "L2":

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import PdeCoefficients, volume_quadrature
-from .basis import lagrange_triangle
+from .basis import triangle_table
 from .dofmap import DofMap
 from .mesh import Mesh
 from .timestep import initial_field, n_steps
@@ -44,8 +44,9 @@ def build_galerkin_system(mesh: Mesh, dofmap: DofMap, k: float) -> GalerkinSyste
     p = dofmap.p
     # load/mass quadrature exactness matches the DPG assembly so the heat-case
     # identity holds to solver tolerance even for non-polynomial sources
-    rule, _, wdet, invJ = volume_quadrature(mesh, 2 * (p + 2))
-    table = lagrange_triangle(p + 1, rule.points)
+    rule_degree = 2 * (p + 2)
+    _, _, wdet, invJ = volume_quadrature(mesh, rule_degree)
+    table = triangle_table(p + 1, rule_degree)
     grads = _physical_gradients(invJ, table)
 
     m_loc = np.einsum("iq,jq,eq->eij", table.values, table.values, wdet)
@@ -63,8 +64,9 @@ def build_galerkin_system(mesh: Mesh, dofmap: DofMap, k: float) -> GalerkinSyste
 
 
 def _source_load(mesh: Mesh, dofmap: DofMap, g) -> np.ndarray:
-    rule, qp, wdet, _ = volume_quadrature(mesh, 2 * (dofmap.p + 2))
-    table = lagrange_triangle(dofmap.p + 1, rule.points)
+    rule_degree = 2 * (dofmap.p + 2)
+    _, qp, wdet, _ = volume_quadrature(mesh, rule_degree)
+    table = triangle_table(dofmap.p + 1, rule_degree)
     loc = np.einsum("jq,eq->ej", table.values, wdet * g(qp[..., 0], qp[..., 1]))
     out = np.zeros(dofmap.n_field)
     mask = dofmap.element_field_dofs >= 0
@@ -72,13 +74,13 @@ def _source_load(mesh: Mesh, dofmap: DofMap, g) -> np.ndarray:
     return out
 
 
-def galerkin_march(mesh: Mesh, dofmap: DofMap, k: float, T_end: float, f, u0,
-                   coeffs: PdeCoefficients | None = None, keep_history: bool = False):
-    """Backward Euler heat march (M/k + K) u^n = (f^n, .) + (M/k) u^{n-1}.
+def galerkin_states(mesh: Mesh, dofmap: DofMap, k: float, T_end: float, f, u0,
+                    coeffs: PdeCoefficients | None = None):
+    """Yield the field of each step of the backward Euler heat march
+    (M/k + K) u^n = (f^n, .) + (M/k) u^{n-1}, from the interpolated u^0 to T_end.
 
     Rejects coefficients other than the heat equation when `coeffs` is given;
-    f takes (t, x, y) and u0 takes (x, y).
-    """
+    f takes (t, x, y) and u0 takes (x, y)."""
     if coeffs is not None and not coeffs.is_heat():
         raise ValueError("the Galerkin oracle is only valid for the heat equation "
                          "(A = I, beta = 0, gamma = 0)")
@@ -86,14 +88,18 @@ def galerkin_march(mesh: Mesh, dofmap: DofMap, k: float, T_end: float, f, u0,
     system = build_galerkin_system(mesh, dofmap, k)
     solver = spla.splu(system.step_matrix().tocsc())
     u = initial_field(u0, dofmap, mesh).field
-    history = [u.copy()] if keep_history else None
+    yield u
     for n in range(1, count + 1):
         t_n = n * k
         rhs = _source_load(mesh, dofmap, lambda x, y, t=t_n: f(t, x, y))
         rhs += (system.mass @ u) / k
         u = solver.solve(rhs)
-        if keep_history:
-            history.append(u.copy())
-    if keep_history:
-        return u, history
+        yield u
+
+
+def galerkin_march(mesh: Mesh, dofmap: DofMap, k: float, T_end: float, f, u0,
+                   coeffs: PdeCoefficients | None = None) -> np.ndarray:
+    """The field at T_end of `galerkin_states`."""
+    for u in galerkin_states(mesh, dofmap, k, T_end, f, u0, coeffs):
+        pass
     return u

@@ -74,10 +74,15 @@ class Mesh:
         return np.column_stack((t[:, 1], -t[:, 0]))
 
     def signed_areas(self) -> np.ndarray:
-        v = self.vertices[self.elements]
-        d1 = v[:, 1] - v[:, 0]
-        d2 = v[:, 2] - v[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return _signed_areas(self.vertices[self.elements])
+
+
+def _signed_areas(corners: np.ndarray) -> np.ndarray:
+    """Signed areas of triangles with corners (ne, 3, 2), positive when
+    counterclockwise."""
+    d1 = corners[:, 1] - corners[:, 0]
+    d2 = corners[:, 2] - corners[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 def mesh_from_arrays(vertices, elements) -> Mesh:
@@ -98,9 +103,7 @@ def mesh_from_arrays(vertices, elements) -> Mesh:
     if elements.size and (elements.min() < 0 or elements.max() >= n_vertices):
         raise ValueError(f"element vertex indices must lie in [0, {n_vertices})")
 
-    v = vertices[elements]
-    areas = 0.5 * ((v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
-                   - (v[:, 1, 1] - v[:, 0, 1]) * (v[:, 2, 0] - v[:, 0, 0]))
+    areas = _signed_areas(vertices[elements])
     if np.any(areas <= 0.0):
         bad = int(np.argmin(areas))
         raise ValueError(f"element {bad} is degenerate or clockwise (signed area {areas[bad]:.3e})")

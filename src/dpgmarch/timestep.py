@@ -17,8 +17,7 @@ error analysis, so the initial-error terms do not pollute measured rates.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,8 +52,7 @@ class MarchState:
     step_index: int
     time: float
     current: TrialVector
-    # optional diagnostics: field L2 norms of the states recorded so far
-    l2_history: tuple = ()
+    l2: float | None = None  # field L2 norm of `current`, set by `states`
 
 
 def initial_field(u0, dofmap: DofMap, mesh: Mesh) -> TrialVector:
@@ -94,29 +92,21 @@ def n_steps(k: float, T_end: float) -> int:
     return count
 
 
-def march(case: PdeCase, mesh: Mesh, dofmap: DofMap, keep_history: bool = False):
-    """March from the interpolated initial state to T_end.
-
-    Returns the final MarchState, or (final, history) with all states
-    including the initial one when keep_history is set.
-    """
+def states(case: PdeCase, mesh: Mesh, dofmap: DofMap):
+    """Yield the interpolated initial state, then the state of each backward
+    Euler step up to T_end, each with its field L2 norm."""
     coeffs = case.coeffs
     count = n_steps(coeffs.k, coeffs.T_end)
     system = assemble_condensed(mesh, dofmap, coeffs, case.source_space)
+    state = MarchState(step_index=0, time=0.0, current=initial_field(case.u0, dofmap, mesh))
+    for n in range(count + 1):
+        if n:
+            state = step(system, state, case.source_time(n * coeffs.k))
+        yield replace(state, l2=field_error(mesh, dofmap, state.current.field, ZERO_FIELDS, "L2"))
 
-    def field_l2(vector):
-        return field_error(mesh, dofmap, vector.field, ZERO_FIELDS, "L2")
 
-    state = MarchState(step_index=0, time=0.0,
-                       current=initial_field(case.u0, dofmap, mesh))
-    states = deque([state], maxlen=None if keep_history else 1)
-    norms = [field_l2(state.current)]
-    for n in range(1, count + 1):
-        state = step(system, state, case.source_time(n * coeffs.k))
-        norms.append(field_l2(state.current))
-        states.append(state)
-    # states holds the returned states only, and the norms go onto these
-    # alone, so a march stays linear in its step count
-    history = [MarchState(s.step_index, s.time, s.current, tuple(norms[:s.step_index + 1]))
-               for s in states]
-    return (history[-1], history) if keep_history else history[-1]
+def march(case: PdeCase, mesh: Mesh, dofmap: DofMap) -> MarchState:
+    """March from the interpolated initial state to T_end; the final state."""
+    for state in states(case, mesh, dofmap):
+        pass
+    return state

@@ -18,7 +18,7 @@ from dpgmarch.errors import SpatialFields, eoc, field_error, trace_dual_error
 from dpgmarch.galerkin import galerkin_march
 from dpgmarch.linalg import lu_solve
 from dpgmarch.mesh import build_structured_mesh
-from dpgmarch.timestep import march
+from dpgmarch.timestep import march, states
 
 from conftest import (b_orthogonality_residual, field_quadratic_forms, function_l2_norm,
                       no_source)
@@ -90,7 +90,7 @@ def test_criterion_3_stability_bound():
     dofmap = build_dofmap(mesh, 0)
     k = 0.05
     case = make_case("adr-decay", k, 1.0)  # 20 steps
-    _, history = march(case, mesh, dofmap, keep_history=True)
+    history = list(states(case, mesh, dofmap))
     bound = field_error(mesh, dofmap, history[0].current.field, ZERO, "L2")
     worst = -np.inf
     for n in range(1, 21):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from dpgmarch import errors
 from dpgmarch.assembly import PdeCoefficients, _element_weights, _reference_tensors, scatter
-from dpgmarch.basis import edge_rule, lagrange_edge
+from dpgmarch.basis import edge_rule, lagrange_edge, triangle_table
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
 from dpgmarch.errors import ZERO_FIELDS, SpatialFields, eoc, field_error, trace_dual_error
@@ -178,24 +177,17 @@ def test_exact_flux_is_evaluated_once_per_edge(p):
     assert np.array_equal(got, expected)
 
 
-def test_field_error_tabulates_its_basis_once(monkeypatch):
+def test_field_error_tabulates_its_basis_once():
     # the degree p+1 basis at the norm rule depends on p only: two norms of
     # the same order share one table, and the values do not change
     mesh = build_structured_mesh(3)
     dofmap = build_dofmap(mesh, 1)
     w = np.random.default_rng(5).standard_normal(dofmap.n_field)
     before = field_error(mesh, dofmap, w, ZERO, "L2")
-    calls = []
-    tabulate = errors.lagrange_triangle
-
-    def counting(degree, points):
-        calls.append(degree)
-        return tabulate(degree, points)
-
-    monkeypatch.setattr(errors, "lagrange_triangle", counting)
+    misses = triangle_table.cache_info().misses
     first = field_error(mesh, dofmap, w, ZERO, "L2")
     again = field_error(mesh, dofmap, w, _sine_exact(), "H1semi")
-    assert len(calls) <= 1
+    assert triangle_table.cache_info().misses == misses
     assert first == before
     assert again == field_error(mesh, dofmap, w, _sine_exact(), "H1semi")
 

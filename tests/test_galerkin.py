@@ -4,9 +4,9 @@ import pytest
 from dpgmarch.assembly import PdeCoefficients
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
-from dpgmarch.galerkin import build_galerkin_system, galerkin_march
+from dpgmarch.galerkin import build_galerkin_system, galerkin_march, galerkin_states
 from dpgmarch.mesh import build_structured_mesh
-from dpgmarch.timestep import march
+from dpgmarch.timestep import march, states
 
 
 def test_zero_trajectory():
@@ -34,9 +34,9 @@ def test_backward_euler_is_dissipative():
     mesh = build_structured_mesh(4)
     dofmap = build_dofmap(mesh, 0)
     u0 = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
-    final, history = galerkin_march(mesh, dofmap, 0.1, 0.5,
-                                    lambda t, x, y: np.zeros_like(x), u0,
-                                    keep_history=True)
+    history = list(galerkin_states(mesh, dofmap, 0.1, 0.5,
+                                   lambda t, x, y: np.zeros_like(x), u0))
+    assert len(history) == 6
     M = build_galerkin_system(mesh, dofmap, 0.1).mass
     energies = [u @ (M @ u) for u in history]
     assert all(b <= a + 1e-14 for a, b in zip(energies, energies[1:]))
@@ -47,12 +47,22 @@ def test_identity_with_dpg_field_stepwise():
     mesh = build_structured_mesh(4)
     dofmap = build_dofmap(mesh, 0)
     case = make_case("heat-decay", 0.02, 0.1)
-    _, dpg_history = march(case, mesh, dofmap, keep_history=True)
-    _, fem_history = galerkin_march(mesh, dofmap, 0.02, 0.1, case.f, case.u0,
-                                    coeffs=case.coeffs, keep_history=True)
+    dpg_history = list(states(case, mesh, dofmap))
+    fem_history = list(galerkin_states(mesh, dofmap, 0.02, 0.1, case.f, case.u0,
+                                       coeffs=case.coeffs))
+    assert len(dpg_history) == len(fem_history) == 6
     for dpg_state, fem in zip(dpg_history, fem_history):
         scale = max(np.abs(fem).max(), 1e-30)
         assert np.abs(dpg_state.current.field - fem).max() <= 1e-9 * scale
+
+
+def test_galerkin_march_is_the_last_of_its_states():
+    mesh = build_structured_mesh(4)
+    dofmap = build_dofmap(mesh, 1)
+    case = make_case("heat-decay", 0.02, 0.1)
+    fields = list(galerkin_states(mesh, dofmap, 0.02, 0.1, case.f, case.u0))
+    final = galerkin_march(mesh, dofmap, 0.02, 0.1, case.f, case.u0)
+    assert np.array_equal(final, fields[-1])
 
 
 def test_identity_fails_with_advection():

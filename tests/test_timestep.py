@@ -14,7 +14,7 @@ from dpgmarch.errors import SpatialFields, field_error
 from dpgmarch.galerkin import galerkin_march
 from dpgmarch.linalg import cg_solve
 from dpgmarch.mesh import build_structured_mesh
-from dpgmarch.timestep import MarchState, initial_field, march, n_steps, step
+from dpgmarch.timestep import MarchState, initial_field, march, n_steps, states, step
 
 from conftest import block_rows, evaluate_field, function_l2_norm
 
@@ -58,8 +58,7 @@ def test_zero_data_stays_zero():
                            u_t=lambda t, x, y: np.zeros_like(x),
                            source_time=lambda t: np.ones(1),
                            source_space=lambda x, y: np.zeros((1,) + np.shape(x)))
-    final, history = march(zero_case, mesh, dofmap, keep_history=True)
-    for state in history:
+    for state in states(zero_case, mesh, dofmap):
         assert np.abs(state.current.as_vector()).max() <= 1e-14
 
 
@@ -89,12 +88,12 @@ def test_march_is_markov_in_the_field():
     mesh = build_structured_mesh(3)
     dofmap = build_dofmap(mesh, 0)
     case = make_case("adr-decay", 0.1, 0.5)
-    final, history = march(case, mesh, dofmap, keep_history=True)
+    history = list(states(case, mesh, dofmap))
     system = assemble_condensed(mesh, dofmap, case.coeffs, case.source_space)
     state = history[2]
     for n in (3, 4, 5):
         state = step(system, state, case.source_time(n * 0.1))
-    assert np.array_equal(state.current.as_vector(), final.current.as_vector())
+    assert np.array_equal(state.current.as_vector(), history[-1].current.as_vector())
     assert state.time == pytest.approx(0.5, abs=1e-14)
 
 
@@ -102,32 +101,27 @@ def test_march_time_grid():
     mesh = build_structured_mesh(2)
     dofmap = build_dofmap(mesh, 0)
     case = make_case("heat-decay", 0.125, 0.5)
-    final, history = march(case, mesh, dofmap, keep_history=True)
+    history = list(states(case, mesh, dofmap))
+    assert [state.step_index for state in history] == [0, 1, 2, 3, 4]
     for state in history:
         assert abs(state.time - state.step_index * 0.125) <= 1e-14
-    assert final.step_index == 4
-    assert len(final.l2_history) == 5
-    for state in history:
         norm = field_error(mesh, dofmap, state.current.field, ZERO, "L2")
-        assert state.l2_history[-1] == pytest.approx(norm, rel=1e-14)
+        assert state.l2 == pytest.approx(norm, rel=1e-14)
 
 
-def test_march_does_not_copy_the_norm_history_every_step(monkeypatch):
-    # the l2_history tuple goes only on the returned states: a step's input
-    # state carrying the norms so far would make a march quadratic in its
-    # step count
-    lengths = []
-
-    def recording(system, state, a):
-        lengths.append(len(state.l2_history))
-        return step(system, state, a)
-
-    monkeypatch.setattr(timestep, "step", recording)
-    mesh = build_structured_mesh(2)
-    final = march(make_case("heat-decay", 1 / 16, 1.0), mesh, build_dofmap(mesh, 0))
-    assert len(lengths) == 16
-    assert sum(lengths) <= 16 + 1
-    assert len(final.l2_history) == 17
+@pytest.mark.parametrize("case_id, p, k, T_end", [("adr-decay", 0, 0.1, 0.5),
+                                                  ("aniso", 1, 0.25, 1.0)])
+def test_march_is_the_last_of_its_states(case_id, p, k, T_end):
+    mesh = build_structured_mesh(3)
+    dofmap = build_dofmap(mesh, p)
+    case = make_case(case_id, k, T_end)
+    history = list(states(case, mesh, dofmap))
+    assert [state.step_index for state in history] == list(range(n_steps(k, T_end) + 1))
+    final = march(case, mesh, dofmap)
+    assert final.step_index == history[-1].step_index
+    assert final.time == history[-1].time
+    assert np.array_equal(final.current.as_vector(), history[-1].current.as_vector())
+    assert final.l2 == history[-1].l2
 
 
 def test_march_rejects_incompatible_grid():
@@ -141,7 +135,7 @@ def test_stability_bound():
     dofmap = build_dofmap(mesh, 0)
     k = 0.1
     case = make_case("adr-decay", k, 1.0)
-    final, history = march(case, mesh, dofmap, keep_history=True)
+    history = list(states(case, mesh, dofmap))
     bound = field_error(mesh, dofmap, history[0].current.field, ZERO, "L2")
     for n in range(1, len(history)):
         bound += k * function_l2_norm(mesh, lambda x, y, t=n * k: case.f(t, x, y))
