@@ -8,7 +8,7 @@ from .cases import CASE_IDS, PdeCase, make_case
 from .dofmap import DofMap, build_dofmap
 from .elliptic import project, project_mixed
 from .errors import ErrorReport, SpatialFields, eoc, field_error, trace_dual_error
-from .galerkin import galerkin_march, galerkin_states
+from .galerkin import galerkin_states
 from .linalg import SolverError, cg_solve, lu_solve
 from .mesh import Mesh, build_structured_mesh, mesh_from_arrays
 from .timestep import MarchState, TrialVector, initial_field, march, states, step
@@ -19,7 +19,7 @@ __all__ = [
     "SpatialFields", "TrialVector", "assemble_condensed", "build_dofmap",
     "build_structured_mesh", "cg_solve",
     "condense_load", "edge_rule", "eoc", "field_error",
-    "galerkin_march", "galerkin_states", "initial_field", "lagrange_edge", "lagrange_triangle",
+    "galerkin_states", "initial_field", "lagrange_edge", "lagrange_triangle",
     "lu_solve", "make_case", "march",
     "mesh_from_arrays", "project", "project_mixed", "states", "step",
     "trace_dual_error", "triangle_rule",

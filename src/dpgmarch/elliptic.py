@@ -19,7 +19,8 @@ It is equivalent to the mixed saddle-point system
 
     (v_h, dv)_{V,k} + b(u_h, dv) = b(u, dv),      a(dw, v_h) = 0,
 
-which is solved monolithically as an independent cross-check, with the
+which `project_mixed` solves monolithically as an independent cross-check,
+for element test loads l_b from `exact_b_load` or `discrete_b_load`, with the
 saddle matrix scattered from G_K, B_{b,K} and B_{a,K} at test rows e*nt + m;
 its auxiliary component v_h represents the projection residual in the test
 space.
@@ -95,15 +96,15 @@ def exact_b_load(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     return loads
 
 
-def discrete_b_load(blocks: LocalBlocks, coefficients: np.ndarray) -> np.ndarray:
+def discrete_b_load(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
+                    coefficients: np.ndarray) -> np.ndarray:
     """Element test loads b(u_h, psi_m) of a discrete trial vector."""
     coefficients = np.asarray(coefficients, dtype=float)
-    n_dof = int(blocks.cols.max()) + 1  # every unknown sits in some element slot
-    if coefficients.shape != (n_dof,):
-        raise ValueError(f"trial coefficient vector must have shape ({n_dof},), "
+    if coefficients.shape != (dofmap.n_dof,):
+        raise ValueError(f"trial coefficient vector must have shape ({dofmap.n_dof},), "
                          f"got {coefficients.shape}")
-    u_loc = gather(coefficients, blocks.cols)
-    return np.einsum("emc,ec->em", blocks.B_b[blocks.cls], u_loc)
+    blocks = _build_blocks(mesh, dofmap, coeffs)
+    return np.einsum("emc,ec->em", blocks.B_b[blocks.cls], gather(coefficients, blocks.cols))
 
 
 def project(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
@@ -128,24 +129,16 @@ def _mixed_matrix(blocks: LocalBlocks, n_dof: int) -> sp.csc_matrix:
     return sp.bmat([[G, Bb], [Ba.T, None]], format="csc")
 
 
-def project_mixed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
-                  exact: SpatialFields | None = None,
-                  discrete_data: np.ndarray | None = None):
-    """Solve the equivalent mixed system; returns (v_h, TrialVector) with v_h
-    the element-blocked test coefficients, shape (ne, nt).
-
-    Exactly one of `exact` (callbacks) and `discrete_data` (trial coefficients
-    whose projection is requested) must be given.
-    """
-    if (exact is None) == (discrete_data is None):
-        raise ValueError("provide exactly one of exact callbacks or discrete data")
+def project_mixed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients, loads: np.ndarray):
+    """Solve the equivalent mixed system for element test loads l_b, shape
+    (ne, nt), from `exact_b_load` or `discrete_b_load`; returns (v_h,
+    TrialVector) with v_h the element-blocked test coefficients, shape (ne, nt)."""
     blocks = _build_blocks(mesh, dofmap, coeffs)
-    if exact is not None:
-        loads = exact_b_load(mesh, dofmap, coeffs, exact)
-    else:
-        loads = discrete_b_load(blocks, discrete_data)
+    loads = np.asarray(loads, dtype=float)
+    shape = (mesh.n_elements, blocks.chol.shape[1])
+    if loads.shape != shape:
+        raise ValueError(f"element test loads must have shape {shape}, got {loads.shape}")
     saddle = _mixed_matrix(blocks, dofmap.n_dof)
     rhs = np.concatenate([loads.ravel(), np.zeros(dofmap.n_dof)])
     v, u = np.split(lu_solve(saddle, rhs), [loads.size])
     return v.reshape(loads.shape), TrialVector.from_vector(u, dofmap.n_field)
-

@@ -12,7 +12,7 @@ a lower bound of the continuous dual norm (the sup runs over a subspace).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,11 +49,9 @@ class ErrorReport:
     eoc_H1: float | None = None
     eoc_trace: float | None = None
 
-    FIELDS = ("level", "h_max", "k", "n_field", "n_trace", "err_L2", "err_H1_semi",
-              "err_trace_dual", "eoc_L2", "eoc_H1", "eoc_trace")
-
     def row(self):
-        return [getattr(self, name) for name in self.FIELDS]
+        """The values in field order, the order of the study CSV's columns."""
+        return [getattr(self, field.name) for field in fields(self)]
 
 
 def _norm_rule_degree(p: int) -> int:

@@ -1,8 +1,10 @@
 """Independent backward Euler Galerkin FEM for the heat equation.
 
 Cross-check oracle: on the same conforming field space, the primal DPG field
-coincides with the standard Galerkin solution when A = I, beta = 0, gamma = 0.
-The assembly here is deliberately separate from the DPG element blocks (only
+coincides with the standard Galerkin solution when A = I, beta = 0, gamma = 0,
+at every backward Euler step.  `galerkin_states(case, mesh, dofmap)` marches a
+case the way `timestep.states` does and yields the field of each step.  The
+assembly here is deliberately separate from the DPG element blocks (only
 mesh, basis and quadrature are shared) and the step systems are solved by a
 direct sparse factorization, not the DPG conjugate-gradient path.
 """
@@ -15,8 +17,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import PdeCoefficients, volume_quadrature
+from .assembly import volume_quadrature
 from .basis import triangle_table
+from .cases import PdeCase
 from .dofmap import DofMap
 from .mesh import Mesh
 from .timestep import initial_field, n_steps
@@ -26,10 +29,6 @@ from .timestep import initial_field, n_steps
 class GalerkinSystem:
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
-    k: float
-
-    def step_matrix(self) -> sp.csr_matrix:
-        return (self.mass / self.k + self.stiffness).tocsr()
 
 
 def _physical_gradients(invJ, table):
@@ -39,7 +38,7 @@ def _physical_gradients(invJ, table):
             + invJ[:, None, None, 1, :] * g[None, :, :, 1, None])
 
 
-def build_galerkin_system(mesh: Mesh, dofmap: DofMap, k: float) -> GalerkinSystem:
+def build_galerkin_system(mesh: Mesh, dofmap: DofMap) -> GalerkinSystem:
     """Mass and (unit-diffusion) stiffness matrices on the conforming field space."""
     p = dofmap.p
     # load/mass quadrature exactness matches the DPG assembly so the heat-case
@@ -60,46 +59,40 @@ def build_galerkin_system(mesh: Mesh, dofmap: DofMap, k: float) -> GalerkinSyste
     n = dofmap.n_field
     mass = sp.coo_matrix((m_loc[mask], (rows_idx[mask], cols_idx[mask])), shape=(n, n)).tocsr()
     stiff = sp.coo_matrix((k_loc[mask], (rows_idx[mask], cols_idx[mask])), shape=(n, n)).tocsr()
-    return GalerkinSystem(mass=mass, stiffness=stiff, k=k)
+    return GalerkinSystem(mass=mass, stiffness=stiff)
 
 
-def _source_load(mesh: Mesh, dofmap: DofMap, g) -> np.ndarray:
+def _source_load(mesh: Mesh, dofmap: DofMap, f, t: float) -> np.ndarray:
     rule_degree = 2 * (dofmap.p + 2)
     _, qp, wdet, _ = volume_quadrature(mesh, rule_degree)
     table = triangle_table(dofmap.p + 1, rule_degree)
-    loc = np.einsum("jq,eq->ej", table.values, wdet * g(qp[..., 0], qp[..., 1]))
+    loc = np.einsum("jq,eq->ej", table.values, wdet * f(t, qp[..., 0], qp[..., 1]))
     out = np.zeros(dofmap.n_field)
     mask = dofmap.element_field_dofs >= 0
     np.add.at(out, dofmap.element_field_dofs[mask], loc[mask])
     return out
 
 
-def galerkin_states(mesh: Mesh, dofmap: DofMap, k: float, T_end: float, f, u0,
-                    coeffs: PdeCoefficients | None = None):
-    """Yield the field of each step of the backward Euler heat march
-    (M/k + K) u^n = (f^n, .) + (M/k) u^{n-1}, from the interpolated u^0 to T_end.
+def galerkin_states(case: PdeCase, mesh: Mesh, dofmap: DofMap):
+    """The field of each step of the backward Euler heat march
+    (M/k + K) u^n = (f^n, .) + (M/k) u^{n-1}, from the interpolated u^0 to
+    T_end, with k, T_end, f and u0 read from `case`.
 
-    Rejects coefficients other than the heat equation when `coeffs` is given;
-    f takes (t, x, y) and u0 takes (x, y)."""
-    if coeffs is not None and not coeffs.is_heat():
+    A case that is not the heat equation, and a time grid that `n_steps`
+    rejects, raise at the call; the steps run as the fields are read."""
+    k = case.coeffs.k
+    if not case.coeffs.is_heat():
         raise ValueError("the Galerkin oracle is only valid for the heat equation "
                          "(A = I, beta = 0, gamma = 0)")
-    count = n_steps(k, T_end)
-    system = build_galerkin_system(mesh, dofmap, k)
-    solver = spla.splu(system.step_matrix().tocsc())
-    u = initial_field(u0, dofmap, mesh).field
-    yield u
-    for n in range(1, count + 1):
-        t_n = n * k
-        rhs = _source_load(mesh, dofmap, lambda x, y, t=t_n: f(t, x, y))
-        rhs += (system.mass @ u) / k
-        u = solver.solve(rhs)
+    count = n_steps(k, case.coeffs.T_end)
+
+    def fields():
+        system = build_galerkin_system(mesh, dofmap)
+        solver = spla.splu((system.mass / k + system.stiffness).tocsc())
+        u = initial_field(case.u0, dofmap, mesh).field
         yield u
+        for n in range(1, count + 1):
+            u = solver.solve(_source_load(mesh, dofmap, case.f, n * k) + (system.mass @ u) / k)
+            yield u
 
-
-def galerkin_march(mesh: Mesh, dofmap: DofMap, k: float, T_end: float, f, u0,
-                   coeffs: PdeCoefficients | None = None) -> np.ndarray:
-    """The field at T_end of `galerkin_states`."""
-    for u in galerkin_states(mesh, dofmap, k, T_end, f, u0, coeffs):
-        pass
-    return u
+    return fields()

@@ -9,6 +9,8 @@ F, a step weights the columns with a(t_n) = case.source_time(t_n) and does
 no quadrature, and only the field component w of the previous step enters.
 A source that is not given in this form cannot be marched.  The trace
 component of the initial state is irrelevant to the scheme and kept at zero.
+`states(case, mesh, dofmap)` checks the time grid when it is called and
+yields the state of each step as it is read; `march` returns the last.
 
 The initial field is the nodal interpolant of u0 at the interior Lagrange
 nodes; for smooth u0 this attains the approximation orders assumed by the
@@ -93,16 +95,24 @@ def n_steps(k: float, T_end: float) -> int:
 
 
 def states(case: PdeCase, mesh: Mesh, dofmap: DofMap):
-    """Yield the interpolated initial state, then the state of each backward
-    Euler step up to T_end, each with its field L2 norm."""
+    """The interpolated initial state, then the state of each backward Euler
+    step up to T_end, each with its field L2 norm.
+
+    A time grid that `n_steps` rejects raises at the call; the system is
+    assembled and the steps run as the states are read."""
     coeffs = case.coeffs
     count = n_steps(coeffs.k, coeffs.T_end)
-    system = assemble_condensed(mesh, dofmap, coeffs, case.source_space)
-    state = MarchState(step_index=0, time=0.0, current=initial_field(case.u0, dofmap, mesh))
-    for n in range(count + 1):
-        if n:
-            state = step(system, state, case.source_time(n * coeffs.k))
-        yield replace(state, l2=field_error(mesh, dofmap, state.current.field, ZERO_FIELDS, "L2"))
+
+    def sequence():
+        system = assemble_condensed(mesh, dofmap, coeffs, case.source_space)
+        state = MarchState(step_index=0, time=0.0, current=initial_field(case.u0, dofmap, mesh))
+        for n in range(count + 1):
+            if n:
+                state = step(system, state, case.source_time(n * coeffs.k))
+            yield replace(state, l2=field_error(mesh, dofmap, state.current.field,
+                                                ZERO_FIELDS, "L2"))
+
+    return sequence()
 
 
 def march(case: PdeCase, mesh: Mesh, dofmap: DofMap) -> MarchState:

@@ -20,6 +20,20 @@ def no_source(x, y):
     return np.zeros((0,) + np.shape(x))
 
 
+def zero_data_case(k, T_end, u0=None):
+    """A heat-equation case with zero source and initial data u0(x, y), zero
+    by default, whose exact solution is then u = 0.  Its u is u0 at every
+    time and its u_t and grad_u are zero: only u0 is read from them."""
+    from dpgmarch.cases import PdeCase
+
+    u0 = (lambda x, y: np.zeros_like(x)) if u0 is None else u0
+    coeffs = PdeCoefficients(A=np.eye(2), beta=np.zeros(2), gamma=0.0, k=k, T_end=T_end)
+    return PdeCase(name="zero-data", coeffs=coeffs, u=lambda t, x, y: u0(x, y),
+                   grad_u=lambda t, x, y: np.zeros((2,) + np.shape(x)),
+                   u_t=lambda t, x, y: np.zeros_like(x), source_time=lambda t: np.ones(1),
+                   source_space=lambda x, y: np.zeros((1,) + np.shape(x)))
+
+
 def block_rows(blocks, cols, n_cols):
     """Element blocks (ne, nt, nc) as a CSR matrix of shape (ne*nt, n_cols):
     row e*nt + m holds blocks[e, m] at the global columns cols[e], leaving out

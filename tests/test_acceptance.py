@@ -12,10 +12,10 @@ import pytest
 from dpgmarch.assembly import PdeCoefficients, assemble_condensed
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
-from dpgmarch.elliptic import (build_projection_system, condense_element_loads, exact_b_load,
-                               project, project_mixed)
+from dpgmarch.elliptic import (build_projection_system, condense_element_loads, discrete_b_load,
+                               exact_b_load, project, project_mixed)
 from dpgmarch.errors import SpatialFields, eoc, field_error, trace_dual_error
-from dpgmarch.galerkin import galerkin_march
+from dpgmarch.galerkin import galerkin_states
 from dpgmarch.linalg import lu_solve
 from dpgmarch.mesh import build_structured_mesh
 from dpgmarch.timestep import march, states
@@ -56,7 +56,7 @@ def test_criterion_1_heat_identity():
     dofmap = build_dofmap(mesh, 0)
     case = make_case("heat-decay", 0.01, 0.1)  # 10 steps
     state = march(case, mesh, dofmap)
-    oracle = galerkin_march(mesh, dofmap, 0.01, 0.1, case.f, case.u0, coeffs=case.coeffs)
+    oracle = list(galerkin_states(case, mesh, dofmap))[-1]
     deviation = np.abs(state.current.field - oracle).max() / np.abs(oracle).max()
     elapsed = time.perf_counter() - started
     report(1, deviation <= 1e-9 and elapsed < 10.0,
@@ -168,12 +168,14 @@ def test_criterion_8_mixed_equivalence():
     dofmap = build_dofmap(mesh, 0)
 
     direct = project(mesh, dofmap, case.coeffs, exact).as_vector()
-    _, via_mixed = project_mixed(mesh, dofmap, case.coeffs, exact=exact)
+    _, via_mixed = project_mixed(mesh, dofmap, case.coeffs,
+                                 exact_b_load(mesh, dofmap, case.coeffs, exact))
     deviation = np.abs(via_mixed.as_vector() - direct).max() / np.abs(direct).max()
 
     rng = np.random.default_rng(8)
     data = rng.standard_normal(dofmap.n_dof)
-    v, u = project_mixed(mesh, dofmap, case.coeffs, discrete_data=data)
+    v, u = project_mixed(mesh, dofmap, case.coeffs,
+                         discrete_b_load(mesh, dofmap, case.coeffs, data))
     residual = np.abs(v).max() / np.abs(data).max()
     identity = np.abs(u.as_vector() - data).max() / np.abs(data).max()
 
@@ -212,7 +214,7 @@ def test_criterion_10_structural_checks():
                           grad_u=heat.grad_u, u_t=heat.u_t, source_time=heat.source_time,
                           source_space=heat.source_space)
     state = march(advected, mesh, dofmap)
-    oracle = galerkin_march(mesh, dofmap, 0.02, 0.1, heat.f, heat.u0)
+    oracle = list(galerkin_states(heat, mesh, dofmap))[-1]
     control = np.abs(state.current.field - oracle).max()
 
     report(10, symmetry <= 1e-12 and control > 1e-6,

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import dpgmarch
 from dpgmarch import cli
 from dpgmarch.cli import KPolicy, load_config, main
-from dpgmarch.errors import ErrorReport
 
 
 def write_config(path, **entries):
@@ -70,14 +69,15 @@ def test_k_policy_parsing():
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(k=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
 def test_k_policy_round_trips_every_positive_float(k):
-    assert KPolicy.parse(f"fixed:{k!r}").value == k
+    assert KPolicy.parse(f"fixed:{k!r}").values == (k,)
 
 
 def test_converge_space_csv(tmp_path, capsys):
     config = base_config(tmp_path)
     assert main(["converge-space", "--config", config]) == 0
     header, rows = read_csv(tmp_path / "out.csv")
-    assert header == list(ErrorReport.FIELDS)
+    assert header == ["level", "h_max", "k", "n_field", "n_trace", "err_L2", "err_H1_semi",
+                      "err_trace_dual", "eoc_L2", "eoc_H1", "eoc_trace"]
     assert len(rows) == 2
     err_h1 = [float(row[6]) for row in rows]
     assert err_h1[1] < err_h1[0]
@@ -125,14 +125,36 @@ def test_heat_identity_command(tmp_path, capsys):
     assert "deviation" in out
 
 
+def _perturbed_oracle(monkeypatch, at_step):
+    """Patch the CLI's Galerkin oracle to scale its field by 1 + 1e-6 at the
+    steps `at_step(n)` accepts, leaving the others exact."""
+    oracle = cli.galerkin_states
+
+    def perturbed(*args):
+        for n, field in enumerate(oracle(*args)):
+            yield field * (1.0 + 1e-6) if at_step(n) else field
+
+    monkeypatch.setattr(cli, "galerkin_states", perturbed)
+
+
 def test_heat_identity_failure_exits_1(tmp_path, monkeypatch, capsys):
-    oracle = cli.galerkin_march
-    monkeypatch.setattr(cli, "galerkin_march",
-                        lambda *args, **kwargs: oracle(*args, **kwargs) * (1.0 + 1e-6))
+    _perturbed_oracle(monkeypatch, lambda n: True)
     config = base_config(tmp_path, command="heat-identity", case_id="heat-decay",
                          levels=[4], k_policy="fixed:0.01", n_steps=5, output_path=None)
     assert main(["heat-identity", "--config", config]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_heat_identity_checks_every_step(tmp_path, monkeypatch, capsys):
+    # a deviation at one middle step fails, with step 0 and the final step exact
+    _perturbed_oracle(monkeypatch, lambda n: n == 2)
+    config = base_config(tmp_path, command="heat-identity", case_id="heat-decay",
+                         levels=[4], k_policy="fixed:0.01", n_steps=5, output_path=None)
+    assert main(["heat-identity", "--config", config]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out
+    assert float(re.search(r"deviation over every step: (\S+)", out).group(1)) \
+        == pytest.approx(1e-6, rel=1e-3)
 
 
 def test_converge_time_command(tmp_path):

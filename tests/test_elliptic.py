@@ -52,7 +52,7 @@ def test_mixed_system_matches_condensed_solve():
     mesh = build_structured_mesh(4)
     dofmap = build_dofmap(mesh, 0)
     direct = project(mesh, dofmap, coeffs, exact).as_vector()
-    _, via_mixed = project_mixed(mesh, dofmap, coeffs, exact=exact)
+    _, via_mixed = project_mixed(mesh, dofmap, coeffs, exact_b_load(mesh, dofmap, coeffs, exact))
     deviation = np.abs(via_mixed.as_vector() - direct).max()
     assert deviation <= 1e-9 * np.abs(direct).max()
 
@@ -63,7 +63,7 @@ def test_mixed_residual_vanishes_for_representable_data():
     dofmap = build_dofmap(mesh, 0)
     rng = np.random.default_rng(1)
     data = rng.standard_normal(dofmap.n_dof)
-    v, u = project_mixed(mesh, dofmap, coeffs, discrete_data=data)
+    v, u = project_mixed(mesh, dofmap, coeffs, discrete_b_load(mesh, dofmap, coeffs, data))
     assert np.abs(u.as_vector() - data).max() <= 1e-9 * np.abs(data).max()
     assert np.abs(v).max() <= 1e-9 * np.abs(data).max()
 
@@ -76,7 +76,7 @@ def test_mixed_residual_controls_projection_error():
         mesh = build_structured_mesh(n)
         dofmap = build_dofmap(mesh, 0)
         system = build_projection_system(mesh, dofmap, coeffs)
-        v, u = project_mixed(mesh, dofmap, coeffs, exact=exact)
+        v, u = project_mixed(mesh, dofmap, coeffs, exact_b_load(mesh, dofmap, coeffs, exact))
         v_norm = norm_in_test_space(system.blocks, v)
         h1_part = field_error(mesh, dofmap, u.field, exact, "H1semi")
         trace_part = trace_dual_error(mesh, dofmap, coeffs, u.trace, exact.grad_u)
@@ -132,15 +132,14 @@ def test_projection_energy_quasi_optimality():
     assert max(ratios) / min(ratios) < 2.0
 
 
-def test_mixed_rejects_ambiguous_data():
+def test_mixed_rejects_loads_of_the_wrong_shape():
+    # the transposed loads have the right size and would be read silently
     coeffs, exact = _adr_exact()
     mesh = build_structured_mesh(2)
     dofmap = build_dofmap(mesh, 0)
-    with pytest.raises(ValueError):
-        project_mixed(mesh, dofmap, coeffs)
-    with pytest.raises(ValueError):
-        project_mixed(mesh, dofmap, coeffs, exact=exact,
-                      discrete_data=np.zeros(dofmap.n_dof))
+    loads = exact_b_load(mesh, dofmap, coeffs, exact)
+    with pytest.raises(ValueError, match="element test loads"):
+        project_mixed(mesh, dofmap, coeffs, loads.T)
 
 
 def test_discrete_b_load_matches_matrix_action():
@@ -150,7 +149,7 @@ def test_discrete_b_load_matches_matrix_action():
     system = build_projection_system(mesh, dofmap, coeffs)
     rng = np.random.default_rng(2)
     data = rng.standard_normal(dofmap.n_dof)
-    condensed = condense_element_loads(system, discrete_b_load(system.blocks, data))
+    condensed = condense_element_loads(system, discrete_b_load(mesh, dofmap, coeffs, data))
     assert np.abs(condensed - system.N @ data).max() <= 1e-12 * np.abs(condensed).max()
 
 
@@ -161,9 +160,8 @@ def test_discrete_b_load_rejects_a_vector_of_the_wrong_length(extra):
     coeffs, _ = _adr_exact()
     mesh = build_structured_mesh(3)
     dofmap = build_dofmap(mesh, 1)
-    blocks = build_projection_system(mesh, dofmap, coeffs).blocks
     with pytest.raises(ValueError, match="trial coefficient vector"):
-        discrete_b_load(blocks, np.ones(dofmap.n_dof + extra))
+        discrete_b_load(mesh, dofmap, coeffs, np.ones(dofmap.n_dof + extra))
 
 
 @pytest.mark.parametrize("case_id,p", [("aniso", 1), ("adr-decay", 0)])
@@ -222,7 +220,7 @@ def test_sparse_pivoting_regime_follows_the_diagonal(monkeypatch):
     mesh = build_structured_mesh(4)
     dofmap = build_dofmap(mesh, 0)
     project(mesh, dofmap, coeffs, exact)
-    project_mixed(mesh, dofmap, coeffs, exact=exact)
+    project_mixed(mesh, dofmap, coeffs, exact_b_load(mesh, dofmap, coeffs, exact))
     assert calls == [(True, True), (False, False)]
 
 

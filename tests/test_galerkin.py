@@ -4,23 +4,24 @@ import pytest
 from dpgmarch.assembly import PdeCoefficients
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
-from dpgmarch.galerkin import build_galerkin_system, galerkin_march, galerkin_states
+from dpgmarch.galerkin import build_galerkin_system, galerkin_states
 from dpgmarch.mesh import build_structured_mesh
 from dpgmarch.timestep import march, states
+
+from conftest import zero_data_case
 
 
 def test_zero_trajectory():
     mesh = build_structured_mesh(3)
     dofmap = build_dofmap(mesh, 0)
-    u = galerkin_march(mesh, dofmap, 0.1, 0.5,
-                       lambda t, x, y: np.zeros_like(x), lambda x, y: np.zeros_like(x))
+    u = list(galerkin_states(zero_data_case(0.1, 0.5), mesh, dofmap))[-1]
     assert np.all(u == 0.0)
 
 
 def test_system_matrices_symmetric_definite():
     mesh = build_structured_mesh(4)
     dofmap = build_dofmap(mesh, 0)
-    system = build_galerkin_system(mesh, dofmap, 0.1)
+    system = build_galerkin_system(mesh, dofmap)
     M = system.mass.toarray()
     K = system.stiffness.toarray()
     assert np.abs(M - M.T).max() <= 1e-14 * np.abs(M).max()
@@ -34,10 +35,9 @@ def test_backward_euler_is_dissipative():
     mesh = build_structured_mesh(4)
     dofmap = build_dofmap(mesh, 0)
     u0 = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
-    history = list(galerkin_states(mesh, dofmap, 0.1, 0.5,
-                                   lambda t, x, y: np.zeros_like(x), u0))
+    history = list(galerkin_states(zero_data_case(0.1, 0.5, u0), mesh, dofmap))
     assert len(history) == 6
-    M = build_galerkin_system(mesh, dofmap, 0.1).mass
+    M = build_galerkin_system(mesh, dofmap).mass
     energies = [u @ (M @ u) for u in history]
     assert all(b <= a + 1e-14 for a, b in zip(energies, energies[1:]))
 
@@ -48,21 +48,11 @@ def test_identity_with_dpg_field_stepwise():
     dofmap = build_dofmap(mesh, 0)
     case = make_case("heat-decay", 0.02, 0.1)
     dpg_history = list(states(case, mesh, dofmap))
-    fem_history = list(galerkin_states(mesh, dofmap, 0.02, 0.1, case.f, case.u0,
-                                       coeffs=case.coeffs))
+    fem_history = list(galerkin_states(case, mesh, dofmap))
     assert len(dpg_history) == len(fem_history) == 6
     for dpg_state, fem in zip(dpg_history, fem_history):
         scale = max(np.abs(fem).max(), 1e-30)
         assert np.abs(dpg_state.current.field - fem).max() <= 1e-9 * scale
-
-
-def test_galerkin_march_is_the_last_of_its_states():
-    mesh = build_structured_mesh(4)
-    dofmap = build_dofmap(mesh, 1)
-    case = make_case("heat-decay", 0.02, 0.1)
-    fields = list(galerkin_states(mesh, dofmap, 0.02, 0.1, case.f, case.u0))
-    final = galerkin_march(mesh, dofmap, 0.02, 0.1, case.f, case.u0)
-    assert np.array_equal(final, fields[-1])
 
 
 def test_identity_fails_with_advection():
@@ -76,24 +66,20 @@ def test_identity_fails_with_advection():
                           u_t=heat.u_t, source_time=heat.source_time,
                           source_space=heat.source_space)
     state = march(advected, mesh, dofmap)
-    oracle = galerkin_march(mesh, dofmap, 0.02, 0.1, heat.f, heat.u0)
+    oracle = list(galerkin_states(heat, mesh, dofmap))[-1]
     assert np.abs(state.current.field - oracle).max() > 1e-6
 
 
 def test_rejects_non_heat_coefficients():
+    # checked at the call, before any next()
     mesh = build_structured_mesh(2)
     dofmap = build_dofmap(mesh, 0)
-    coeffs = make_case("adr-decay", 0.1, 1.0).coeffs
     with pytest.raises(ValueError, match="heat"):
-        galerkin_march(mesh, dofmap, 0.1, 0.5,
-                       lambda t, x, y: np.zeros_like(x),
-                       lambda x, y: np.zeros_like(x), coeffs=coeffs)
+        galerkin_states(make_case("adr-decay", 0.1, 0.5), mesh, dofmap)
 
 
 def test_rejects_incompatible_time_grid():
     mesh = build_structured_mesh(2)
     dofmap = build_dofmap(mesh, 0)
-    with pytest.raises(ValueError):
-        galerkin_march(mesh, dofmap, 0.3, 1.0,
-                       lambda t, x, y: np.zeros_like(x),
-                       lambda x, y: np.zeros_like(x))
+    with pytest.raises(ValueError, match="integer multiple"):
+        galerkin_states(make_case("heat-decay", 0.3, 1.0), mesh, dofmap)

@@ -11,12 +11,12 @@ from dpgmarch.basis import lagrange_triangle
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
 from dpgmarch.errors import SpatialFields, field_error
-from dpgmarch.galerkin import galerkin_march
+from dpgmarch.galerkin import galerkin_states
 from dpgmarch.linalg import cg_solve
 from dpgmarch.mesh import build_structured_mesh
 from dpgmarch.timestep import MarchState, initial_field, march, n_steps, states, step
 
-from conftest import block_rows, evaluate_field, function_l2_norm
+from conftest import block_rows, evaluate_field, function_l2_norm, zero_data_case
 
 ZERO = SpatialFields(u=lambda x, y: np.zeros_like(x),
                      grad_u=lambda x, y: np.zeros((2,) + np.shape(x)))
@@ -51,14 +51,7 @@ def test_initial_field_reproduces_discrete_functions():
 def test_zero_data_stays_zero():
     mesh = build_structured_mesh(3)
     dofmap = build_dofmap(mesh, 0)
-    case = make_case("heat-decay", 0.1, 0.5)
-    zero_case = type(case)(name="zero", coeffs=case.coeffs,
-                           u=lambda t, x, y: np.zeros_like(x),
-                           grad_u=lambda t, x, y: np.zeros((2,) + np.shape(x)),
-                           u_t=lambda t, x, y: np.zeros_like(x),
-                           source_time=lambda t: np.ones(1),
-                           source_space=lambda x, y: np.zeros((1,) + np.shape(x)))
-    for state in states(zero_case, mesh, dofmap):
+    for state in states(zero_data_case(0.1, 0.5), mesh, dofmap):
         assert np.abs(state.current.as_vector()).max() <= 1e-14
 
 
@@ -129,6 +122,14 @@ def test_march_rejects_incompatible_grid():
         n_steps(0.3, 1.0)
 
 
+def test_states_rejects_a_bad_time_grid_when_called():
+    # the time grid is checked at the call, before any next()
+    mesh = build_structured_mesh(2)
+    dofmap = build_dofmap(mesh, 0)
+    with pytest.raises(ValueError, match="integer multiple"):
+        states(make_case("heat-decay", 0.3, 1.0), mesh, dofmap)
+
+
 def test_stability_bound():
     # ||u^n|| <= sum_j k ||f^j|| + ||u^0|| with quadrature-evaluated norms
     mesh = build_structured_mesh(4)
@@ -148,7 +149,7 @@ def test_heat_single_step_matches_galerkin():
     dofmap = build_dofmap(mesh, 0)
     case = make_case("heat-decay", 0.05, 0.05)
     state = march(case, mesh, dofmap)
-    oracle = galerkin_march(mesh, dofmap, 0.05, 0.05, case.f, case.u0, coeffs=case.coeffs)
+    oracle = list(galerkin_states(case, mesh, dofmap))[-1]
     assert np.abs(state.current.field - oracle).max() <= 1e-9 * np.abs(oracle).max()
 
 
