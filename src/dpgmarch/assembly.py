@@ -28,7 +28,9 @@ step's load (f + w/k, psi)_K condenses to
 with (g_s, psi)_K integrated once per march by the volume rule of degree
 2(p+2).  A march keeps S, its factor, F and C, all numbered in the
 `nested_dissection` order that the factor needs, and a step does no
-quadrature.
+quadrature.  It also keeps the field mass matrix M = sum_K det J M_ff, in
+the numbering of the dofmap, so the L2 norm of a field w is
+sqrt(w^T M w), one product and no quadrature.
 
 Elements are affine and A, beta, gamma constant, so each volume block is a
 fixed combination of reference-triangle integrals (the tensor representation
@@ -128,6 +130,7 @@ class LocalBlocks:
         (n_classes, nt, nt), the inverse by forward substitution.
     B_a, B_b: trial-to-test blocks, (n_classes, nt, nc).
     mass_field: test-against-field mass block, (n_classes, nt, nfl).
+    detJ: det J of each class, (n_classes,).
     cls: class of each element, (ne,).
     cols: global column index per element and local trial slot, (ne, nc),
         -1 where eliminated.
@@ -138,6 +141,7 @@ class LocalBlocks:
     B_a: np.ndarray
     B_b: np.ndarray
     mass_field: np.ndarray
+    detJ: np.ndarray
     cls: np.ndarray
     cols: np.ndarray
 
@@ -156,10 +160,13 @@ class StepOperators:
 class CondensedSystem:
     """Global condensed system S = sum_K E_K^T E_K and the operators of the
     step load, numbered by nested dissection: unknown i of the dofmap is
-    unknown rank[i] of S.  precond applies the inverse of a factor of S."""
+    unknown rank[i] of S.  precond applies the inverse of a factor of S.
+    mass is the field mass matrix M = sum_K det J M_ff, (n_field, n_field)
+    in the numbering of the dofmap: a field w has L2 norm sqrt(w^T M w)."""
 
     S: sp.csr_matrix
     blocks: StepOperators
+    mass: sp.csr_matrix
     dofmap: DofMap
     coeffs: PdeCoefficients
     precond: Callable[[np.ndarray], np.ndarray]
@@ -378,7 +385,7 @@ def _build_blocks(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> LocalB
     cols = np.hstack([dofmap.element_field_dofs,
                       dofmap.n_field + dofmap.element_trace_dofs])
     return LocalBlocks(chol=chol, chol_inv=chol_inv, B_a=B_a, B_b=B_b,
-                       mass_field=mass_field, cls=cls, cols=cols)
+                       mass_field=mass_field, detJ=detJ, cls=cls, cols=cols)
 
 
 def scatter(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape,
@@ -436,9 +443,11 @@ def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     Et = (blocks.chol_inv @ blocks.B_a).transpose(0, 2, 1)  # per class
     sources = Et[cls] @ (blocks.chol_inv[cls] @ _source_loads(mesh, dofmap.p, source_space))
     W_w = blocks.chol_inv @ blocks.mass_field / coeffs.k
+    field_dofs = dofmap.element_field_dofs
     ops = StepOperators(F=scatter_load(sources, cols, n),
-                        C=scatter((Et @ W_w)[cls], cols, dofmap.element_field_dofs,
-                                  (n, dofmap.n_field), "csr"))
+                        C=scatter((Et @ W_w)[cls], cols, field_dofs, (n, dofmap.n_field), "csr"))
+    field_mass = blocks.detJ[:, None, None] * _reference_tensors(dofmap.p + 1, dofmap.p + 1)[4]
+    mass = scatter(field_mass[cls], field_dofs, field_dofs, (dofmap.n_field,) * 2, "csr")
     del blocks, sources  # set-up temporaries: free them before the largest scatter
     S = scatter((Et @ Et.transpose(0, 2, 1))[cls], cols, cols, (n, n), "csr")
     del Et
@@ -452,7 +461,7 @@ def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     scale = max(S.data.max(initial=0.0), -S.data.min(initial=0.0))
     if np.abs(S @ x - S.T @ x).max(initial=0.0) > 2.0 * _SYM_TOL * scale:
         raise SolverError("condensed system lost symmetry; assembly is inconsistent")
-    return CondensedSystem(S=S, blocks=ops, dofmap=dofmap, coeffs=coeffs,
+    return CondensedSystem(S=S, blocks=ops, mass=mass, dofmap=dofmap, coeffs=coeffs,
                            precond=factor_spd(S), rank=rank)
 
 

@@ -738,9 +738,10 @@ def _nbytes(matrix):
 def test_march_retains_only_its_step_operators():
     # the element blocks (chol, chol_inv, B_a, B_b, mass_field), their
     # products and the condensed source rows are set-up temporaries; the march
-    # keeps S, F, C, the quadrature points already cached on the mesh, the
-    # float64 factor, which SuperLU allocates outside the heap that
-    # tracemalloc sees, and the nested-dissection rank (8 bytes an unknown)
+    # keeps S, F, C, the field mass matrix M, the quadrature points already
+    # cached on the mesh, the float64 factor, which SuperLU allocates outside
+    # the heap that tracemalloc sees, and the nested-dissection rank (8 bytes
+    # an unknown)
     mesh = build_structured_mesh(48)
     dofmap = build_dofmap(mesh, 1)
     volume_quadrature(mesh, 6)
@@ -755,4 +756,5 @@ def test_march_retains_only_its_step_operators():
     assert vars(ops).keys() == {"F", "C"}
     assert ops.F.shape == (dofmap.n_dof, 2)
     assert ops.C.shape == (dofmap.n_dof, dofmap.n_field)
-    assert retained <= 1.1 * sum(map(_nbytes, (system.S, ops.F, ops.C)))
+    assert system.mass.shape == (dofmap.n_field, dofmap.n_field)
+    assert retained <= 1.1 * sum(map(_nbytes, (system.S, ops.F, ops.C, system.mass)))

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dpgmarch
-from dpgmarch import cli
+from dpgmarch import cli, timestep
 from dpgmarch.cli import KPolicy, load_config, main
 
 
@@ -212,6 +212,18 @@ def test_nan_source_exits_3(tmp_path, monkeypatch, capsys):
     config = base_config(tmp_path, command="run", case_id="heat-decay", levels=[4])
     assert main(["run", "--config", config]) == 3
     assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_mass_matrix_norm_off_the_quadrature_exits_3(tmp_path, monkeypatch, capsys):
+    # the march's once-per-march check of its field mass matrix is a solver
+    # failure, exit 3, not a configuration error
+    quadrature = timestep.field_error
+    monkeypatch.setattr(timestep, "field_error",
+                        lambda *args: quadrature(*args) * (1.0 + 1e-9))
+    config = base_config(tmp_path, command="run", case_id="heat-decay", levels=[4])
+    assert main(["run", "--config", config]) == 3
+    assert "mass matrix" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -6,17 +6,18 @@ import scipy.sparse.linalg as spla
 
 from dpgmarch import timestep
 from dpgmarch.assembly import (_build_blocks, assemble_condensed, condense_load,
-                               volume_quadrature)
+                               element_classes, volume_quadrature)
 from dpgmarch.basis import lagrange_triangle
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
 from dpgmarch.errors import SpatialFields, field_error
 from dpgmarch.galerkin import galerkin_states
-from dpgmarch.linalg import cg_solve
+from dpgmarch.linalg import SolverError, cg_solve
 from dpgmarch.mesh import build_structured_mesh
 from dpgmarch.timestep import MarchState, initial_field, march, n_steps, states, step
 
-from conftest import block_rows, evaluate_field, function_l2_norm, zero_data_case
+from conftest import block_rows, evaluate_field, function_l2_norm, perturbed_mesh, \
+    zero_data_case
 
 ZERO = SpatialFields(u=lambda x, y: np.zeros_like(x),
                      grad_u=lambda x, y: np.zeros((2,) + np.shape(x)))
@@ -100,6 +101,46 @@ def test_march_time_grid():
         assert abs(state.time - state.step_index * 0.125) <= 1e-14
         norm = field_error(mesh, dofmap, state.current.field, ZERO, "L2")
         assert state.l2 == pytest.approx(norm, rel=1e-14)
+
+
+@pytest.mark.parametrize("perturbed, case_id, p", [(False, "heat-decay", 0),
+                                                   (False, "aniso", 1),
+                                                   (True, "adr-decay", 1)])
+def test_every_state_norm_is_the_quadrature_norm(perturbed, case_id, p):
+    # sqrt(w^T M w) with the assembled field mass matrix against the
+    # quadrature of field_error, on every state of the march; on the
+    # perturbed mesh M is built from one class per element
+    mesh = perturbed_mesh(4, 3) if perturbed else build_structured_mesh(4)
+    if perturbed:
+        assert len(element_classes(mesh)[0]) == mesh.n_elements
+    dofmap = build_dofmap(mesh, p)
+    history = list(states(make_case(case_id, 0.1, 0.4), mesh, dofmap))
+    assert len(history) == 5
+    for state in history:
+        norm = field_error(mesh, dofmap, state.current.field, ZERO, "L2")
+        assert norm > 0.0
+        assert state.l2 == pytest.approx(norm, rel=1e-14)
+
+
+def test_state_norms_without_interior_field_unknowns_are_zero():
+    # n=1, p=0 has no interior field node, so M is 0 by 0 and every field is 0
+    mesh = build_structured_mesh(1)
+    dofmap = build_dofmap(mesh, 0)
+    assert dofmap.n_field == 0
+    history = list(states(make_case("heat-decay", 0.25, 0.5), mesh, dofmap))
+    assert [state.l2 for state in history] == [0.0, 0.0, 0.0]
+
+
+def test_states_reject_a_mass_matrix_norm_off_the_quadrature(monkeypatch):
+    # a quadrature norm 1e-9 above the mass-matrix norm trips the once-per-march
+    # check at the initial state, before any state is yielded
+    quadrature = timestep.field_error
+    monkeypatch.setattr(timestep, "field_error",
+                        lambda *args: quadrature(*args) * (1.0 + 1e-9))
+    mesh = build_structured_mesh(3)
+    sequence = states(make_case("heat-decay", 0.25, 0.5), mesh, build_dofmap(mesh, 0))
+    with pytest.raises(SolverError, match="mass matrix"):
+        next(sequence)
 
 
 @pytest.mark.parametrize("case_id, p, k, T_end", [("adr-decay", 0, 0.1, 0.5),
