@@ -16,8 +16,11 @@ threshold pivoting that keeps a diagonal pivot within a factor 10 of its
 column's largest entry (X. S. Li, "An overview of SuperLU", ACM TOMS 31,
 2005).  A zero on the diagonal, as in the (2,2) block of the mixed
 saddle-point system, rules that out, and the matrix is factored with COLAMD
-and partial pivoting.  Every direct solve is checked afterwards for a small
-backward error.
+and partial pivoting.  A matrix is singular to working precision when its
+1-norm condition estimate is 1e14 or more; the estimate of ||M^{-1}||_1
+comes from solves with the factor, as in LAPACK's dgecon, so no copy of the
+factor's L or U is ever made.  Every direct solve is checked afterwards for a
+small backward error.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import scipy.sparse.linalg as spla
 
 _CG_REL_TOL = 1e-12
 _CG_MAX_ITER = 50  # a step preconditioned by the float64 factor takes 1
-_PIVOT_TOL = 1e-14
+_COND_TOL = 1e14  # ||M||_1 ||M^{-1}||_1 at which M is singular to working precision
+_NORM_EST_STEPS = 5
 _BACKWARD_TOL = 1e-10
 
 
@@ -157,6 +161,40 @@ def cg_solve(S, rhs, precond):
                       f"(residual {np.linalg.norm(rhs - S @ x) / b_norm:.3e} relative)")
 
 
+def _inverse_norm1(solve, y):
+    """Lower bound of ||M^{-1}||_1 from solves with a factor of M, given its
+    first solve y = M^{-1} e / n, e the vector of ones.
+
+    The t = 1 case of the block estimator of Higham and Tisseur (SIAM J.
+    Matrix Anal. Appl. 21, 2000), as `scipy.sparse.linalg.onenormest(t=1)`
+    runs it: Hager's method (SIAM J. Sci. Stat. Comput. 5, 1984) with
+    Higham's stopping tests (ACM TOMS 14, 1988), which LAPACK's condition
+    estimates use.  Each step solves with M^T against the signs of the last
+    solution and with M against the unit vector that this promises most;
+    it stops when the estimate stops growing, the signs repeat or no unit
+    vector promises more, and after five steps.  Usually three solves
+    follow y.
+    """
+    n = len(y)
+    est, signs, j = np.abs(y).sum(), np.zeros(n), None
+    for _ in range(_NORM_EST_STEPS):
+        new_signs = np.where(y >= 0.0, 1.0, -1.0)
+        if abs(new_signs @ signs) == n:
+            break
+        signs = new_signs
+        h = np.abs(solve(signs, trans="T"))
+        if j is not None and h.max() == h[j]:
+            break
+        j = int(np.argmax(h))
+        unit = np.zeros(n)
+        unit[j] = 1.0
+        y = solve(unit)
+        if not np.abs(y).sum() > est:
+            break
+        est = np.abs(y).sum()
+    return est
+
+
 def lu_solve(M, rhs):
     """Direct solve of M x = rhs by SuperLU's pivoted sparse LU; M may be any
     matrix that `scipy.sparse.csc_matrix` accepts.
@@ -164,20 +202,26 @@ def lu_solve(M, rhs):
     An M with no zero on its diagonal is factored in SuperLU's symmetric mode
     (minimum degree ordering on M + M^T, a diagonal pivot kept unless it is
     below 0.1 times its column's largest entry); any other M with COLAMD and
-    partial pivoting.  Raises SolverError when M or rhs has entries that are
-    not finite, when M is singular to working precision (pivot below
-    1e-14 * max|M|), and when the result fails the backward-error check
+    partial pivoting.  Only the factor's own solves are used: no copy of its
+    L or U is made.  M is singular to working precision, and SolverError is
+    raised, when its condition number estimate ||M||_1 est(||M^{-1}||_1)
+    (`_inverse_norm1`, whose first solve shares one call with rhs) is 1e14
+    or more.  SolverError is also raised when M or rhs has entries that are
+    not finite, and when the result fails the backward-error check
     ||M x - rhs||_inf <= 1e-10 (||M||_inf ||x||_inf + ||rhs||_inf),
     so that relaxed pivoting can never quietly return a wrong solution.
     """
     rhs = np.asarray(rhs, dtype=float)
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
-    if M.shape[0] != rhs.shape[0]:
+    n = M.shape[0]
+    if n != rhs.shape[0]:
         raise ValueError(f"shape mismatch: matrix {M.shape}, rhs {rhs.shape}")
     M = sp.csc_matrix(M, dtype=float)
     if not (np.all(np.isfinite(M.data)) and np.all(np.isfinite(rhs))):
         raise SolverError("matrix or right-hand side has entries that are not finite")
+    if n == 0:
+        raise SolverError("matrix is singular to working precision")
 
     options = {}
     if np.all(M.diagonal() != 0.0):
@@ -187,15 +231,17 @@ def lu_solve(M, rhs):
         factor = spla.splu(M, **options)
     except RuntimeError as exc:
         raise SolverError(f"sparse LU factorization failed: {exc}") from exc
-    pivots = factor.U.diagonal()
-    abs_M = abs(M)
-    if pivots.size == 0 or np.abs(pivots).min() <= _PIVOT_TOL * abs_M.max():
+    x, y = factor.solve(np.column_stack([rhs, np.full(n, 1.0 / n)])).T
+    abs_data = np.abs(M.data)
+    # SuperLU rejects an empty column as exactly singular, so none is empty here
+    norm1 = np.add.reduceat(abs_data, M.indptr[:-1]).max()
+    if not norm1 * _inverse_norm1(factor.solve, y) < _COND_TOL:
         raise SolverError("matrix is singular to working precision")
-    x = factor.solve(rhs)
     if not np.all(np.isfinite(x)):
         raise SolverError("direct solve produced non-finite values")
     residual = np.abs(M @ x - rhs).max()
-    bound = _BACKWARD_TOL * (abs_M.sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max())
+    row_sums = np.bincount(M.indices, abs_data, minlength=n)
+    bound = _BACKWARD_TOL * (row_sums.max() * np.abs(x).max() + np.abs(rhs).max())
     if not residual <= bound:
         raise SolverError(f"direct solve failed the backward-error check: residual "
                           f"{residual:.3e} exceeds {bound:.3e}")

@@ -104,30 +104,31 @@ def states(case: PdeCase, mesh: Mesh, dofmap: DofMap):
     mass matrix M of the march.
 
     A time grid that `n_steps` rejects raises at the call; the system is
-    assembled and the steps run as the states are read.  The initial state's
-    norm is also integrated by quadrature, and a relative deviation above
-    1e-12 raises `SolverError` before it is yielded."""
+    assembled and the steps run as the states are read.  Before the first
+    state is yielded, the norm of a fixed probe field with entries in [1, 2]
+    is also integrated by quadrature, and a relative deviation above 1e-12
+    raises `SolverError`."""
     coeffs = case.coeffs
     count = n_steps(coeffs.k, coeffs.T_end)
 
     def sequence():
         system = assemble_condensed(mesh, dofmap, coeffs, case.source_space)
+        # Once per march, the quadrature norm of a fixed probe field checks M's
+        # assembly, as the symmetry check does S's, whatever u0 is.  It is also
+        # the one call left of timestep.field_error, which perfbench times as
+        # errors.history_norm, and its self-test needs every hook found.
+        probe = np.random.default_rng(0).uniform(1.0, 2.0, dofmap.n_field)
+        l2 = float(np.sqrt(probe @ (system.mass @ probe)))
+        reference = field_error(mesh, dofmap, probe, ZERO_FIELDS, "L2")
+        if abs(l2 - reference) > _NORM_TOL * reference:
+            raise SolverError(f"field norm {l2!r} from the mass matrix differs from "
+                              f"{reference!r} by quadrature; assembly is inconsistent")
         state = MarchState(step_index=0, time=0.0, current=initial_field(case.u0, dofmap, mesh))
         for n in range(count + 1):
             if n:
                 state = step(system, state, case.source_time(n * coeffs.k))
             w = state.current.field
-            l2 = float(np.sqrt(w @ (system.mass @ w)))
-            if not n:
-                # Once per march, the quadrature norm checks M's assembly, as
-                # the symmetry check does S's.  It is also the one call left of
-                # timestep.field_error, which perfbench times as
-                # errors.history_norm, and its self-test needs every hook found.
-                reference = field_error(mesh, dofmap, w, ZERO_FIELDS, "L2")
-                if abs(l2 - reference) > _NORM_TOL * reference:
-                    raise SolverError(f"field norm {l2!r} from the mass matrix differs from "
-                                      f"{reference!r} by quadrature; assembly is inconsistent")
-            yield replace(state, l2=l2)
+            yield replace(state, l2=float(np.sqrt(w @ (system.mass @ w))))
 
     return sequence()
 

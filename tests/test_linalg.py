@@ -4,10 +4,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from dpgmarch import linalg
 from dpgmarch.assembly import assemble_condensed
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
+from dpgmarch.elliptic import (build_projection_system, condense_element_loads, exact_b_load,
+                               project_mixed)
+from dpgmarch.errors import SpatialFields
 from dpgmarch.linalg import SolverError, cg_solve, factor_spd, lu_solve, nested_dissection
 from dpgmarch.mesh import build_structured_mesh
 
@@ -276,7 +281,7 @@ def test_nested_dissection_fills_less_than_minimum_degree(p):
     symmetric = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     nd = spla.splu(system.S.tocsc(), permc_spec="NATURAL", **symmetric)
     mmd = spla.splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A", **symmetric)
-    assert nd.L.nnz + nd.U.nnz < mmd.L.nnz + mmd.U.nnz
+    assert nd.nnz < mmd.nnz  # the fill, read without building L and U
 
 
 def test_lu_identity():
@@ -342,11 +347,15 @@ def test_lu_rejects_non_finite_data(sparse, bad):
         lu_solve(sp.csr_matrix(M) if sparse else M, rhs)
 
 
+def _zero_diagonal_permutation(n, seed):
+    perm = np.random.default_rng(seed).permutation(n)
+    perm = np.roll(perm, 1)[np.argsort(perm)]  # one n-cycle, so no fixed point
+    return sp.csr_matrix((np.arange(1.0, n + 1.0), (np.arange(n), perm)), shape=(n, n))
+
+
 def test_lu_sparse_zero_diagonal_permutation():
     # every diagonal entry is zero, so the symmetric mode is ruled out
-    perm = np.random.default_rng(13).permutation(12)
-    perm = np.roll(perm, 1)[np.argsort(perm)]  # one 12-cycle, so no fixed point
-    M = sp.csr_matrix((np.arange(1.0, 13.0), (np.arange(12), perm)), shape=(12, 12))
+    M = _zero_diagonal_permutation(12, 13)
     assert np.all(M.diagonal() == 0.0)
     rhs = np.arange(12.0) - 5.5
     x = lu_solve(M, rhs)
@@ -373,11 +382,10 @@ def test_lu_sparse_tiny_diagonal_needs_threshold_pivoting():
 
 
 class PerturbedFactor:
-    """A factor whose solutions are off by a relative 1e-6."""
+    """A factor whose solutions, with M or with M^T, are off by a relative 1e-6."""
 
     def __init__(self, factor):
-        self.U = factor.U
-        self.solve = lambda b: factor.solve(b) * (1.0 + 1e-6)
+        self.solve = lambda b, trans="N": factor.solve(b, trans) * (1.0 + 1e-6)
 
 
 def test_lu_backward_error_guard_trips_on_a_wrong_sparse_solution(monkeypatch):
@@ -400,3 +408,149 @@ def test_lu_backward_error_guard_trips_on_a_wrong_dense_solution(monkeypatch):
     monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: PerturbedFactor(splu(*args, **kwargs)))
     with pytest.raises(SolverError, match="backward-error"):
         lu_solve(M, rhs)
+
+
+class FactorWithoutCopies:
+    """A SuperLU factor whose L and U raise: scipy builds both triangles as
+    CSC copies of the factor when either is read."""
+
+    def __init__(self, factor):
+        self.solve = factor.solve
+
+    @property
+    def L(self):
+        raise AssertionError("the factor's L was read")
+
+    @property
+    def U(self):
+        raise AssertionError("the factor's U was read")
+
+
+@pytest.mark.parametrize("symmetric_mode", [True, False])
+def test_lu_solve_makes_no_copy_of_the_factor(monkeypatch, symmetric_mode):
+    rng = np.random.default_rng(17)
+    if symmetric_mode:
+        M = sp.csr_matrix(rng.standard_normal((12, 12)) + 6 * np.eye(12))
+    else:
+        M = _zero_diagonal_permutation(12, 18)
+    rhs = rng.standard_normal(12)
+    modes = []
+    splu = spla.splu
+
+    def wrapped(*args, **kwargs):
+        modes.append(kwargs.get("options", {}).get("SymmetricMode", False))
+        return FactorWithoutCopies(splu(*args, **kwargs))
+
+    monkeypatch.setattr(spla, "splu", wrapped)
+    x = lu_solve(M, rhs)
+    assert modes == [symmetric_mode]
+    assert _backward_error(M, x, rhs) <= 1e-15
+
+
+def _near_singular_2x2(delta):
+    return np.array([[1.0, 1.0], [1.0, 1.0 + delta]])
+
+
+def _near_singular_zero_diagonal(delta):
+    # row 3 is row 1 minus row 2 up to delta, and no diagonal entry is nonzero
+    return np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [-1.0, 1.0 + delta, 0.0]])
+
+
+@pytest.mark.parametrize("matrix", [_near_singular_2x2, _near_singular_zero_diagonal])
+def test_lu_rejects_a_near_singular_matrix_and_solves_a_better_one(matrix):
+    # kappa_1 is about 4e15 at delta = 1e-15 and 4e13-6e13 at delta = 1e-13.
+    # The 2x2 rhs (1, 1) is consistent: M x = rhs for x = (1, 0), so an
+    # estimate that started from the right-hand side alone would miss the
+    # tiny pivot.  The 3x3 matrix has no nonzero diagonal entry, so it is
+    # factored with COLAMD.
+    rhs = np.ones(len(matrix(0.0)))
+    with pytest.raises(SolverError, match="singular"):
+        lu_solve(matrix(1e-15), rhs)
+    M = matrix(1e-13)
+    x = lu_solve(M, rhs)
+    assert _backward_error(M, x, rhs) <= 1e-15
+
+
+def test_lu_rejects_an_ill_conditioned_matrix_with_unit_pivots():
+    # (M^{-1})_{ij} = 2^{j-i}: kappa_1 is about 2^61 although every pivot is
+    # 1, which a test of the pivots against max|M| accepted
+    n = 60
+    M = sp.diags([np.ones(n), np.full(n - 1, -2.0)], [0, 1]).tocsr()
+    with pytest.raises(SolverError, match="singular"):
+        lu_solve(M, np.ones(n))
+
+
+def test_projection_matrices_are_far_from_singular(monkeypatch):
+    # N of the projection workload, aniso, p=1, k=h at n=12, 24 and 48
+    # (kappa_1 about 2.0e5, 7.8e5 and 3.1e6), and the mixed saddle-point
+    # matrices of the projection tests: far below the threshold 1e14
+    norms, kappas = [], []
+    splu, estimate = spla.splu, linalg._inverse_norm1
+
+    def recording_splu(M, **kwargs):
+        norms.append(abs(M).sum(axis=0).max())
+        return splu(M, **kwargs)
+
+    def recording_estimate(solve, y):
+        est = estimate(solve, y)
+        kappas.append(norms[-1] * est)
+        return est
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    monkeypatch.setattr(linalg, "_inverse_norm1", recording_estimate)
+    for n in (12, 24, 48):
+        mesh = build_structured_mesh(n)
+        dofmap = build_dofmap(mesh, 1)
+        case = make_case("aniso", 1.0 / n, 1.0 / n)
+        exact = SpatialFields(*case.spatial_u(0.0))
+        system = build_projection_system(mesh, dofmap, case.coeffs)
+        lu_solve(system.N, condense_element_loads(
+            system, exact_b_load(mesh, dofmap, case.coeffs, exact)))
+    for n, p in ((4, 0), (8, 0), (16, 0), (4, 1)):
+        mesh = build_structured_mesh(n)
+        dofmap = build_dofmap(mesh, p)
+        case = make_case("adr-decay", 0.1, 1.0)
+        exact = SpatialFields(*case.spatial_u(0.0))
+        project_mixed(mesh, dofmap, case.coeffs, exact_b_load(mesh, dofmap, case.coeffs, exact))
+    assert len(kappas) == 7
+    assert max(kappas) <= 1e8
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_inverse_norm_estimate_is_a_lower_bound_of_the_norm(seed):
+    rng = np.random.default_rng(seed)
+    n = 30
+    M = sp.csc_matrix(rng.standard_normal((n, n)) + 3 * np.eye(n))
+    factor = spla.splu(M)
+    estimate = linalg._inverse_norm1(factor.solve, factor.solve(np.full(n, 1.0 / n)))
+    exact = np.abs(np.linalg.inv(M.toarray())).sum(axis=0).max()
+    assert exact / 3 <= estimate <= exact * (1 + 1e-12)
+
+
+@st.composite
+def dominant_systems(draw):
+    """A strictly diagonally dominant sparse matrix of order 3 to 8, a
+    right-hand side and three distinct rows."""
+    n = draw(st.integers(3, 8))
+    entries = draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+    kept = draw(arrays(bool, (n, n)))
+    M = np.where(kept, entries, 0.0)
+    np.fill_diagonal(M, 0.0)
+    margin = draw(arrays(float, n, elements=st.floats(0.01, 1.0)))
+    signs = draw(arrays(bool, n))
+    np.fill_diagonal(M, np.where(signs, 1.0, -1.0) * (np.abs(M).sum(axis=1) + margin))
+    rhs = draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    rows = draw(st.permutations(range(n)))[:3]
+    return M, rhs, rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(system=dominant_systems())
+def test_lu_solves_dominant_matrices_and_rejects_a_dependent_row(system):
+    M, rhs, (i, j, k) = system
+    x = lu_solve(sp.csr_matrix(M), rhs)
+    assert np.abs(M @ x - rhs).max() <= 1e-10 * (np.abs(M).sum(axis=1).max() * np.abs(x).max()
+                                                  + np.abs(rhs).max())
+    M[i] = M[j] + M[k]
+    with pytest.raises(SolverError):
+        lu_solve(sp.csr_matrix(M), rhs)

@@ -143,6 +143,19 @@ def test_states_reject_a_mass_matrix_norm_off_the_quadrature(monkeypatch):
         next(sequence)
 
 
+@pytest.mark.parametrize("p", [0, 1])
+def test_states_check_the_mass_matrix_when_u0_is_zero(monkeypatch, p):
+    # the check integrates a fixed probe field, not the initial one, so a
+    # march from u0 = 0, whose every norm is 0, still checks M
+    quadrature = timestep.field_error
+    monkeypatch.setattr(timestep, "field_error",
+                        lambda *args: quadrature(*args) * (1.0 + 1e-9))
+    mesh = build_structured_mesh(3)
+    sequence = states(zero_data_case(0.25, 0.5), mesh, build_dofmap(mesh, p))
+    with pytest.raises(SolverError, match="mass matrix"):
+        next(sequence)
+
+
 @pytest.mark.parametrize("case_id, p, k, T_end", [("adr-decay", 0, 0.1, 0.5),
                                                   ("aniso", 1, 0.25, 1.0)])
 def test_march_is_the_last_of_its_states(case_id, p, k, T_end):
