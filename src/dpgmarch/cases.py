@@ -16,6 +16,7 @@ marched.
 Catalog:
     heat-decay      A=I, beta=0, gamma=0,           u = exp(-t) sin(pi x) sin(pi y)
     adr-decay       A=I, beta=(1, 0.5), gamma=1,    same spatial profile
+    adr-linear      same coefficients,              u = (1 + t) sin(pi x) sin(pi y)
     stationary-adr  same coefficients,              u = sin(pi x) sin(pi y), time-independent
     aniso           A=[[2,.5],[.5,1]], beta=(.3,-.2), gamma=.5,
                                                     u = exp(-t) x(1-x) y(1-y)
@@ -117,10 +118,12 @@ def _make_case(name, coeffs, profile, time_factor, time_factor_dot) -> PdeCase:
 def _catalog():
     eye = np.eye(2)
     decay = (lambda t: np.exp(-t), lambda t: -np.exp(-t))
+    linear = (lambda t: 1.0 + t, lambda t: 1.0)  # backward Euler's quotient is exact
     steady = (lambda t: 1.0, lambda t: 0.0)
     return {
         "heat-decay": (eye, np.zeros(2), 0.0, _sine_profile, decay),
         "adr-decay": (eye, np.array([1.0, 0.5]), 1.0, _sine_profile, decay),
+        "adr-linear": (eye, np.array([1.0, 0.5]), 1.0, _sine_profile, linear),
         "stationary-adr": (eye, np.array([1.0, 0.5]), 1.0, _sine_profile, steady),
         "aniso": (np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.3, -0.2]), 0.5,
                   _bubble_profile, decay),

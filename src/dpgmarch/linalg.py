@@ -3,7 +3,10 @@ float64 sparse factor of it, and a pivoted sparse LU for the nonsymmetric
 projection systems.
 
 Matrix storage is scipy CSR/CSC.  `factor_spd` factors S in its own
-numbering, which the march assembles in the order of `nested_dissection`.
+numbering, which the march assembles in the order of `nested_dissection`, and
+solves through SuperLU's transposed path (S^T x = r, the same system for a
+symmetric S), which is faster than the plain one on S's small supernodes;
+`lu_solve` keeps the plain path, since a nonsymmetric N^T is another matrix.
 `cg_solve` first takes x = precond(rhs): one product S x gives both the
 curvature check and the true residual, and x is accepted when that residual
 is at most 1e-12 times the right-hand side, as it is with the float64
@@ -94,8 +97,9 @@ def factor_spd(S):
 
     SuperLU factors S's own arrays in symmetric mode with its NATURAL column
     order and diagonal pivots, so the fill is the one S's numbering gives
-    (see `nested_dissection`).  Raises ValueError unless S is canonical CSR,
-    and SolverError when S has entries that are not finite or SuperLU fails.
+    (see `nested_dissection`), and the preconditioner solves S^T x = r.
+    Raises ValueError unless S is canonical CSR, and SolverError when S has
+    entries that are not finite or SuperLU fails.
     """
     if not (sp.isspmatrix_csr(S) and S.has_canonical_format):
         raise ValueError("S must be a CSR matrix in canonical format")
@@ -108,7 +112,10 @@ def factor_spd(S):
                            options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
-    return factor.solve
+    # SuperLU's transposed solve is faster on S's many small supernodes, and it
+    # solves the same system: `assemble_condensed` has checked S for symmetry to
+    # 2e-12 max|S|, and `cg_solve` checks every result against S itself.
+    return lambda r: factor.solve(r, trans="T")
 
 
 def cg_solve(S, rhs, precond):
@@ -117,17 +124,18 @@ def cg_solve(S, rhs, precond):
 
     Returns (x, iterations) with ||S x - rhs|| <= 1e-12 ||rhs||, the residual
     recomputed before it is accepted; (precond(rhs), 1) when that first
-    iterate already passes.  Raises SolverError on non-finite rhs, on
-    nonpositive or NaN curvature (S not positive definite) and when 50
-    iterations do not reach the tolerance.
+    iterate already passes.  Raises SolverError, before any product with S,
+    when ||rhs|| is not finite (an entry is NaN or Inf, or the norm
+    overflows), on nonpositive or NaN curvature (S not positive definite)
+    and when 50 iterations do not reach the tolerance.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.shape[0]
     if S.shape != (n, n):
         raise ValueError(f"shape mismatch: matrix {S.shape}, rhs {rhs.shape}")
-    if not np.all(np.isfinite(rhs)):
-        raise SolverError("right-hand side has non-finite entries")
     b_norm = np.linalg.norm(rhs)
+    if not np.isfinite(b_norm):  # NaN or Inf whenever an entry is, or when it overflows
+        raise SolverError("right-hand side has non-finite entries or norm")
     if b_norm == 0.0:
         return np.zeros(n), 0
     tolerance = _CG_REL_TOL * b_norm

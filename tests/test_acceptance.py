@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and measured values.
 """
 
+import contextlib
 import time
 
 import numpy as np
@@ -141,6 +142,30 @@ def test_criterion_6_temporal_rate():
            + " all within [0.85, 1.15] against the k=1/512 reference")
 
 
+@pytest.mark.parametrize("p", [0, 1])
+@pytest.mark.parametrize("k", [0.1, 1e-4])
+def test_linear_in_time_case_has_the_optimal_l2_rate_at_every_k(p, k):
+    # backward Euler's difference quotient is exact for T(t) = 1 + t, so the
+    # error after 10 steps is spatial alone, whatever k is: the paper's
+    # optimal field L2 rate p + 2 shows at every k, with no k-h coupling
+    errs_l2, hs = [], []
+    for n in (4, 8, 16, 32):
+        mesh = build_structured_mesh(n)
+        dofmap = build_dofmap(mesh, p)
+        case = make_case("adr-linear", k, 10 * k)
+        regime = (pytest.warns(RuntimeWarning, match="trace-norm")
+                  if mesh.h_max / np.sqrt(k) > 10 else contextlib.nullcontext())
+        with regime:  # at k = 1e-4, n = 4 and 8 are past h/sqrt(k) = 10
+            state = march(case, mesh, dofmap)
+        u_fn, grad_fn = case.spatial_u(state.time)
+        errs_l2.append(field_error(mesh, dofmap, state.current.field,
+                                   SpatialFields(u=u_fn, grad_u=grad_fn), "L2"))
+        hs.append(mesh.h_max)
+    rate = eoc(errs_l2, hs)[-1]
+    print(f"adr-linear, p={p}, k={k:g}: L2 EOC {rate:.3f} on the finest pair (n=16, 32)")
+    assert p + 1.85 <= rate <= p + 2.15
+
+
 def test_criterion_7_projection_rates():
     case = make_case("adr-decay", 0.1, 1.0)
     u_fn, grad_fn = case.spatial_u(0.0)
@@ -167,17 +192,19 @@ def test_criterion_8_mixed_equivalence():
     mesh = build_structured_mesh(8)
     dofmap = build_dofmap(mesh, 0)
 
-    direct = project(mesh, dofmap, case.coeffs, exact).as_vector()
+    direct = project(mesh, dofmap, case.coeffs, exact)
+    direct = np.concatenate([direct.field, direct.trace])
     _, via_mixed = project_mixed(mesh, dofmap, case.coeffs,
                                  exact_b_load(mesh, dofmap, case.coeffs, exact))
-    deviation = np.abs(via_mixed.as_vector() - direct).max() / np.abs(direct).max()
+    via_mixed = np.concatenate([via_mixed.field, via_mixed.trace])
+    deviation = np.abs(via_mixed - direct).max() / np.abs(direct).max()
 
     rng = np.random.default_rng(8)
     data = rng.standard_normal(dofmap.n_dof)
     v, u = project_mixed(mesh, dofmap, case.coeffs,
                          discrete_b_load(mesh, dofmap, case.coeffs, data))
     residual = np.abs(v).max() / np.abs(data).max()
-    identity = np.abs(u.as_vector() - data).max() / np.abs(data).max()
+    identity = np.abs(np.concatenate([u.field, u.trace]) - data).max() / np.abs(data).max()
 
     report(8, deviation <= 1e-9 and residual <= 1e-9 and identity <= 1e-9,
            f"mixed vs condensed deviation {deviation:.3e} <= 1e-9; representable data: "

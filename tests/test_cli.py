@@ -157,6 +157,26 @@ def test_heat_identity_checks_every_step(tmp_path, monkeypatch, capsys):
         == pytest.approx(1e-6, rel=1e-3)
 
 
+def test_heat_identity_frees_the_oracle_before_the_march_assembles(tmp_path, monkeypatch):
+    events = []
+    oracle, assemble = cli.galerkin_states, timestep.assemble_condensed
+
+    def recorded_oracle(*args):
+        yield from oracle(*args)
+        events.append("oracle exhausted")
+
+    def recorded_assemble(*args):
+        events.append("assemble")
+        return assemble(*args)
+
+    monkeypatch.setattr(cli, "galerkin_states", recorded_oracle)
+    monkeypatch.setattr(timestep, "assemble_condensed", recorded_assemble)
+    config = base_config(tmp_path, command="heat-identity", case_id="heat-decay",
+                         levels=[4], k_policy="fixed:0.01", n_steps=5, output_path=None)
+    assert main(["heat-identity", "--config", config]) == 0
+    assert events == ["oracle exhausted", "assemble"]
+
+
 def test_converge_time_command(tmp_path):
     config = base_config(tmp_path, command="converge-time", case_id="heat-decay",
                          levels=[4], k_policy="list:0.25,0.125", T_end=1.0,

@@ -108,11 +108,13 @@ def _spd(seed, n=20):
     return sp.csr_matrix(A.T @ A + np.eye(n)), rng
 
 
-@pytest.mark.parametrize("bad", ["rhs-nan", "rhs-inf"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", ["rhs-nan", "rhs-inf", "rhs-overflow"])
 def test_cg_nonfinite_data_raises_before_iterating(bad):
+    # an rhs whose norm overflows would make the tolerance inf and accept any x
     S, rng = _spd(5)
     rhs = rng.standard_normal(20)
-    rhs[3] = np.nan if bad.endswith("nan") else np.inf
+    rhs[3] = {"rhs-nan": np.nan, "rhs-inf": np.inf, "rhs-overflow": 1e300}[bad]
     counting = CountingMatrix(S)
     with pytest.raises(SolverError, match="non-finite"):
         cg_solve(counting, rhs, unpreconditioned)
@@ -175,6 +177,45 @@ def test_factor_spd_solves_in_the_order_it_is_given():
     expected = np.linalg.solve(S.toarray(), r)
     x = factor_spd(S[order][:, order].sorted_indices())(r[order])[rank]
     assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_factor_spd_solves_through_the_transposed_path(monkeypatch):
+    # S is symmetric, so SuperLU's faster transposed solve is the same system
+    calls = []
+    splu = spla.splu
+
+    class RecordingFactor:
+        def __init__(self, factor):
+            self.factor = factor
+
+        def solve(self, rhs, trans="N"):
+            calls.append(trans)
+            return self.factor.solve(rhs, trans=trans)
+
+    monkeypatch.setattr(linalg.spla, "splu", lambda *a, **kw: RecordingFactor(splu(*a, **kw)))
+    S, rng = _spd(16)
+    r = rng.standard_normal(20)
+    x = factor_spd(S)(r)
+    assert calls == ["T"]
+    assert np.linalg.norm(S @ x - r) <= 1e-12 * np.linalg.norm(r)
+
+
+def test_cg_with_the_transposed_factor_solves_an_S_asymmetric_below_the_check():
+    # an off-diagonal entry of the march's S moved by 1e-13 max|S|, its mirror
+    # not, passes the symmetry check of assemble_condensed; CG still solves
+    # S x = rhs with S itself, not S^T, if need be with a second iteration
+    mesh = build_structured_mesh(8)
+    dofmap = build_dofmap(mesh, 0)
+    case = make_case("adr-decay", 0.1, 0.1)
+    S = assemble_condensed(mesh, dofmap, case.coeffs, case.source_space).S.copy()
+    rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    entry = np.flatnonzero(rows != S.indices)[len(rows) // 3]
+    S.data[entry] += 1e-13 * np.abs(S.data).max()
+    assert (S != S.T).nnz == 2
+    rhs = np.random.default_rng(19).standard_normal(S.shape[0])
+    x, iterations = cg_solve(S, rhs, factor_spd(S))
+    assert iterations <= 2
+    assert np.linalg.norm(S @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
 @pytest.mark.parametrize("bad", ["csc", "duplicates", "unsorted"])
