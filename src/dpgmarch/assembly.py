@@ -26,7 +26,10 @@ step's load (f + w/k, psi)_K condenses to
         = F a(t) + C w,
 
 with (g_s, psi)_K integrated once per march by the volume rule of degree
-2(p+2).  A march keeps S, its factor, F and C, all numbered in the
+2(p+2).  E_K^T is formed once, with the element blocks (`LocalBlocks.Et`),
+and one load condensation, `condensed_loads`, sums E_K^T L_K^{-1} l_K over
+the elements for the march's F and for the load of the elliptic projection
+(see `elliptic`).  A march keeps S, its factor, F and C, all numbered in the
 `nested_dissection` order that the factor needs, and a step does no
 quadrature.  It also keeps the field mass matrix M = sum_K det J M_ff, in
 the numbering of the dofmap, so the L2 norm of a field w is
@@ -50,9 +53,10 @@ groups the elements that are translates of each other, bit for bit, with
 equally oriented edges; the blocks are built once per class, for its first
 element, and element e reads those of class cls[e].  A structured n-by-n
 mesh has 2 classes when n is a power of two and 50-98 at n = 12, 24, 48; a
-perturbed mesh has one class per element.  The element products of a condensation are formed per class too,
-and taken to the elements, in element order, only by a scatter or by an
-element load, so S, C and F are bitwise those of a per-element build.
+perturbed mesh has one class per element.  The element products of a
+condensation are formed per class too, and taken to the elements, in element
+order, only by a scatter or by an element load, so S, C and F are bitwise
+those of a per-element build.
 """
 
 from __future__ import annotations
@@ -129,6 +133,8 @@ class LocalBlocks:
     chol / chol_inv: Cholesky factor L_K of G_K and its inverse,
         (n_classes, nt, nt), the inverse by forward substitution.
     B_a, B_b: trial-to-test blocks, (n_classes, nt, nc).
+    Et: E_{a,K}^T = B_{a,K}^T L_K^{-T}, (n_classes, nc, nt), the left factor
+        of every condensation.
     mass_field: test-against-field mass block, (n_classes, nt, nfl).
     detJ: det J of each class, (n_classes,).
     cls: class of each element, (ne,).
@@ -140,6 +146,7 @@ class LocalBlocks:
     chol_inv: np.ndarray
     B_a: np.ndarray
     B_b: np.ndarray
+    Et: np.ndarray
     mass_field: np.ndarray
     detJ: np.ndarray
     cls: np.ndarray
@@ -385,7 +392,8 @@ def _build_blocks(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> LocalB
     cols = np.hstack([dofmap.element_field_dofs,
                       dofmap.n_field + dofmap.element_trace_dofs])
     return LocalBlocks(chol=chol, chol_inv=chol_inv, B_a=B_a, B_b=B_b,
-                       mass_field=mass_field, detJ=detJ, cls=cls, cols=cols)
+                       Et=(chol_inv @ B_a).transpose(0, 2, 1), mass_field=mass_field,
+                       detJ=detJ, cls=cls, cols=cols)
 
 
 def scatter(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape,
@@ -402,8 +410,14 @@ def scatter(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape,
     return matrix
 
 
-def scatter_load(values: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """Sum over the elements of values (ne, nc, m) at the rows cols, (n, m)."""
+def condensed_loads(blocks: LocalBlocks, loads: np.ndarray, cols: np.ndarray,
+                    n: int) -> np.ndarray:
+    """Condensed loads sum_K E_{a,K}^T L_K^{-1} l_K of the element test loads
+    l (ne, nt, m), summed at the rows cols (ne, nc) and leaving out slots at
+    -1, (n, m): the march's F in S's numbering, the projection load in the
+    dofmap's."""
+    cls = blocks.cls
+    values = blocks.Et[cls] @ (blocks.chol_inv[cls] @ loads)
     free = cols >= 0
     m = values.shape[2]
     index = cols[free][:, None] * m + np.arange(m)
@@ -439,16 +453,15 @@ def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     order = nested_dissection(mesh.vertices[mesh.elements].mean(axis=1), blocks.cols, n)
     rank = np.argsort(order)
     cols = np.append(rank, -1)[blocks.cols]  # the element slots in the numbering of S
-    cls = blocks.cls
-    Et = (blocks.chol_inv @ blocks.B_a).transpose(0, 2, 1)  # per class
-    sources = Et[cls] @ (blocks.chol_inv[cls] @ _source_loads(mesh, dofmap.p, source_space))
+    cls, Et = blocks.cls, blocks.Et
     W_w = blocks.chol_inv @ blocks.mass_field / coeffs.k
     field_dofs = dofmap.element_field_dofs
-    ops = StepOperators(F=scatter_load(sources, cols, n),
-                        C=scatter((Et @ W_w)[cls], cols, field_dofs, (n, dofmap.n_field), "csr"))
+    ops = StepOperators(
+        F=condensed_loads(blocks, _source_loads(mesh, dofmap.p, source_space), cols, n),
+        C=scatter((Et @ W_w)[cls], cols, field_dofs, (n, dofmap.n_field), "csr"))
     field_mass = blocks.detJ[:, None, None] * _reference_tensors(dofmap.p + 1, dofmap.p + 1)[4]
     mass = scatter(field_mass[cls], field_dofs, field_dofs, (dofmap.n_field,) * 2, "csr")
-    del blocks, sources  # set-up temporaries: free them before the largest scatter
+    del blocks  # set-up temporaries: free them before the largest scatter
     S = scatter((Et @ Et.transpose(0, 2, 1))[cls], cols, cols, (n, n), "csr")
     del Et
     # S.T is a CSC view of S's own arrays, so S x - S^T x needs no transposed

@@ -98,6 +98,8 @@ class RunConfig:
         if row.list_policy != (self.k_policy.kind == "list"):
             need = "a" if row.list_policy else "no"
             raise ConfigError(f"{self.command} takes {need} k_policy 'list:...'")
+        if list(self.k_policy.values) != sorted(set(self.k_policy.values), reverse=True):
+            raise ConfigError("the steps of a k_policy 'list:...' must strictly decrease")
 
 
 def _integer(key: str, value) -> int:

@@ -11,9 +11,11 @@ which in condensed form is the nonsymmetric system N x = r with
     r[i]    = (B_a e_i)^T G^{-1} l_b,     l_b[m] = b(u, psi_m).
 
 The test space is broken, so with G_K = L_K L_K^T and E = L_K^{-1} B_K both
-are sums of element products scattered by `assembly`: N = sum_K
-E_{a,K}^T E_{b,K} and r = sum_K E_{a,K}^T L_K^{-1} l_{b,K}, with E_{a,K} and
-the products E_{a,K}^T E_{b,K} formed once per class of congruent elements.
+are sums of element products: N = sum_K E_{a,K}^T E_{b,K}, scattered by
+`assembly.scatter`, and r = sum_K E_{a,K}^T L_K^{-1} l_{b,K}, the march's
+load condensation `assembly.condensed_loads`.  E_{a,K}^T comes with the
+element blocks and the products E_{a,K}^T E_{b,K} are formed once per class
+of congruent elements.
 
 It is equivalent to the mixed saddle-point system
 
@@ -37,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import LocalBlocks, PdeCoefficients, _build_blocks, gather, scatter, \
-    scatter_load, volume_quadrature
+from .assembly import LocalBlocks, PdeCoefficients, _build_blocks, condensed_loads, gather, \
+    scatter, volume_quadrature
 from .basis import triangle_table
 from .dofmap import DofMap
 from .errors import SpatialFields, _trace_residuals
@@ -49,29 +51,18 @@ from .timestep import TrialVector
 
 @dataclass
 class ProjectionSystem:
-    """N = sum_K E_{a,K}^T E_{b,K} in CSC, the element blocks, and E_{a,K}^T
-    per class, (n_classes, nc, nt), for the load."""
+    """N = sum_K E_{a,K}^T E_{b,K} in CSC and the element blocks, whose
+    E_{a,K}^T also condenses the load (`assembly.condensed_loads`)."""
 
     N: sp.csc_matrix
     blocks: LocalBlocks
-    Et: np.ndarray
 
 
 def build_projection_system(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> ProjectionSystem:
     blocks = _build_blocks(mesh, dofmap, coeffs)
-    Et = (blocks.chol_inv @ blocks.B_a).transpose(0, 2, 1)
-    N = scatter((Et @ (blocks.chol_inv @ blocks.B_b))[blocks.cls], blocks.cols, blocks.cols,
-                (dofmap.n_dof, dofmap.n_dof), "csc")
-    return ProjectionSystem(N=N, blocks=blocks, Et=Et)
-
-
-def condense_element_loads(system: ProjectionSystem, loads: np.ndarray) -> np.ndarray:
-    """Condensed right-hand side sum_K E_{a,K}^T L_K^{-1} l_K of element test
-    loads l, shape (ne, nt)."""
-    blocks = system.blocks
-    cls = blocks.cls
-    loads = system.Et[cls] @ (blocks.chol_inv[cls] @ loads[..., None])
-    return scatter_load(loads, blocks.cols, system.N.shape[0])[:, 0]
+    N = scatter((blocks.Et @ (blocks.chol_inv @ blocks.B_b))[blocks.cls], blocks.cols,
+                blocks.cols, (dofmap.n_dof, dofmap.n_dof), "csc")
+    return ProjectionSystem(N=N, blocks=blocks)
 
 
 def exact_b_load(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
@@ -112,9 +103,10 @@ def project(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     """Elliptic projection of exact data (u, grad_u); the flux trace is taken
     from grad_u and is single-valued for smooth u."""
     system = build_projection_system(mesh, dofmap, coeffs)
-    rhs = condense_element_loads(system, exact_b_load(mesh, dofmap, coeffs, exact))
+    loads = exact_b_load(mesh, dofmap, coeffs, exact)[..., None]
+    rhs = condensed_loads(system.blocks, loads, system.blocks.cols, dofmap.n_dof)[:, 0]
     N = system.N
-    del system  # free the element blocks before the factorization
+    del system, loads  # free the element blocks and loads before the factorization
     return TrialVector.from_vector(lu_solve(N, rhs), dofmap.n_field)
 
 

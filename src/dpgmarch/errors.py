@@ -133,7 +133,7 @@ def eoc(errors, steps):
         raise ValueError("errors and steps must have equal length")
     rates = []
     for prev_e, cur_e, prev_s, cur_s in zip(errors, errors[1:], steps, steps[1:]):
-        if prev_e <= 0.0 or cur_e <= 0.0:
+        if prev_e <= 0.0 or cur_e <= 0.0 or prev_s == cur_s:
             rates.append(None)
         else:
             rates.append(float(np.log(prev_e / cur_e) / np.log(prev_s / cur_s)))

@@ -20,10 +20,11 @@ column's largest entry (X. S. Li, "An overview of SuperLU", ACM TOMS 31,
 2005).  A zero on the diagonal, as in the (2,2) block of the mixed
 saddle-point system, rules that out, and the matrix is factored with COLAMD
 and partial pivoting.  A matrix is singular to working precision when its
-1-norm condition estimate is 1e14 or more; the estimate of ||M^{-1}||_1
-comes from solves with the factor, as in LAPACK's dgecon, so no copy of the
-factor's L or U is ever made.  Every direct solve is checked afterwards for a
-small backward error.
+1-norm condition estimate is 1e14 or more; the estimate of ||M^{-1}||_1 is
+`scipy.sparse.linalg.onenormest` (Higham & Tisseur, SIAM J. Matrix Anal.
+Appl. 21, 2000) on the factor's solves with M and M^T, as in LAPACK's
+dgecon, so no copy of the factor's L or U is ever made.  Every direct solve
+is checked afterwards for a small backward error.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import scipy.sparse.linalg as spla
 _CG_REL_TOL = 1e-12
 _CG_MAX_ITER = 50  # a step preconditioned by the float64 factor takes 1
 _COND_TOL = 1e14  # ||M||_1 ||M^{-1}||_1 at which M is singular to working precision
-_NORM_EST_STEPS = 5
 _BACKWARD_TOL = 1e-10
 
 
@@ -169,40 +169,6 @@ def cg_solve(S, rhs, precond):
                       f"(residual {np.linalg.norm(rhs - S @ x) / b_norm:.3e} relative)")
 
 
-def _inverse_norm1(solve, y):
-    """Lower bound of ||M^{-1}||_1 from solves with a factor of M, given its
-    first solve y = M^{-1} e / n, e the vector of ones.
-
-    The t = 1 case of the block estimator of Higham and Tisseur (SIAM J.
-    Matrix Anal. Appl. 21, 2000), as `scipy.sparse.linalg.onenormest(t=1)`
-    runs it: Hager's method (SIAM J. Sci. Stat. Comput. 5, 1984) with
-    Higham's stopping tests (ACM TOMS 14, 1988), which LAPACK's condition
-    estimates use.  Each step solves with M^T against the signs of the last
-    solution and with M against the unit vector that this promises most;
-    it stops when the estimate stops growing, the signs repeat or no unit
-    vector promises more, and after five steps.  Usually three solves
-    follow y.
-    """
-    n = len(y)
-    est, signs, j = np.abs(y).sum(), np.zeros(n), None
-    for _ in range(_NORM_EST_STEPS):
-        new_signs = np.where(y >= 0.0, 1.0, -1.0)
-        if abs(new_signs @ signs) == n:
-            break
-        signs = new_signs
-        h = np.abs(solve(signs, trans="T"))
-        if j is not None and h.max() == h[j]:
-            break
-        j = int(np.argmax(h))
-        unit = np.zeros(n)
-        unit[j] = 1.0
-        y = solve(unit)
-        if not np.abs(y).sum() > est:
-            break
-        est = np.abs(y).sum()
-    return est
-
-
 def lu_solve(M, rhs):
     """Direct solve of M x = rhs by SuperLU's pivoted sparse LU; M may be any
     matrix that `scipy.sparse.csc_matrix` accepts.
@@ -212,10 +178,11 @@ def lu_solve(M, rhs):
     below 0.1 times its column's largest entry); any other M with COLAMD and
     partial pivoting.  Only the factor's own solves are used: no copy of its
     L or U is made.  M is singular to working precision, and SolverError is
-    raised, when its condition number estimate ||M||_1 est(||M^{-1}||_1)
-    (`_inverse_norm1`, whose first solve shares one call with rhs) is 1e14
-    or more.  SolverError is also raised when M or rhs has entries that are
-    not finite, and when the result fails the backward-error check
+    raised, when its condition number estimate ||M||_1 est(||M^{-1}||_1) is
+    1e14 or more, est the t = 1 estimate of `scipy.sparse.linalg.onenormest`
+    on the factor's solves, usually four after the one of rhs.  SolverError
+    is also raised when M or rhs has entries that are not finite, and when
+    the result fails the backward-error check
     ||M x - rhs||_inf <= 1e-10 (||M||_inf ||x||_inf + ||rhs||_inf),
     so that relaxed pivoting can never quietly return a wrong solution.
     """
@@ -239,11 +206,13 @@ def lu_solve(M, rhs):
         factor = spla.splu(M, **options)
     except RuntimeError as exc:
         raise SolverError(f"sparse LU factorization failed: {exc}") from exc
-    x, y = factor.solve(np.column_stack([rhs, np.full(n, 1.0 / n)])).T
+    x = factor.solve(rhs)
+    inverse = spla.LinearOperator((n, n), matvec=factor.solve, dtype=float,
+                                  rmatvec=lambda r: factor.solve(r, trans="T"))
     abs_data = np.abs(M.data)
     # SuperLU rejects an empty column as exactly singular, so none is empty here
     norm1 = np.add.reduceat(abs_data, M.indptr[:-1]).max()
-    if not norm1 * _inverse_norm1(factor.solve, y) < _COND_TOL:
+    if not norm1 * spla.onenormest(inverse, t=1) < _COND_TOL:
         raise SolverError("matrix is singular to working precision")
     if not np.all(np.isfinite(x)):
         raise SolverError("direct solve produced non-finite values")

@@ -145,6 +145,15 @@ def integrate_on_reference_triangle(expr, x, y):
                for (a, b), c in poly.terms())
 
 
+def projection_load(system, loads):
+    """Condensed projection load sum_K E_{a,K}^T L_K^{-1} l_K of the element
+    test loads l (ne, nt), in the numbering of the dofmap."""
+    from dpgmarch.assembly import condensed_loads
+
+    blocks = system.blocks
+    return condensed_loads(blocks, loads[..., None], blocks.cols, system.N.shape[0])[:, 0]
+
+
 def b_orthogonality_residual(system, rhs, solution):
     """(max_i |b(u - u_h, Theta phi_i)|, system scale) for a computed projection."""
     residual = rhs - system.N @ solution

@@ -11,11 +11,13 @@ from hypothesis.extra import numpy as hnp
 
 from dpgmarch import assembly
 from dpgmarch.assembly import (PdeCoefficients, _build_blocks, _cholesky_blocks, _source_loads,
-                               assemble_condensed, condense_load, element_classes, gather,
-                               gram_blocks, scatter, volume_quadrature)
+                               assemble_condensed, condense_load, condensed_loads,
+                               element_classes, gather, gram_blocks, scatter, volume_quadrature)
 from dpgmarch.basis import lagrange_triangle, triangle_rule
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
+from dpgmarch.elliptic import build_projection_system, exact_b_load
+from dpgmarch.errors import SpatialFields
 from dpgmarch.linalg import SolverError
 from dpgmarch.mesh import build_structured_mesh, mesh_from_arrays
 
@@ -727,6 +729,47 @@ def test_scatter_matches_a_dense_element_loop(format, data, relabel):
     relabelled = scatter(blocks, np.append(row_rank, -1)[rows], np.append(col_rank, -1)[cols],
                          shape, format)
     assert np.array_equal(relabelled.toarray()[row_rank][:, col_rank], dense)
+
+
+@pytest.mark.parametrize("p", [0, 1])
+@pytest.mark.parametrize("mesh", [perturbed_mesh(4, seed=7), build_structured_mesh(12)],
+                         ids=["perturbed-4", "structured-12"])
+def test_condensations_match_a_dense_sum_over_the_elements(mesh, p):
+    # S, C, F, N and the projection load against sum_K B_{a,K}^T G_K^{-1} X_K,
+    # each element's G_K solved densely; the perturbed mesh has one class per
+    # element, the structured one 50 classes among 288 elements
+    coeffs = coeffs_with(**ANISO)
+    dofmap = build_dofmap(mesh, p)
+    case = make_case("aniso", 0.01, 1.0)
+    blocks = _build_blocks(mesh, dofmap, coeffs)
+    cls, cols, field_dofs = blocks.cls, blocks.cols, dofmap.element_field_dofs
+    gram = gram_blocks(mesh, p, coeffs, np.arange(mesh.n_elements))
+    sources = _source_loads(mesh, p, case.source_space)
+    loads = exact_b_load(mesh, dofmap, coeffs, SpatialFields(*case.spatial_u(0.3)))
+    n, n_field, m = dofmap.n_dof, dofmap.n_field, sources.shape[2]
+    S, N, C = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n_field))
+    F, r = np.zeros((n, m)), np.zeros(n)
+    for e in range(mesh.n_elements):
+        B_a, B_b = blocks.B_a[cls[e]], blocks.B_b[cls[e]]
+        X = np.linalg.solve(gram[e], np.column_stack(
+            [B_a, B_b, blocks.mass_field[cls[e]] / coeffs.k, sources[e], loads[e]]))
+        Y = np.split(B_a.T @ X, np.cumsum([B_a.shape[1], B_b.shape[1], field_dofs.shape[1], m]),
+                     axis=1)
+        rows, fields = cols[e] >= 0, field_dofs[e] >= 0
+        at = np.ix_(cols[e][rows], cols[e][rows])
+        S[at] += Y[0][np.ix_(rows, rows)]
+        N[at] += Y[1][np.ix_(rows, rows)]
+        C[np.ix_(cols[e][rows], field_dofs[e][fields])] += Y[2][np.ix_(rows, fields)]
+        F[cols[e][rows]] += Y[3][rows]
+        r[cols[e][rows]] += Y[4][rows, 0]
+    system = assemble_condensed(mesh, dofmap, coeffs, case.source_space)
+    rank = system.rank  # S, C and F are numbered by nested dissection
+    N_built = build_projection_system(mesh, dofmap, coeffs).N
+    load = condensed_loads(blocks, loads[..., None], cols, n)[:, 0]
+    for got, want in ((system.S[rank][:, rank].toarray(), S), (N_built.toarray(), N),
+                      (system.blocks.C[rank].toarray(), C), (system.blocks.F[rank], F),
+                      (load, r)):
+        assert _relative_deviation(got, want) <= 1e-12
 
 
 def _nbytes(matrix):

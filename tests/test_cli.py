@@ -290,13 +290,16 @@ def test_command_line_overrides_config_command(tmp_path):
     ("run", ["levels=[4]", "n_steps=0"]),
     ("converge-time", ["levels=[4]", "n_steps=null", "k_ref=-0.1"]),
     ("converge-time", ["levels=[4]", "n_steps=null", "k_policy=list:0.25,0"]),
+    ("converge-time", ["levels=[4]", "n_steps=null", "k_policy=list:0.25,0.25"]),
+    ("converge-time", ["levels=[4]", "n_steps=null", "k_policy=list:0.125,0.25"]),
 ])
 def test_ignored_config_input_exits_2_before_any_mesh(tmp_path, monkeypatch, capsys,
                                                       command, overrides):
     # run, heat-identity and converge-time solve on levels[0] only, converge-time
     # marches to T_end, only converge-time reads k_ref, only run writes a
     # snapshot and heat-identity writes no file: such input would be dropped.
-    # Nonpositive times, step counts and steps are rejected as they are parsed.
+    # Nonpositive times, step counts and steps are rejected as they are parsed,
+    # and a 'list:' of steps that does not strictly decrease would give no rate.
     calls = []
     monkeypatch.setattr(cli, "build_structured_mesh", lambda *args: calls.append("mesh"))
     config = command_config(tmp_path, command)

@@ -9,13 +9,13 @@ from dpgmarch.assembly import gather
 from dpgmarch.basis import lagrange_triangle, triangle_rule, triangle_table
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
-from dpgmarch.elliptic import (build_projection_system, condense_element_loads, discrete_b_load,
-                               exact_b_load, project, project_mixed)
+from dpgmarch.elliptic import (build_projection_system, discrete_b_load, exact_b_load, project,
+                               project_mixed)
 from dpgmarch.errors import SpatialFields, _trace_residuals, eoc, field_error, trace_dual_error
 from dpgmarch.linalg import lu_solve
 from dpgmarch.mesh import build_structured_mesh
 
-from conftest import b_orthogonality_residual, norm_in_test_space, perturbed_mesh
+from conftest import b_orthogonality_residual, norm_in_test_space, perturbed_mesh, projection_load
 
 
 def _adr_exact():
@@ -41,7 +41,7 @@ def test_galerkin_orthogonality_residual():
     mesh = build_structured_mesh(4)
     dofmap = build_dofmap(mesh, 0)
     system = build_projection_system(mesh, dofmap, coeffs)
-    rhs = condense_element_loads(system, exact_b_load(mesh, dofmap, coeffs, exact))
+    rhs = projection_load(system, exact_b_load(mesh, dofmap, coeffs, exact))
     solution = lu_solve(system.N, rhs)
     residual, scale = b_orthogonality_residual(system, rhs, solution)
     assert residual <= 1e-10 * scale
@@ -150,7 +150,7 @@ def test_discrete_b_load_matches_matrix_action():
     system = build_projection_system(mesh, dofmap, coeffs)
     rng = np.random.default_rng(2)
     data = rng.standard_normal(dofmap.n_dof)
-    condensed = condense_element_loads(system, discrete_b_load(mesh, dofmap, coeffs, data))
+    condensed = projection_load(system, discrete_b_load(mesh, dofmap, coeffs, data))
     assert np.abs(condensed - system.N @ data).max() <= 1e-12 * np.abs(condensed).max()
 
 
@@ -174,8 +174,7 @@ def test_projection_matches_a_default_splu_solve(case_id, p):
     case = make_case(case_id, mesh.h_max, mesh.h_max)
     exact = SpatialFields(*case.spatial_u(0.0))
     system = build_projection_system(mesh, dofmap, case.coeffs)
-    rhs = condense_element_loads(system,
-                                 exact_b_load(mesh, dofmap, case.coeffs, exact))
+    rhs = projection_load(system, exact_b_load(mesh, dofmap, case.coeffs, exact))
     expected = spla.splu(system.N.tocsc()).solve(rhs)
     got = project(mesh, dofmap, case.coeffs, exact)
     got = np.concatenate([got.field, got.trace])
@@ -263,14 +262,14 @@ def test_reference_gradient_contractions_match_quadrature(p):
 
 def test_projection_system_is_N_in_csc_and_the_element_blocks():
     # N is scattered straight into canonical CSC, the format the LU reads;
-    # no block rows are kept for the load, only E_a^T per class
+    # no block rows are kept for the load, only E_a^T per class in the blocks
     coeffs, _ = _adr_exact()
     mesh = build_structured_mesh(4)
     system = build_projection_system(mesh, build_dofmap(mesh, 1), coeffs)
-    assert vars(system).keys() == {"N", "blocks", "Et"}
+    assert vars(system).keys() == {"N", "blocks"}
     assert system.N.format == "csc" and system.N.has_canonical_format
     n_classes, nt, nc = system.blocks.B_a.shape
-    assert system.Et.shape == (n_classes, nc, nt) and n_classes == 2
+    assert system.blocks.Et.shape == (n_classes, nc, nt) and n_classes == 2
 
 
 def test_a_projection_level_tabulates_no_edge_basis(monkeypatch):
@@ -293,7 +292,7 @@ def test_a_projection_level_tabulates_no_edge_basis(monkeypatch):
         misses = triangle_table.cache_info().misses
         system = build_projection_system(mesh, dofmap, case.coeffs)
         loads = exact_b_load(mesh, dofmap, case.coeffs, exact)
-        condense_element_loads(system, loads)
+        projection_load(system, loads)
         trace_dual_error(mesh, dofmap, case.coeffs, np.zeros(dofmap.n_trace), exact.grad_u)
     assert calls == []
     assert triangle_table.cache_info().misses == misses

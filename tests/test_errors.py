@@ -123,6 +123,8 @@ def test_eoc_values():
     assert eoc([0.1, 0.025], [1.0, 0.5]) == [pytest.approx(2.0)]
     assert eoc([0.3, 0.3], [1.0, 0.5]) == [pytest.approx(0.0)]
     assert eoc([0.1, 0.0], [1.0, 0.5]) == [None]
+    # equal steps leave the rate undefined, not NaN or infinite
+    assert eoc([0.1, 0.05, 0.05], [0.5, 0.5, 0.25]) == [None, pytest.approx(0.0)]
     with pytest.raises(ValueError):
         eoc([1.0], [1.0, 0.5])
 

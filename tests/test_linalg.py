@@ -10,13 +10,12 @@ from dpgmarch import linalg
 from dpgmarch.assembly import assemble_condensed
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
-from dpgmarch.elliptic import (build_projection_system, condense_element_loads, exact_b_load,
-                               project_mixed)
+from dpgmarch.elliptic import build_projection_system, exact_b_load, project_mixed
 from dpgmarch.errors import SpatialFields
 from dpgmarch.linalg import SolverError, cg_solve, factor_spd, lu_solve, nested_dissection
 from dpgmarch.mesh import build_structured_mesh
 
-from conftest import refine_uniform
+from conftest import projection_load, refine_uniform
 
 
 def unpreconditioned(r):
@@ -526,26 +525,26 @@ def test_projection_matrices_are_far_from_singular(monkeypatch):
     # (kappa_1 about 2.0e5, 7.8e5 and 3.1e6), and the mixed saddle-point
     # matrices of the projection tests: far below the threshold 1e14
     norms, kappas = [], []
-    splu, estimate = spla.splu, linalg._inverse_norm1
+    splu, estimate = spla.splu, spla.onenormest
 
     def recording_splu(M, **kwargs):
         norms.append(abs(M).sum(axis=0).max())
         return splu(M, **kwargs)
 
-    def recording_estimate(solve, y):
-        est = estimate(solve, y)
+    def recording_estimate(A, **kwargs):
+        est = estimate(A, **kwargs)
         kappas.append(norms[-1] * est)
         return est
 
     monkeypatch.setattr(spla, "splu", recording_splu)
-    monkeypatch.setattr(linalg, "_inverse_norm1", recording_estimate)
+    monkeypatch.setattr(spla, "onenormest", recording_estimate)
     for n in (12, 24, 48):
         mesh = build_structured_mesh(n)
         dofmap = build_dofmap(mesh, 1)
         case = make_case("aniso", 1.0 / n, 1.0 / n)
         exact = SpatialFields(*case.spatial_u(0.0))
         system = build_projection_system(mesh, dofmap, case.coeffs)
-        lu_solve(system.N, condense_element_loads(
+        lu_solve(system.N, projection_load(
             system, exact_b_load(mesh, dofmap, case.coeffs, exact)))
     for n, p in ((4, 0), (8, 0), (16, 0), (4, 1)):
         mesh = build_structured_mesh(n)
@@ -563,7 +562,9 @@ def test_inverse_norm_estimate_is_a_lower_bound_of_the_norm(seed):
     n = 30
     M = sp.csc_matrix(rng.standard_normal((n, n)) + 3 * np.eye(n))
     factor = spla.splu(M)
-    estimate = linalg._inverse_norm1(factor.solve, factor.solve(np.full(n, 1.0 / n)))
+    inverse = spla.LinearOperator((n, n), matvec=factor.solve, dtype=float,
+                                  rmatvec=lambda r: factor.solve(r, trans="T"))
+    estimate = spla.onenormest(inverse, t=1)
     exact = np.abs(np.linalg.inv(M.toarray())).sum(axis=0).max()
     assert exact / 3 <= estimate <= exact * (1 + 1e-12)
 
