@@ -112,13 +112,10 @@ def edge_nodes(degree: int) -> np.ndarray:
 
 
 def lagrange_edge(degree: int, points) -> ShapeTable:
-    """Lagrange basis on the reference edge [0,1]; degree 0 is the constant 1."""
+    """Lagrange basis on the reference edge [0,1]; degree 0 is the constant 1,
+    which the Vandermonde path below gives for the single node 1/2."""
     points = np.atleast_1d(np.asarray(points, dtype=float))
     nodes = edge_nodes(degree)
-    if degree == 0:
-        values = np.ones((1, points.size))
-        gradients = np.zeros((1, points.size, 1))
-        return ShapeTable(degree=0, points=points, values=values, gradients=gradients)
     vand = np.column_stack([nodes**m for m in range(degree + 1)])
     coeff = np.linalg.inv(vand)
     values = (np.column_stack([points**m for m in range(degree + 1)]) @ coeff).T

@@ -8,6 +8,8 @@ broken test space,
         = sqrt( sum_K r_K^T G_K^{-1} r_K ),   r_K[m] = <sigma - sigma_h, psi_m>_K,
 
 a lower bound of the continuous dual norm (the sup runs over a subspace).
+The factors L_K of G_K = L_K L_K^T are those of `assembly.gram_factors`, one
+per class of congruent elements: the factors the condensations use.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .assembly import PdeCoefficients, _cholesky_blocks, _edge_tables, _forward_substitution, \
-    element_classes, gather, gram_blocks, volume_quadrature
+from .assembly import PdeCoefficients, _edge_tables, _forward_substitution, gather, gram_factors, \
+    volume_quadrature
 from .basis import triangle_table
 from .dofmap import DofMap
 from .mesh import Mesh
@@ -117,11 +119,10 @@ def trace_dual_error(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients, sigma_
                      grad_u) -> float:
     """Discrete dual-norm surrogate of || A grad u . n - sigma_h ||_{-1/2,k}:
     the square root of sum_K r_K^T G_K^{-1} r_K = sum_K ||L_K^{-1} r_K||^2,
-    with L_K factored once per class of congruent elements."""
+    with L_K the factor of its class from `assembly.gram_factors`."""
     r = _trace_residuals(mesh, dofmap, coeffs, sigma_h, grad_u)
-    first, cls = element_classes(mesh)
-    chol = _cholesky_blocks(gram_blocks(mesh, dofmap.p, coeffs, first), first)
-    y = _forward_substitution(chol[cls], r[:, :, None])
+    factors = gram_factors(mesh, dofmap.p, coeffs)
+    y = _forward_substitution(factors.chol[factors.cls], r[:, :, None])
     return float(np.sqrt(np.sum(y * y)))
 
 

@@ -3,10 +3,11 @@
 Cross-check oracle: on the same conforming field space, the primal DPG field
 coincides with the standard Galerkin solution when A = I, beta = 0, gamma = 0,
 at every backward Euler step.  `galerkin_states(case, mesh, dofmap)` marches a
-case the way `timestep.states` does and yields the field of each step.  The
-assembly here is deliberately separate from the DPG element blocks (only
-mesh, basis and quadrature are shared) and the step systems are solved by a
-direct sparse factorization, not the DPG conjugate-gradient path.
+case the way `timestep.states` does and yields the field of each step.  Its
+element blocks are integrated here, deliberately apart from the DPG element
+blocks: only mesh, basis, quadrature and the sparse sum `assembly.scatter`
+are shared.  The step systems are solved by a direct sparse factorization,
+not the DPG conjugate-gradient path.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import volume_quadrature
+from .assembly import scatter, volume_quadrature
 from .basis import triangle_table
 from .cases import PdeCase
 from .dofmap import DofMap
@@ -52,14 +53,9 @@ def build_galerkin_system(mesh: Mesh, dofmap: DofMap) -> GalerkinSystem:
     k_loc = np.einsum("eiqa,ejqa,eq->eij", grads, grads, wdet)
 
     cols = dofmap.element_field_dofs
-    nfl = cols.shape[1]
-    rows_idx = np.repeat(cols[:, :, None], nfl, axis=2)
-    cols_idx = np.repeat(cols[:, None, :], nfl, axis=1)
-    mask = (rows_idx >= 0) & (cols_idx >= 0)
-    n = dofmap.n_field
-    mass = sp.coo_matrix((m_loc[mask], (rows_idx[mask], cols_idx[mask])), shape=(n, n)).tocsr()
-    stiff = sp.coo_matrix((k_loc[mask], (rows_idx[mask], cols_idx[mask])), shape=(n, n)).tocsr()
-    return GalerkinSystem(mass=mass, stiffness=stiff)
+    shape = (dofmap.n_field,) * 2
+    return GalerkinSystem(mass=scatter(m_loc, cols, cols, shape, "csr"),
+                          stiffness=scatter(k_loc, cols, cols, shape, "csr"))
 
 
 def _source_load(mesh: Mesh, dofmap: DofMap, f, t: float) -> np.ndarray:
@@ -67,10 +63,8 @@ def _source_load(mesh: Mesh, dofmap: DofMap, f, t: float) -> np.ndarray:
     _, qp, wdet, _ = volume_quadrature(mesh, rule_degree)
     table = triangle_table(dofmap.p + 1, rule_degree)
     loc = np.einsum("jq,eq->ej", table.values, wdet * f(t, qp[..., 0], qp[..., 1]))
-    out = np.zeros(dofmap.n_field)
-    mask = dofmap.element_field_dofs >= 0
-    np.add.at(out, dofmap.element_field_dofs[mask], loc[mask])
-    return out
+    free = dofmap.element_field_dofs >= 0
+    return np.bincount(dofmap.element_field_dofs[free], loc[free], minlength=dofmap.n_field)
 
 
 def galerkin_states(case: PdeCase, mesh: Mesh, dofmap: DofMap):

@@ -49,14 +49,15 @@ def block_rows(blocks, cols, n_cols):
     return sp.csr_matrix((blocks[mask], indices, indptr), shape=(ne * nt, n_cols))
 
 
-def perturbed_mesh(n, seed):
-    """Structured n x n mesh with every interior vertex moved by up to 0.05."""
+def perturbed_mesh(n, seed, amplitude=0.05):
+    """Structured n x n mesh with every interior vertex moved by up to
+    `amplitude` in each coordinate."""
     from dpgmarch.mesh import build_structured_mesh, mesh_from_arrays
 
     mesh = build_structured_mesh(n)
     vertices = mesh.vertices.copy()
     inner = ~mesh.vertex_on_boundary
-    vertices[inner] += np.random.default_rng(seed).uniform(-0.05, 0.05, (inner.sum(), 2))
+    vertices[inner] += np.random.default_rng(seed).uniform(-amplitude, amplitude, (inner.sum(), 2))
     return mesh_from_arrays(vertices, mesh.elements)
 
 
@@ -143,6 +144,15 @@ def integrate_on_reference_triangle(expr, x, y):
     poly = sympy.Poly(sympy.expand(expr), x, y)
     return sum(c * sympy.factorial(a) * sympy.factorial(b) / sympy.factorial(a + b + 2)
                for (a, b), c in poly.terms())
+
+
+def element_grams(mesh, p, coeffs):
+    """Gram blocks G_K = L_K L_K^T of every element, (ne, nt, nt), from the
+    factor of its class."""
+    from dpgmarch.assembly import gram_factors
+
+    factors = gram_factors(mesh, p, coeffs)
+    return (factors.chol @ factors.chol.transpose(0, 2, 1))[factors.cls]
 
 
 def projection_load(system, loads):

@@ -22,7 +22,7 @@ from dpgmarch.mesh import build_structured_mesh
 from dpgmarch.timestep import march, states
 
 from conftest import (b_orthogonality_residual, field_quadratic_forms, function_l2_norm,
-                      no_source, projection_load)
+                      no_source, perturbed_mesh, projection_load)
 
 ZERO = SpatialFields(u=lambda x, y: np.zeros_like(x),
                      grad_u=lambda x, y: np.zeros((2,) + np.shape(x)))
@@ -147,8 +147,10 @@ def test_criterion_6_temporal_rate():
 def test_linear_in_time_case_has_the_optimal_l2_rate_at_every_k(p, k):
     # backward Euler's difference quotient is exact for T(t) = 1 + t, so the
     # error after 10 steps is spatial alone, whatever k is: the paper's
-    # optimal field L2 rate p + 2 shows at every k, with no k-h coupling
-    errs_l2, hs = [], []
+    # optimal field L2 rate p + 2 shows at every k, with no k-h coupling.  The
+    # H1 rate p + 1 holds too, also past h/sqrt(k) = 10, where only the
+    # trace-dual EOC is pre-asymptotic (criterion 4's window, shifted by p)
+    errs_l2, errs_h1, hs = [], [], []
     for n in (4, 8, 16, 32):
         mesh = build_structured_mesh(n)
         dofmap = build_dofmap(mesh, p)
@@ -157,13 +159,48 @@ def test_linear_in_time_case_has_the_optimal_l2_rate_at_every_k(p, k):
                   if mesh.h_max / np.sqrt(k) > 10 else contextlib.nullcontext())
         with regime:  # at k = 1e-4, n = 4 and 8 are past h/sqrt(k) = 10
             state = march(case, mesh, dofmap)
-        u_fn, grad_fn = case.spatial_u(state.time)
-        errs_l2.append(field_error(mesh, dofmap, state.current.field,
-                                   SpatialFields(u=u_fn, grad_u=grad_fn), "L2"))
+        exact = SpatialFields(*case.spatial_u(state.time))
+        errs_l2.append(field_error(mesh, dofmap, state.current.field, exact, "L2"))
+        errs_h1.append(field_error(mesh, dofmap, state.current.field, exact, "H1semi"))
         hs.append(mesh.h_max)
-    rate = eoc(errs_l2, hs)[-1]
-    print(f"adr-linear, p={p}, k={k:g}: L2 EOC {rate:.3f} on the finest pair (n=16, 32)")
+    rate, rate_h1 = eoc(errs_l2, hs)[-1], eoc(errs_h1, hs)[-1]
+    print(f"adr-linear, p={p}, k={k:g}: L2 EOC {rate:.3f}, H1 EOC {rate_h1:.3f} "
+          "on the finest pair (n=16, 32)")
     assert p + 1.85 <= rate <= p + 2.15
+    assert rate_h1 >= p + 0.85
+
+
+# theta_b / ||e|| measured on n = 16 (structured, perturbed):
+# (p, k) = (0, 0.1): 0.0211, 0.0206; (0, 1e-4): 0.3417, 0.3444;
+# (1, 0.1): 0.0023, 0.0023; (1, 1e-4): 0.0541, 0.0733
+THETA_B_BOUNDS = {(0, 0.1): 0.04, (0, 1e-4): 0.7, (1, 0.1): 0.005, (1, 1e-4): 0.15}
+
+
+@pytest.mark.parametrize("p", [0, 1])
+@pytest.mark.parametrize("k", [0.1, 1e-4])
+def test_the_march_error_is_mostly_the_projection_error(p, k):
+    # The paper splits e = u - u_h at the elliptic projection P of the spatial
+    # form (`project`): e = rho + theta with rho = u - P u.  On the
+    # linear-in-time case the error after 10 steps is spatial alone, and
+    # theta_b = ||P u(t_n) - u_h^n|| is a small part of ||e||, on the
+    # structured n=16 mesh and on one whose interior vertices move by up to
+    # h/4 in each coordinate; each bound is about twice the larger measured
+    # ratio (see THETA_B_BOUNDS)
+    case = make_case("adr-linear", k, 10 * k)
+    for label, mesh in (("structured", build_structured_mesh(16)),
+                        ("perturbed", perturbed_mesh(16, seed=5, amplitude=1 / 64))):
+        dofmap = build_dofmap(mesh, p)
+        regime = (pytest.warns(RuntimeWarning, match="trace-norm")
+                  if mesh.h_max / np.sqrt(k) > 10 else contextlib.nullcontext())
+        with regime:
+            state = march(case, mesh, dofmap)
+        exact = SpatialFields(*case.spatial_u(state.time))
+        u_h = state.current.field
+        error = field_error(mesh, dofmap, u_h, exact, "L2")
+        theta_b = field_error(mesh, dofmap, project(mesh, dofmap, case.coeffs, exact).field - u_h,
+                              ZERO, "L2")
+        print(f"adr-linear, p={p}, k={k:g}, n=16 {label}: theta_b / ||e|| = {theta_b / error:.4f}")
+        assert theta_b <= THETA_B_BOUNDS[p, k] * error
 
 
 @pytest.mark.parametrize("p", [0, 1])

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dpgmarch import assembly
-from dpgmarch.assembly import (PdeCoefficients, _build_blocks, _cholesky_blocks, _source_loads,
-                               assemble_condensed, condense_load, condensed_loads,
-                               element_classes, gather, gram_blocks, scatter, volume_quadrature)
+from dpgmarch.assembly import (PdeCoefficients, _build_blocks, _source_loads, assemble_condensed,
+                               condense_load, condensed_loads, element_classes, gather,
+                               gram_factors, scatter, volume_quadrature)
 from dpgmarch.basis import lagrange_triangle, triangle_rule
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
@@ -21,9 +21,9 @@ from dpgmarch.errors import SpatialFields
 from dpgmarch.linalg import SolverError
 from dpgmarch.mesh import build_structured_mesh, mesh_from_arrays
 
-from conftest import (apply_trial_to_test, block_rows, embed_field_in_test, evaluate_field,
-                      field_quadratic_forms, integrate_on_reference_triangle, no_source,
-                      perturbed_mesh, refine_uniform)
+from conftest import (apply_trial_to_test, block_rows, element_grams, embed_field_in_test,
+                      evaluate_field, field_quadratic_forms, integrate_on_reference_triangle,
+                      no_source, perturbed_mesh, refine_uniform)
 
 
 def reference_triangle_mesh(scale=1.0):
@@ -68,7 +68,7 @@ def test_gram_constant_test_function():
     # so 1^T G 1 = |K| / k
     mesh = build_structured_mesh(2)
     coeffs = coeffs_with(k=0.25)
-    gram = gram_blocks(mesh, 0, coeffs, [3])[0]
+    gram = element_grams(mesh, 0, coeffs)[3]
     area = mesh.signed_areas()[3]
     ones = np.ones(gram.shape[0])
     assert ones @ gram @ ones == pytest.approx(area / coeffs.k, rel=1e-13)
@@ -78,7 +78,7 @@ def test_gram_matches_symbolic_on_reference_triangle():
     sympy = pytest.importorskip("sympy")
     x, y = sympy.symbols("x y")
     mesh = reference_triangle_mesh()
-    gram = gram_blocks(mesh, 0, coeffs_with(k=1.0, T_end=1.0), [0])[0]
+    gram = element_grams(mesh, 0, coeffs_with(k=1.0, T_end=1.0))[0]
 
     from dpgmarch.basis import triangle_nodes
     nodes = [(sympy.nsimplify(px), sympy.nsimplify(py)) for px, py in triangle_nodes(2)]
@@ -97,9 +97,9 @@ def test_gram_matches_symbolic_on_reference_triangle():
 
 def test_gram_linear_in_inverse_timestep():
     mesh = build_structured_mesh(2)
-    g1 = gram_blocks(mesh, 0, coeffs_with(k=1.0, T_end=1.0), [0])[0]
-    g2 = gram_blocks(mesh, 0, coeffs_with(k=0.5, T_end=1.0), [0])[0]
-    g4 = gram_blocks(mesh, 0, coeffs_with(k=0.25, T_end=1.0), [0])[0]
+    g1 = element_grams(mesh, 0, coeffs_with(k=1.0, T_end=1.0))[0]
+    g2 = element_grams(mesh, 0, coeffs_with(k=0.5, T_end=1.0))[0]
+    g4 = element_grams(mesh, 0, coeffs_with(k=0.25, T_end=1.0))[0]
     assert np.abs((g4 - g2) - 2.0 * (g2 - g1)).max() <= 1e-12 * np.abs(g4).max()
 
 
@@ -107,10 +107,10 @@ def test_gram_scaling_under_coordinate_scaling():
     # mass scales with s^2, the 2D stiffness is scale invariant
     s = 1.7
     k = 0.3
-    gram = gram_blocks(reference_triangle_mesh(), 0, coeffs_with(k=k, T_end=1.0), [0])[0]
-    gram_big = gram_blocks(reference_triangle_mesh(1.0), 0, coeffs_with(k=1.0, T_end=1.0), [0])[0]
+    gram = element_grams(reference_triangle_mesh(), 0, coeffs_with(k=k, T_end=1.0))[0]
+    gram_big = element_grams(reference_triangle_mesh(1.0), 0, coeffs_with(k=1.0, T_end=1.0))[0]
     mass = gram_big - local_gram_stiffness_part()
-    scaled = gram_blocks(reference_triangle_mesh(s), 0, coeffs_with(k=k, T_end=1.0), [0])[0]
+    scaled = element_grams(reference_triangle_mesh(s), 0, coeffs_with(k=k, T_end=1.0))[0]
     expected = (s**2 / k) * mass + (gram_big - mass)
     assert np.abs(scaled - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -118,8 +118,8 @@ def test_gram_scaling_under_coordinate_scaling():
 def local_gram_stiffness_part():
     # G(k) = M/k + K  =>  M = G(1/2) - G(1), K = G(1) - M
     mesh = reference_triangle_mesh()
-    g1 = gram_blocks(mesh, 0, coeffs_with(k=1.0, T_end=1.0), [0])[0]
-    g_half = gram_blocks(mesh, 0, coeffs_with(k=0.5, T_end=1.0), [0])[0]
+    g1 = element_grams(mesh, 0, coeffs_with(k=1.0, T_end=1.0))[0]
+    g_half = element_grams(mesh, 0, coeffs_with(k=0.5, T_end=1.0))[0]
     mass = g_half - g1
     return g1 - mass
 
@@ -511,8 +511,6 @@ def test_tensor_blocks_match_quadrature(p):
         cls = blocks.cls
         assert len(blocks.chol) == n_classes
         nfl = mass.shape[2]
-        every = np.arange(mesh.n_elements)
-        assert _relative_deviation(gram_blocks(mesh, p, coeffs, every), gram) <= 1e-13
         assert _relative_deviation((blocks.chol @ blocks.chol.transpose(0, 2, 1))[cls],
                                    gram) <= 1e-13
         assert _relative_deviation(blocks.mass_field[cls], mass) <= 1e-13
@@ -531,9 +529,8 @@ def test_build_blocks_evaluates_the_element_weights_once(p, monkeypatch):
                         lambda *args: calls.append(args) or weights(*args))
     blocks = _build_blocks(mesh, build_dofmap(mesh, p), coeffs)
     assert len(calls) == 1
-    # the Gram blocks inside the build are bit for bit those of gram_blocks
-    first, _ = element_classes(mesh)
-    assert np.array_equal(blocks.chol, np.linalg.cholesky(gram_blocks(mesh, p, coeffs, first)))
+    # the Gram factors inside the build are bit for bit those of gram_factors
+    assert np.array_equal(blocks.chol, gram_factors(mesh, p, coeffs).chol)
 
 
 def _class_keys(mesh):
@@ -619,14 +616,17 @@ def test_a_failing_gram_block_names_the_first_element_of_its_class(failure, monk
     first, cls = element_classes(mesh)
     bad = 7
     assert first[bad] > bad  # the class index is not the element index
-    gram = assembly._gram
+    weights = assembly._element_weights
 
     def broken(*args):
-        blocks = gram(*args)
-        blocks[bad] = -np.eye(blocks.shape[1]) if failure == "indefinite" else np.nan
-        return blocks
+        W, detJ, b = weights(*args)
+        if failure == "indefinite":
+            detJ[bad] = -1.0  # (1/k)(v, v) < 0 for a constant v
+        else:
+            W[bad] = np.nan
+        return W, detJ, b
 
-    monkeypatch.setattr(assembly, "_gram", broken)
+    monkeypatch.setattr(assembly, "_element_weights", broken)
     with pytest.raises(SolverError, match=f"element {first[bad]} "):
         _build_blocks(mesh, build_dofmap(mesh, 0), coeffs_with())
 
@@ -645,15 +645,26 @@ def test_tensor_gram_matches_quadrature_on_random_triangles(coords, p, k):
     mesh = mesh_from_arrays(v, [[0, 1, 2]])
     coeffs = coeffs_with(A=ANISO["A"], k=k, T_end=1.0)
     gram, _, _ = quadrature_blocks(mesh, p, coeffs)
-    assert _relative_deviation(gram_blocks(mesh, p, coeffs, [0]), gram) <= 1e-12
+    assert _relative_deviation(element_grams(mesh, p, coeffs), gram) <= 1e-12
 
 
-def test_cholesky_blocks_reject_nan_gram_data():
-    # the message names the element of the block, not its position
-    gram = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
-    gram[2, 1, 1] = np.nan
-    with pytest.raises(SolverError, match="element 5 is not finite"):
-        _cholesky_blocks(gram, np.array([0, 3, 5, 8]))
+def test_cholesky_blocks_reject_nan_gram_data(monkeypatch):
+    # one NaN entry in the det J weight of a class: LAPACK factors it without
+    # raising, and the message names the first element of the class, not its
+    # position among the classes
+    mesh = build_structured_mesh(12)
+    first, _ = element_classes(mesh)
+    weights = assembly._element_weights
+
+    def broken(*args):
+        W, detJ, b = weights(*args)
+        detJ[5] = np.nan
+        return W, detJ, b
+
+    monkeypatch.setattr(assembly, "_element_weights", broken)
+    assert first[5] != 5
+    with pytest.raises(SolverError, match=f"element {first[5]} is not finite"):
+        gram_factors(mesh, 1, coeffs_with())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -676,7 +687,7 @@ def test_non_finite_jacobian_raises_solver_error(bad):
     vertices[4] = bad
     broken = dataclasses.replace(mesh, vertices=vertices)
     with pytest.raises(SolverError, match="Jacobian"):
-        gram_blocks(broken, 0, coeffs_with(), np.arange(broken.n_elements))
+        gram_factors(broken, 0, coeffs_with())
 
 
 def test_block_assembly_peak_memory_stays_near_its_output():
@@ -743,7 +754,7 @@ def test_condensations_match_a_dense_sum_over_the_elements(mesh, p):
     case = make_case("aniso", 0.01, 1.0)
     blocks = _build_blocks(mesh, dofmap, coeffs)
     cls, cols, field_dofs = blocks.cls, blocks.cols, dofmap.element_field_dofs
-    gram = gram_blocks(mesh, p, coeffs, np.arange(mesh.n_elements))
+    gram = element_grams(mesh, p, coeffs)
     sources = _source_loads(mesh, p, case.source_space)
     loads = exact_b_load(mesh, dofmap, coeffs, SpatialFields(*case.spatial_u(0.3)))
     n, n_field, m = dofmap.n_dof, dofmap.n_field, sources.shape[2]

@@ -41,7 +41,9 @@ def test_linear_basis_at_barycenter():
 def test_edge_basis():
     rng = np.random.default_rng(3)
     pts = rng.random(17)
-    assert np.all(lagrange_edge(0, pts).values == 1.0)
+    constant = lagrange_edge(0, pts)
+    assert constant.values.shape == (1, 17) and np.all(constant.values == 1.0)
+    assert constant.gradients.shape == (1, 17, 1) and np.all(constant.gradients == 0.0)
     mid = lagrange_edge(1, [0.5])
     assert np.abs(mid.values - 0.5).max() <= 1e-15
     for degree in (0, 1, 2):

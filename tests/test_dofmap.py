@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpgmarch.assembly import PdeCoefficients, gram_blocks
+from dpgmarch.assembly import PdeCoefficients, gram_factors
 from dpgmarch.basis import lagrange_edge
 from dpgmarch.dofmap import build_dofmap
 from dpgmarch.mesh import build_structured_mesh
@@ -14,9 +14,9 @@ from conftest import refine_uniform
 def _test_space_dimension(mesh, p):
     """Side of the element Gram blocks: the broken test space per element."""
     coeffs = PdeCoefficients(A=np.eye(2), beta=np.zeros(2), gamma=0.0, k=0.1, T_end=1.0)
-    ne, nt, _ = gram_blocks(mesh, p, coeffs, np.arange(mesh.n_elements)).shape
-    assert ne == mesh.n_elements
-    return nt
+    factors = gram_factors(mesh, p, coeffs)
+    assert len(factors.cls) == mesh.n_elements
+    return factors.chol.shape[1]
 
 
 def test_counts_two_by_two_p0():

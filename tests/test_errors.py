@@ -232,20 +232,25 @@ def test_field_error_rejects_a_vector_of_the_wrong_length(length):
             field_error(mesh, dofmap, w, ZERO_FIELDS, mode)
 
 
-@pytest.mark.parametrize("p", [0, 1])
-def test_trace_dual_error_matches_a_gram_solve(p):
+@pytest.mark.parametrize("p, mesh", [
+    (0, perturbed_mesh(4, seed=6)), (1, perturbed_mesh(4, seed=6)),
+    (0, build_structured_mesh(12)), (1, build_structured_mesh(12)),
+], ids=["0", "1", "structured-12-0", "structured-12-1"])
+def test_trace_dual_error_matches_a_gram_solve(p, mesh):
     # ||L_K^{-1} r_K||^2 from the Cholesky factors is r_K^T G_K^{-1} r_K, here
-    # solved with the Gram blocks themselves
-    from dpgmarch.assembly import gram_blocks
+    # solved with each element's own Gram block, formed without the classes
+    # of congruent elements; the perturbed mesh has one class per element,
+    # the structured one 50 classes among 288 elements
     from dpgmarch.errors import _trace_residuals
 
-    mesh = perturbed_mesh(4, seed=6)
     dofmap = build_dofmap(mesh, p)
     case = make_case("aniso", 0.05, 1.0)
     _, grad_u = case.spatial_u(0.2)
     sigma = np.random.default_rng(p).standard_normal(dofmap.n_trace)
     r = _trace_residuals(mesh, dofmap, case.coeffs, sigma, grad_u)
-    gram = gram_blocks(mesh, p, case.coeffs, np.arange(mesh.n_elements))
+    W, detJ, _ = _element_weights(mesh, case.coeffs, np.arange(mesh.n_elements))
+    ref = _reference_tensors(p + 2, p + 2)
+    gram = np.einsum("ea,amj->emj", W, ref[:4]) + (detJ / case.coeffs.k)[:, None, None] * ref[4]
     expected = np.sqrt(np.sum(r * np.linalg.solve(gram, r[:, :, None])[:, :, 0]))
     got = trace_dual_error(mesh, dofmap, case.coeffs, sigma, grad_u)
     assert abs(got - expected) <= 1e-13 * expected
