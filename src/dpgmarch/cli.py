@@ -12,7 +12,8 @@ errors, raised before any mesh is built.  Nothing is coerced.  Studies write
 a CSV table with the ErrorReport columns and print an EOC table; `run` can
 additionally dump the field as a legacy ASCII VTK snapshot.  Exit codes: 0
 success, 1 verification failed (heat-identity FAIL), 2 configuration error
-(including an output_path that cannot be written), 3 solver failure.
+(including an output_path that cannot be written), 3 solver failure or out of
+memory.
 """
 
 from __future__ import annotations
@@ -391,8 +392,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides, command=args.command)
         return COMMAND_TABLE[cfg.command].handler(cfg)
-    except SolverError as exc:
-        print(f"solver failure [{cfg.command} / {cfg.case_id}]: {exc}", file=sys.stderr)
+    except (SolverError, MemoryError) as exc:
+        failure = "out of memory" if isinstance(exc, MemoryError) else "solver failure"
+        print(f"{failure} [{cfg.command} / {cfg.case_id}]: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -2,14 +2,14 @@
 float64 sparse factor of it, and a pivoted sparse LU for the nonsymmetric
 projection systems.
 
-Matrix storage is scipy CSR/CSC.  `factor_spd` factors S in its own
-numbering, which the march assembles in the order of `nested_dissection`, and
-solves through SuperLU's transposed path (S^T x = r, the same system for a
-symmetric S), which is faster than the plain one on S's small supernodes;
-`lu_solve` keeps the plain path, since a nonsymmetric N^T is another matrix.
-`cg_solve` first takes x = precond(rhs): one product S x gives both the
-curvature check and the true residual, and x is accepted when that residual
-is at most 1e-12 times the right-hand side, as it is with the float64
+Matrix storage is scipy CSR/CSC.  `factor_spd` factors S in its own numbering,
+which the march assembles in the midpoint (Morton) order of
+`nested_dissection`, and solves through SuperLU's transposed path (S^T x = r,
+the same system for a symmetric S), which is faster than the plain one on S's
+small supernodes; `lu_solve` keeps the plain path, since a nonsymmetric N^T is
+another matrix.  `cg_solve` first takes x = precond(rhs): one product S x gives
+both the curvature check and the true residual, and x is accepted when that
+residual is at most 1e-12 times the right-hand side, as it is with the float64
 factor; otherwise CG continues from x, and raises after 50 iterations.
 `lu_solve` runs every matrix through SuperLU and picks the pivoting regime
 from the matrix itself.  A matrix with no zero on its diagonal, such as the
@@ -48,33 +48,30 @@ def nested_dissection(points, cols, n):
     whose elements have centroids points (ne, 2) and hold the unknowns
     cols (ne, nc), -1 at an eliminated slot.
 
-    Returns order, order[i] the unknown numbered i.  Level by level, every
-    part of the elements is bisected at the median of its longer bounding-box
-    side, down to parts of two elements.  Each unknown is numbered after both
-    halves of the smallest part that holds all of its elements.  Two unknowns
-    couple in S = sum_K E_K^T E_K only through an element they share: a
-    nested dissection on any conforming mesh (A. George, "Nested dissection
-    of a regular finite element mesh", SIAM J. Numer. Anal. 10, 1973).
+    Returns order, order[i] the unknown numbered i.  Each part of the elements
+    is halved at its midpoint, across the longer side of their bounding box
+    first (x on a tie), then alternating, down to parts of two on a dyadic
+    mesh: a leaf is the bit-interleaved (Morton) code of a grid cell, and may
+    hold more or fewer elsewhere.  Each unknown is numbered after both halves
+    of the smallest part holding all of its elements.  Two unknowns couple in
+    S = sum_K E_K^T E_K only through an element they share: a nested
+    dissection on any conforming mesh (A. George, "Nested dissection of a
+    regular finite element mesh", SIAM J. Numer. Anal. 10, 1973).
     """
-    points = np.asarray(points, dtype=float)
+    # rows of x and y: numpy is slow along an axis of length two
+    xy = np.ascontiguousarray(np.transpose(points), dtype=float)
     cols = np.asarray(cols)
-    ne = len(points)
-    depth = 0  # levels of bisection until no part holds more than two elements
-    while -(-ne // 2**depth) > 2:
-        depth += 1
-    perm = np.arange(ne)  # the elements, grouped by part
-    bounds = np.array([0, ne])  # part j holds perm[bounds[j]:bounds[j + 1]]
-    for _ in range(depth):
-        sizes = np.diff(bounds)  # no part is empty: part sizes differ by at most one
-        part = np.repeat(np.arange(len(sizes)), sizes)
-        xy = points[perm]
-        extent = np.maximum.reduceat(xy, bounds[:-1]) - np.minimum.reduceat(xy, bounds[:-1])
-        axis = (extent[:, 1] > extent[:, 0]).astype(int)
-        perm = perm[np.lexsort((xy[np.arange(ne), axis[part]], part))]
-        halves = np.column_stack([bounds[:-1], bounds[:-1] + sizes // 2]).ravel()
-        bounds = np.append(halves, ne)
-    leaf = np.empty(ne, dtype=np.int64)
-    leaf[perm] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    depth = max((len(cols) - 1).bit_length() - 1, 0)  # the fewest levels to parts of two
+    lo = xy.min(axis=1, keepdims=True)
+    extent = np.maximum(xy.max(axis=1, keepdims=True) - lo, np.finfo(float).tiny)
+    first_axis = int(extent[1, 0] > extent[0, 0])  # split first across the longer side
+    # bits per axis: ceil(depth/2) for the first split's axis, floor(depth/2) for the other
+    bits = np.array([[depth + 1 - first_axis], [depth + first_axis]]) // 2
+    cell = np.minimum(((xy - lo) / extent * 2**bits).astype(np.int64), 2**bits - 1)
+    leaf = np.zeros(len(cols), dtype=np.int64)
+    for level in range(depth):  # one bit of the leaf per level, from the root down
+        axis = (first_axis + level) % 2
+        leaf = (leaf << 1) | ((cell[axis] >> (bits[axis, 0] - 1 - level // 2)) & 1)
 
     # the smallest part holding an unknown's elements is the common ancestor
     # of its first and last leaf; an unknown in no element goes to the root

@@ -258,6 +258,21 @@ def test_nan_exact_gradient_in_projection_exits_3(tmp_path, monkeypatch, capsys)
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_out_of_memory_exits_3_in_one_line(tmp_path, monkeypatch, capsys):
+    # a mesh too large for the machine is a resource failure, not exit 1
+    # ("verification failed"), and prints no traceback
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(cli, "build_structured_mesh", no_memory)
+    config = base_config(tmp_path, command="run", case_id="heat-decay", levels=[100000])
+    assert main(["run", "--config", config]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory [run / heat-decay]: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_python_m_entry_point(tmp_path):
     src = str(Path(dpgmarch.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

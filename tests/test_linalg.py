@@ -264,11 +264,15 @@ def _element_order(mesh, dofmap):
 
 
 def _recursive_dissection(points, cols, n):
-    """The order of `nested_dissection`, one part at a time: bisect a part at
-    the median of its longer bounding-box side (a stable sort, the first
-    half of the size to the left) to the depth at which no part holds more
-    than two elements, and number a part's own unknowns, those whose
-    elements it holds but neither half does, after both halves."""
+    """The order of `nested_dissection`, one part at a time.  The root is the
+    grid of 2^ceil(d/2) x 2^floor(d/2) cells over the centroids' bounding box,
+    its longer side first (x on a tie), to the depth d at which parts of equal
+    size would hold at most two elements.  A part's range of cells is halved
+    at its midpoint along the axis its level picks, the first one at even
+    levels and the other at odd ones; an element goes left when its
+    coordinate, in cells, is below the midpoint.  A part's own unknowns, those
+    whose elements it holds but neither half does, are numbered after both
+    halves."""
     elements_of = [set() for _ in range(n)]
     for e, row in enumerate(cols):
         for unknown in row[row >= 0]:
@@ -276,22 +280,31 @@ def _recursive_dissection(points, cols, n):
     depth = 0
     while -(-len(points) // 2**depth) > 2:
         depth += 1
+    lo, extent = points.min(axis=0), np.ptp(points, axis=0)
+    first = int(extent[1] > extent[0])
+    cells = np.empty(2, dtype=int)
+    cells[first], cells[1 - first] = 2 ** ((depth + 1) // 2), 2 ** (depth // 2)
+    coordinate = (points - lo) / extent * cells
 
     def held(part):
         inside = set(part)
         return {u for e in part for u in cols[e][cols[e] >= 0] if elements_of[u] <= inside}
 
-    def number(part, level):
+    def number(part, box, level):
         if level == depth:
             return sorted(held(part))
-        xy = points[part]
-        axis = int(np.ptp(xy[:, 1]) > np.ptp(xy[:, 0]))
-        ranked = sorted(part, key=lambda e: points[e, axis])
-        left, right = ranked[:len(part) // 2], ranked[len(part) // 2:]
+        axis = (first + level) % 2
+        mid = sum(box[axis]) // 2
+        left = [e for e in part if coordinate[e, axis] < mid]
+        right = [e for e in part if coordinate[e, axis] >= mid]
+        left_box, right_box = list(box), list(box)
+        left_box[axis], right_box[axis] = (box[axis][0], mid), (mid, box[axis][1])
         own = held(part) - held(left) - held(right)
-        return number(left, level + 1) + number(right, level + 1) + sorted(own)
+        return (number(left, left_box, level + 1) + number(right, right_box, level + 1)
+                + sorted(own))
 
-    return np.array(number(list(range(len(points))), 0), dtype=int)
+    return np.array(number(list(range(len(points))), [(0, cells[0]), (0, cells[1])], 0),
+                    dtype=int)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -308,10 +321,13 @@ def test_nested_dissection_numbers_every_unknown_once(n, refined, p):
     assert np.array_equal(order, expected)
 
 
-@pytest.mark.parametrize("p", [0, 1])
-def test_nested_dissection_fills_less_than_minimum_degree(p):
-    # from about n = 24 up; below that the order fills up to 29% more
-    mesh = build_structured_mesh(32)
+@pytest.mark.parametrize("p, n", [(0, 32), (1, 32), (0, 48), (1, 48)],
+                         ids=["0", "1", "0-48", "1-48"])
+def test_nested_dissection_fills_less_than_minimum_degree(p, n):
+    # on dyadic and non-dyadic meshes from n = 24 (p = 0) and n = 32 (p = 1)
+    # up; on coarser meshes the order fills up to 15% more, as at n = 24,
+    # p = 1 (494 742 against 487 340) and n = 20, p = 1 (344 806 against 299 282)
+    mesh = build_structured_mesh(n)
     dofmap = build_dofmap(mesh, p)
     case = make_case("aniso", 0.01, 0.01)
     system = assemble_condensed(mesh, dofmap, case.coeffs, case.source_space)
