@@ -6,7 +6,7 @@ from .basis import QuadRule, ShapeTable, edge_rule, lagrange_edge, lagrange_tria
     triangle_rule
 from .cases import CASE_IDS, PdeCase, make_case
 from .dofmap import DofMap, build_dofmap
-from .elliptic import project, project_mixed
+from .elliptic import project
 from .errors import ErrorReport, SpatialFields, eoc, field_error, trace_dual_error
 from .galerkin import galerkin_states
 from .linalg import SolverError, cg_solve, lu_solve
@@ -21,6 +21,6 @@ __all__ = [
     "condense_load", "edge_rule", "eoc", "field_error",
     "galerkin_states", "initial_field", "lagrange_edge", "lagrange_triangle",
     "lu_solve", "make_case", "march",
-    "mesh_from_arrays", "project", "project_mixed", "states", "step",
+    "mesh_from_arrays", "project", "states", "step",
     "trace_dual_error", "triangle_rule",
 ]

@@ -455,8 +455,10 @@ def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
         )
     blocks = _build_blocks(mesh, dofmap, coeffs)
     n = dofmap.n_dof
-    order = nested_dissection(mesh.vertices[mesh.elements].mean(axis=1), blocks.cols, n)
-    rank = np.argsort(order)
+    v, e = mesh.vertices, mesh.elements
+    order = nested_dissection((v[e[:, 0]] + v[e[:, 1]] + v[e[:, 2]]) / 3, blocks.cols, n)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(n)  # the inverse permutation, without a sort
     cols = np.append(rank, -1)[blocks.cols]  # the element slots in the numbering of S
     cls, Et = blocks.cls, blocks.Et
     W_w = blocks.chol_inv @ blocks.mass_field / coeffs.k

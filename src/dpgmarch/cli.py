@@ -389,12 +389,14 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
+    cfg = None
     try:
         cfg = load_config(args.config, overrides, command=args.command)
         return COMMAND_TABLE[cfg.command].handler(cfg)
     except (SolverError, MemoryError) as exc:
         failure = "out of memory" if isinstance(exc, MemoryError) else "solver failure"
-        print(f"{failure} [{cfg.command} / {cfg.case_id}]: {exc}", file=sys.stderr)
+        where = args.command if cfg is None else f"{args.command} / {cfg.case_id}"
+        print(f"{failure} [{where}]: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -17,16 +17,6 @@ load condensation `assembly.condensed_loads`.  E_{a,K}^T comes with the
 element blocks and the products E_{a,K}^T E_{b,K} are formed once per class
 of congruent elements.
 
-It is equivalent to the mixed saddle-point system
-
-    (v_h, dv)_{V,k} + b(u_h, dv) = b(u, dv),      a(dw, v_h) = 0,
-
-which `project_mixed` solves monolithically as an independent cross-check,
-for element test loads l_b from `exact_b_load` or `discrete_b_load`, with the
-saddle matrix scattered from G_K, B_{b,K} and B_{a,K} at test rows e*nt + m;
-its auxiliary component v_h represents the projection residual in the test
-space.
-
 Note that the projection depends on the time step k through the optimal test
 functions and the (V,k) inner product; rate studies must fix the same k
 policy as the march they accompany.
@@ -39,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import LocalBlocks, PdeCoefficients, _build_blocks, condensed_loads, gather, \
-    scatter, volume_quadrature
+from .assembly import LocalBlocks, PdeCoefficients, _build_blocks, condensed_loads, scatter, \
+    volume_quadrature
 from .basis import triangle_table
 from .dofmap import DofMap
 from .errors import SpatialFields, _trace_residuals
@@ -87,17 +77,6 @@ def exact_b_load(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     return loads
 
 
-def discrete_b_load(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
-                    coefficients: np.ndarray) -> np.ndarray:
-    """Element test loads b(u_h, psi_m) of a discrete trial vector."""
-    coefficients = np.asarray(coefficients, dtype=float)
-    if coefficients.shape != (dofmap.n_dof,):
-        raise ValueError(f"trial coefficient vector must have shape ({dofmap.n_dof},), "
-                         f"got {coefficients.shape}")
-    blocks = _build_blocks(mesh, dofmap, coeffs)
-    return np.einsum("emc,ec->em", blocks.B_b[blocks.cls], gather(coefficients, blocks.cols))
-
-
 def project(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
             exact: SpatialFields) -> TrialVector:
     """Elliptic projection of exact data (u, grad_u); the flux trace is taken
@@ -109,28 +88,3 @@ def project(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     del system, loads  # free the element blocks and loads before the factorization
     return TrialVector.from_vector(lu_solve(N, rhs), dofmap.n_field)
 
-
-def _mixed_matrix(blocks: LocalBlocks, n_dof: int) -> sp.csc_matrix:
-    cls = blocks.cls
-    ne, nt = len(cls), blocks.chol.shape[1]
-    rows = np.arange(ne * nt).reshape(ne, nt)
-    G = scatter((blocks.chol @ blocks.chol.transpose(0, 2, 1))[cls], rows, rows,
-                (ne * nt,) * 2, "csr")
-    Bb = scatter(blocks.B_b[cls], rows, blocks.cols, (ne * nt, n_dof), "csr")
-    Ba = scatter(blocks.B_a[cls], rows, blocks.cols, (ne * nt, n_dof), "csr")
-    return sp.bmat([[G, Bb], [Ba.T, None]], format="csc")
-
-
-def project_mixed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients, loads: np.ndarray):
-    """Solve the equivalent mixed system for element test loads l_b, shape
-    (ne, nt), from `exact_b_load` or `discrete_b_load`; returns (v_h,
-    TrialVector) with v_h the element-blocked test coefficients, shape (ne, nt)."""
-    blocks = _build_blocks(mesh, dofmap, coeffs)
-    loads = np.asarray(loads, dtype=float)
-    shape = (mesh.n_elements, blocks.chol.shape[1])
-    if loads.shape != shape:
-        raise ValueError(f"element test loads must have shape {shape}, got {loads.shape}")
-    saddle = _mixed_matrix(blocks, dofmap.n_dof)
-    rhs = np.concatenate([loads.ravel(), np.zeros(dofmap.n_dof)])
-    v, u = np.split(lu_solve(saddle, rhs), [loads.size])
-    return v.reshape(loads.shape), TrialVector.from_vector(u, dofmap.n_field)

@@ -1,6 +1,6 @@
 """Sparse linear solvers: CG for the condensed SPD system, preconditioned by a
 float64 sparse factor of it, and a pivoted sparse LU for the nonsymmetric
-projection systems.
+projection system.
 
 Matrix storage is scipy CSR/CSC.  `factor_spd` factors S in its own numbering,
 which the march assembles in the midpoint (Morton) order of
@@ -11,20 +11,18 @@ another matrix.  `cg_solve` first takes x = precond(rhs): one product S x gives
 both the curvature check and the true residual, and x is accepted when that
 residual is at most 1e-12 times the right-hand side, as it is with the float64
 factor; otherwise CG continues from x, and raises after 50 iterations.
-`lu_solve` runs every matrix through SuperLU and picks the pivoting regime
-from the matrix itself.  A matrix with no zero on its diagonal, such as the
-condensed projection matrix N (the pattern of S, a strong diagonal), is
-factored in SuperLU's symmetric mode: minimum degree ordering on M + M^T with
-threshold pivoting that keeps a diagonal pivot within a factor 10 of its
-column's largest entry (X. S. Li, "An overview of SuperLU", ACM TOMS 31,
-2005).  A zero on the diagonal, as in the (2,2) block of the mixed
-saddle-point system, rules that out, and the matrix is factored with COLAMD
-and partial pivoting.  A matrix is singular to working precision when its
-1-norm condition estimate is 1e14 or more; the estimate of ||M^{-1}||_1 is
-`scipy.sparse.linalg.onenormest` (Higham & Tisseur, SIAM J. Matrix Anal.
-Appl. 21, 2000) on the factor's solves with M and M^T, as in LAPACK's
-dgecon, so no copy of the factor's L or U is ever made.  Every direct solve
-is checked afterwards for a small backward error.
+`lu_solve` factors every matrix, the condensed projection matrix N (the
+pattern of S, a strong diagonal) among them, in one regime, SuperLU's
+symmetric mode: minimum degree ordering on M + M^T with threshold pivoting
+that keeps a diagonal pivot within a factor 10 of its column's largest entry
+and otherwise, a zero diagonal entry included, takes an off-diagonal one
+(X. S. Li, "An overview of SuperLU", ACM TOMS 31, 2005).  A matrix is
+singular to working precision when its 1-norm condition estimate is 1e14 or
+more; the estimate of ||M^{-1}||_1 is `scipy.sparse.linalg.onenormest`
+(Higham & Tisseur, SIAM J. Matrix Anal. Appl. 21, 2000) on the factor's
+solves with M and M^T, as in LAPACK's dgecon, so no copy of the factor's L or
+U is ever made.  Every direct solve is checked afterwards for a small
+backward error.
 """
 
 from __future__ import annotations
@@ -170,16 +168,16 @@ def lu_solve(M, rhs):
     """Direct solve of M x = rhs by SuperLU's pivoted sparse LU; M may be any
     matrix that `scipy.sparse.csc_matrix` accepts.
 
-    An M with no zero on its diagonal is factored in SuperLU's symmetric mode
-    (minimum degree ordering on M + M^T, a diagonal pivot kept unless it is
-    below 0.1 times its column's largest entry); any other M with COLAMD and
-    partial pivoting.  Only the factor's own solves are used: no copy of its
-    L or U is made.  M is singular to working precision, and SolverError is
-    raised, when its condition number estimate ||M||_1 est(||M^{-1}||_1) is
-    1e14 or more, est the t = 1 estimate of `scipy.sparse.linalg.onenormest`
-    on the factor's solves, usually four after the one of rhs.  SolverError
-    is also raised when M or rhs has entries that are not finite, and when
-    the result fails the backward-error check
+    Every M is factored in SuperLU's symmetric mode: minimum degree ordering
+    on M + M^T, a diagonal pivot kept unless it is below 0.1 times its
+    column's largest entry, so that a zero diagonal entry is pivoted away.
+    Only the factor's own solves are used: no copy of its L or U is made.  M
+    is singular to working precision, and SolverError is raised, when its
+    condition number estimate ||M||_1 est(||M^{-1}||_1) is 1e14 or more, est
+    the t = 1 estimate of `scipy.sparse.linalg.onenormest` on the factor's
+    solves, usually four after the one of rhs.  SolverError is also raised
+    when M or rhs has entries that are not finite, and when the result fails
+    the backward-error check
     ||M x - rhs||_inf <= 1e-10 (||M||_inf ||x||_inf + ||rhs||_inf),
     so that relaxed pivoting can never quietly return a wrong solution.
     """
@@ -195,12 +193,9 @@ def lu_solve(M, rhs):
     if n == 0:
         raise SolverError("matrix is singular to working precision")
 
-    options = {}
-    if np.all(M.diagonal() != 0.0):
-        options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                       options={"SymmetricMode": True})
     try:
-        factor = spla.splu(M, **options)
+        factor = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                           options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(f"sparse LU factorization failed: {exc}") from exc
     x = factor.solve(rhs)

@@ -164,6 +164,62 @@ def projection_load(system, loads):
     return condensed_loads(blocks, loads[..., None], blocks.cols, system.N.shape[0])[:, 0]
 
 
+def discrete_b_load(mesh, dofmap, coeffs, coefficients):
+    """Element test loads b(u_h, psi_m), shape (ne, nt), of a trial vector of
+    length n_dof."""
+    from dpgmarch.assembly import _build_blocks, gather
+
+    coefficients = np.asarray(coefficients, dtype=float)
+    if coefficients.shape != (dofmap.n_dof,):
+        raise ValueError(f"trial coefficient vector must have shape ({dofmap.n_dof},), "
+                         f"got {coefficients.shape}")
+    blocks = _build_blocks(mesh, dofmap, coeffs)
+    return np.einsum("emc,ec->em", blocks.B_b[blocks.cls], gather(coefficients, blocks.cols))
+
+
+def mixed_matrix(blocks, n_dof):
+    """Saddle matrix [[G, B_b], [B_a^T, 0]] of the mixed projection in CSC,
+    scattered from G_K, B_{b,K} and B_{a,K} at test rows e*nt + m."""
+    import scipy.sparse as sp
+
+    from dpgmarch.assembly import scatter
+
+    cls = blocks.cls
+    ne, nt = len(cls), blocks.chol.shape[1]
+    rows = np.arange(ne * nt).reshape(ne, nt)
+    G = scatter((blocks.chol @ blocks.chol.transpose(0, 2, 1))[cls], rows, rows,
+                (ne * nt,) * 2, "csr")
+    Bb = scatter(blocks.B_b[cls], rows, blocks.cols, (ne * nt, n_dof), "csr")
+    Ba = scatter(blocks.B_a[cls], rows, blocks.cols, (ne * nt, n_dof), "csr")
+    return sp.bmat([[G, Bb], [Ba.T, None]], format="csc")
+
+
+def project_mixed(mesh, dofmap, coeffs, loads):
+    """The elliptic projection from its mixed saddle-point form
+
+        (v_h, dv)_{V,k} + b(u_h, dv) = b(u, dv),      a(dw, v_h) = 0,
+
+    for element test loads l_b, shape (ne, nt), from `exact_b_load` or
+    `discrete_b_load`.  An oracle of `elliptic.project`: the saddle matrix is
+    factored by scipy's default splu (COLAMD, partial pivoting), which shares
+    no solver code with `lu_solve`.  Returns (v_h, TrialVector) with v_h, the
+    projection residual in the test space, element-blocked as the loads."""
+    import scipy.sparse.linalg as spla
+
+    from dpgmarch.assembly import _build_blocks
+    from dpgmarch.timestep import TrialVector
+
+    blocks = _build_blocks(mesh, dofmap, coeffs)
+    loads = np.asarray(loads, dtype=float)
+    shape = (mesh.n_elements, blocks.chol.shape[1])
+    if loads.shape != shape:
+        raise ValueError(f"element test loads must have shape {shape}, got {loads.shape}")
+    saddle = mixed_matrix(blocks, dofmap.n_dof)
+    rhs = np.concatenate([loads.ravel(), np.zeros(dofmap.n_dof)])
+    v, u = np.split(spla.splu(saddle).solve(rhs), [loads.size])
+    return v.reshape(loads.shape), TrialVector.from_vector(u, dofmap.n_field)
+
+
 def b_orthogonality_residual(system, rhs, solution):
     """(max_i |b(u - u_h, Theta phi_i)|, system scale) for a computed projection."""
     residual = rhs - system.N @ solution

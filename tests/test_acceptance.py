@@ -13,16 +13,15 @@ import pytest
 from dpgmarch.assembly import PdeCoefficients, assemble_condensed
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
-from dpgmarch.elliptic import (build_projection_system, discrete_b_load, exact_b_load, project,
-                               project_mixed)
+from dpgmarch.elliptic import build_projection_system, exact_b_load, project
 from dpgmarch.errors import SpatialFields, eoc, field_error, trace_dual_error
 from dpgmarch.galerkin import galerkin_states
 from dpgmarch.linalg import cg_solve, lu_solve
 from dpgmarch.mesh import build_structured_mesh
 from dpgmarch.timestep import march, states
 
-from conftest import (b_orthogonality_residual, field_quadratic_forms, function_l2_norm,
-                      no_source, perturbed_mesh, projection_load)
+from conftest import (b_orthogonality_residual, discrete_b_load, field_quadratic_forms,
+                      function_l2_norm, no_source, perturbed_mesh, project_mixed, projection_load)
 
 ZERO = SpatialFields(u=lambda x, y: np.zeros_like(x),
                      grad_u=lambda x, y: np.zeros((2,) + np.shape(x)))
@@ -168,6 +167,25 @@ def test_linear_in_time_case_has_the_optimal_l2_rate_at_every_k(p, k):
           "on the finest pair (n=16, 32)")
     assert p + 1.85 <= rate <= p + 2.15
     assert rate_h1 >= p + 0.85
+
+
+def test_trace_dual_rate_recovers_once_h_over_sqrt_k_nears_one():
+    # the trace-dual EOC is pre-asymptotic only while h/sqrt(k) is large: on
+    # adr-linear at p=0, k=1e-4 it reads 0.85, 0.95 and 0.99 over n = 32-64,
+    # 64-128 and 128-256, where h/sqrt(k) falls from 4.4 to 2.2, 1.1 and 0.55
+    k, errs, hs = 1e-4, [], []
+    for n in (64, 128):
+        mesh = build_structured_mesh(n)
+        dofmap = build_dofmap(mesh, 0)
+        case = make_case("adr-linear", k, 10 * k)
+        state = march(case, mesh, dofmap)
+        exact = SpatialFields(*case.spatial_u(state.time))
+        errs.append(trace_dual_error(mesh, dofmap, case.coeffs, state.current.trace,
+                                     exact.grad_u))
+        hs.append(mesh.h_max)
+    rate = eoc(errs, hs)[-1]
+    print(f"adr-linear, p=0, k=1e-4: trace-dual EOC {rate:.3f} (n=64, 128)")
+    assert rate >= 0.9
 
 
 # theta_b / ||e|| measured on n = 16 (structured, perturbed):

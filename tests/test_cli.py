@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import dpgmarch
 from dpgmarch import cli, timestep
 from dpgmarch.cli import KPolicy, load_config, main
+from dpgmarch.linalg import SolverError
 
 
 def write_config(path, **entries):
@@ -271,6 +272,21 @@ def test_out_of_memory_exits_3_in_one_line(tmp_path, monkeypatch, capsys):
     assert err.startswith("out of memory [run / heat-decay]: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("failure, prefix", [(MemoryError, "out of memory"),
+                                             (SolverError, "solver failure")])
+def test_a_failure_while_loading_the_config_exits_3_in_one_line(tmp_path, monkeypatch, capsys,
+                                                                  failure, prefix):
+    # no config exists yet, so the line names the command alone
+    def failing_load(*args, **kwargs):
+        raise failure("while reading the config")
+
+    monkeypatch.setattr(cli, "load_config", failing_load)
+    config = base_config(tmp_path, command="run", case_id="heat-decay")
+    assert main(["run", "--config", config]) == 3
+    err = capsys.readouterr().err
+    assert err == f"{prefix} [run]: while reading the config\n"
 
 
 def test_python_m_entry_point(tmp_path):

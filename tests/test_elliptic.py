@@ -9,13 +9,13 @@ from dpgmarch.assembly import gather
 from dpgmarch.basis import lagrange_triangle, triangle_rule, triangle_table
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
-from dpgmarch.elliptic import (build_projection_system, discrete_b_load, exact_b_load, project,
-                               project_mixed)
+from dpgmarch.elliptic import build_projection_system, exact_b_load, project
 from dpgmarch.errors import SpatialFields, _trace_residuals, eoc, field_error, trace_dual_error
 from dpgmarch.linalg import lu_solve
 from dpgmarch.mesh import build_structured_mesh
 
-from conftest import b_orthogonality_residual, norm_in_test_space, perturbed_mesh, projection_load
+from conftest import (b_orthogonality_residual, discrete_b_load, norm_in_test_space, perturbed_mesh,
+                      project_mixed, projection_load)
 
 
 def _adr_exact():
@@ -205,15 +205,14 @@ def test_projection_frees_the_element_blocks_before_the_solve(monkeypatch):
     assert alive == [False]
 
 
-def test_sparse_pivoting_regime_follows_the_diagonal(monkeypatch):
-    # N has a nonzero diagonal and is factored in symmetric mode; the saddle
-    # matrix of the mixed form has a zero (2,2) block and keeps partial pivoting
+def test_lu_solve_factors_in_symmetric_mode_with_minimum_degree(monkeypatch):
+    # one regime for every matrix: N, with its nonzero diagonal, and a matrix
+    # with a zero diagonal, whose pivots the 0.1 threshold takes off it
     calls = []
     splu = spla.splu
 
     def recording_splu(M, **kwargs):
-        calls.append((bool(np.all(M.diagonal() != 0.0)),
-                      kwargs.get("options", {}).get("SymmetricMode", False)))
+        calls.append(kwargs)
         return splu(M, **kwargs)
 
     monkeypatch.setattr(spla, "splu", recording_splu)
@@ -221,8 +220,9 @@ def test_sparse_pivoting_regime_follows_the_diagonal(monkeypatch):
     mesh = build_structured_mesh(4)
     dofmap = build_dofmap(mesh, 0)
     project(mesh, dofmap, coeffs, exact)
-    project_mixed(mesh, dofmap, coeffs, exact_b_load(mesh, dofmap, coeffs, exact))
-    assert calls == [(True, True), (False, False)]
+    lu_solve(np.array([[0.0, 2.0], [1.0, 0.0]]), np.ones(2))
+    assert calls == [dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                          options={"SymmetricMode": True})] * 2
 
 
 @pytest.mark.parametrize("p", [0, 1])

@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dpgmarch import linalg
-from dpgmarch.assembly import assemble_condensed
+from dpgmarch.assembly import _build_blocks, assemble_condensed
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
-from dpgmarch.elliptic import build_projection_system, exact_b_load, project_mixed
+from dpgmarch.elliptic import build_projection_system, exact_b_load
 from dpgmarch.errors import SpatialFields
 from dpgmarch.linalg import SolverError, cg_solve, factor_spd, lu_solve, nested_dissection
 from dpgmarch.mesh import build_structured_mesh
 
-from conftest import projection_load, refine_uniform
+from conftest import mixed_matrix, projection_load, refine_uniform
 
 
 def unpreconditioned(r):
@@ -334,6 +334,9 @@ def test_nested_dissection_fills_less_than_minimum_degree(p, n):
     S = system.S[system.rank][:, system.rank]  # in the numbering of the dofmap
     order = _element_order(mesh, dofmap)
     assert abs(S[order][:, order] - system.S).max() == 0.0  # the march's S is numbered so
+    # by a rank that inverts the order by a scatter, from centroids summed
+    # over the three vertices: bit for bit an argsort and the vertex mean
+    assert np.array_equal(system.rank, np.argsort(order))
     symmetric = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     nd = spla.splu(system.S.tocsc(), permc_spec="NATURAL", **symmetric)
     mmd = spla.splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A", **symmetric)
@@ -410,7 +413,8 @@ def _zero_diagonal_permutation(n, seed):
 
 
 def test_lu_sparse_zero_diagonal_permutation():
-    # every diagonal entry is zero, so the symmetric mode is ruled out
+    # every diagonal entry is zero, so every pivot of the symmetric mode's
+    # threshold pivoting is taken off the diagonal
     M = _zero_diagonal_permutation(12, 13)
     assert np.all(M.diagonal() == 0.0)
     rhs = np.arange(12.0) - 5.5
@@ -482,10 +486,11 @@ class FactorWithoutCopies:
         raise AssertionError("the factor's U was read")
 
 
-@pytest.mark.parametrize("symmetric_mode", [True, False])
-def test_lu_solve_makes_no_copy_of_the_factor(monkeypatch, symmetric_mode):
+@pytest.mark.parametrize("matrix", ["dominant", "zero-diagonal"])
+def test_lu_solve_makes_no_copy_of_the_factor(monkeypatch, matrix):
+    # a zero diagonal takes the same symmetric mode, pivoted off the diagonal
     rng = np.random.default_rng(17)
-    if symmetric_mode:
+    if matrix == "dominant":
         M = sp.csr_matrix(rng.standard_normal((12, 12)) + 6 * np.eye(12))
     else:
         M = _zero_diagonal_permutation(12, 18)
@@ -499,7 +504,7 @@ def test_lu_solve_makes_no_copy_of_the_factor(monkeypatch, symmetric_mode):
 
     monkeypatch.setattr(spla, "splu", wrapped)
     x = lu_solve(M, rhs)
-    assert modes == [symmetric_mode]
+    assert modes == [True]
     assert _backward_error(M, x, rhs) <= 1e-15
 
 
@@ -517,8 +522,8 @@ def test_lu_rejects_a_near_singular_matrix_and_solves_a_better_one(matrix):
     # kappa_1 is about 4e15 at delta = 1e-15 and 4e13-6e13 at delta = 1e-13.
     # The 2x2 rhs (1, 1) is consistent: M x = rhs for x = (1, 0), so an
     # estimate that started from the right-hand side alone would miss the
-    # tiny pivot.  The 3x3 matrix has no nonzero diagonal entry, so it is
-    # factored with COLAMD.
+    # tiny pivot.  The 3x3 matrix has no nonzero diagonal entry, so every
+    # pivot is taken off the diagonal.
     rhs = np.ones(len(matrix(0.0)))
     with pytest.raises(SolverError, match="singular"):
         lu_solve(matrix(1e-15), rhs)
@@ -538,8 +543,9 @@ def test_lu_rejects_an_ill_conditioned_matrix_with_unit_pivots():
 
 def test_projection_matrices_are_far_from_singular(monkeypatch):
     # N of the projection workload, aniso, p=1, k=h at n=12, 24 and 48
-    # (kappa_1 about 2.0e5, 7.8e5 and 3.1e6), and the mixed saddle-point
-    # matrices of the projection tests: far below the threshold 1e14
+    # (kappa_1 about 2.0e5, 7.8e5 and 3.1e6), through lu_solve, and the
+    # mixed saddle-point matrices of the projection tests, which the test
+    # oracle factors with scipy's default splu: far below the threshold 1e14
     norms, kappas = [], []
     splu, estimate = spla.splu, spla.onenormest
 
@@ -562,12 +568,15 @@ def test_projection_matrices_are_far_from_singular(monkeypatch):
         system = build_projection_system(mesh, dofmap, case.coeffs)
         lu_solve(system.N, projection_load(
             system, exact_b_load(mesh, dofmap, case.coeffs, exact)))
+    coeffs = make_case("adr-decay", 0.1, 1.0).coeffs
     for n, p in ((4, 0), (8, 0), (16, 0), (4, 1)):
         mesh = build_structured_mesh(n)
         dofmap = build_dofmap(mesh, p)
-        case = make_case("adr-decay", 0.1, 1.0)
-        exact = SpatialFields(*case.spatial_u(0.0))
-        project_mixed(mesh, dofmap, case.coeffs, exact_b_load(mesh, dofmap, case.coeffs, exact))
+        saddle = mixed_matrix(_build_blocks(mesh, dofmap, coeffs), dofmap.n_dof)
+        factor = splu(saddle)  # as the oracle `project_mixed` factors it
+        inverse = spla.LinearOperator(saddle.shape, matvec=factor.solve, dtype=float,
+                                      rmatvec=lambda r: factor.solve(r, trans="T"))
+        kappas.append(abs(saddle).sum(axis=0).max() * estimate(inverse, t=1))
     assert len(kappas) == 7
     assert max(kappas) <= 1e8
 
