@@ -32,7 +32,7 @@ import numpy as np
 from .cases import CASE_IDS, make_case
 from .dofmap import build_dofmap
 from .elliptic import project
-from .errors import ZERO_FIELDS, ErrorReport, SpatialFields, eoc, field_error, trace_dual_error
+from .errors import ZERO_FIELDS, ErrorReport, eoc, field_error, trace_dual_error
 from .galerkin import galerkin_states
 from .linalg import SolverError
 from .mesh import build_structured_mesh
@@ -260,8 +260,7 @@ def _level(cfg: RunConfig, n: int):
     return mesh, dofmap, make_case(cfg.case_id, k, T_end)
 
 
-def _error_report(level: int, mesh, dofmap, coeffs, trial: TrialVector,
-                  exact: SpatialFields) -> ErrorReport:
+def _error_report(level: int, mesh, dofmap, coeffs, trial: TrialVector, exact) -> ErrorReport:
     return ErrorReport(
         level=level, h_max=mesh.h_max, k=coeffs.k, n_field=dofmap.n_field,
         n_trace=dofmap.n_trace,
@@ -274,8 +273,7 @@ def _error_report(level: int, mesh, dofmap, coeffs, trial: TrialVector,
 def _march_report(cfg: RunConfig, level: int, n: int):
     mesh, dofmap, case = _level(cfg, n)
     state = march(case, mesh, dofmap)
-    exact = SpatialFields(*case.spatial_u(state.time))
-    report = _error_report(level, mesh, dofmap, case.coeffs, state.current, exact)
+    report = _error_report(level, mesh, dofmap, case.coeffs, state.current, case.at(state.time))
     return mesh, dofmap, state, report
 
 
@@ -315,7 +313,7 @@ def cmd_converge_projection(cfg: RunConfig) -> int:
     reports = []
     for level, n in enumerate(cfg.levels):
         mesh, dofmap, case = _level(cfg, n)
-        exact = SpatialFields(*case.spatial_u(0.0))
+        exact = case.at(0.0)
         result = project(mesh, dofmap, case.coeffs, exact)
         reports.append(_error_report(level, mesh, dofmap, case.coeffs, result, exact))
     return write_study(cfg, reports)

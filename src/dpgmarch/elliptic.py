@@ -33,7 +33,7 @@ from .assembly import LocalBlocks, PdeCoefficients, _build_blocks, condensed_loa
     volume_quadrature
 from .basis import triangle_table
 from .dofmap import DofMap
-from .errors import SpatialFields, _trace_residuals
+from .errors import SpatialFields, _norm_rule_degree, _trace_residuals
 from .linalg import lu_solve
 from .mesh import Mesh
 from .timestep import TrialVector
@@ -59,7 +59,7 @@ def exact_b_load(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
                  exact: SpatialFields) -> np.ndarray:
     """Element test loads l_b[m] = b((u, A grad u . n), psi_m) for exact data."""
     p = dofmap.p
-    rule_degree = 2 * (p + 2) + 2
+    rule_degree = _norm_rule_degree(p)
     _, qp, wdet, invJ = volume_quadrature(mesh, rule_degree)
     table = triangle_table(p + 2, rule_degree)
     g = np.moveaxis(np.asarray(exact.grad_u(qp[..., 0], qp[..., 1])), 0, -1)

@@ -27,7 +27,8 @@ from .mesh import Mesh
 
 @dataclass(frozen=True)
 class SpatialFields:
-    """Exact spatial data: u(x, y) and grad_u(x, y) -> (2, ...) array."""
+    """Exact spatial data: u(x, y) and grad_u(x, y) -> (2, ...) array.
+    `PdeCase.at(t)` builds it from a case at a frozen time."""
 
     u: callable
     grad_u: callable

@@ -23,15 +23,25 @@ def no_source(x, y):
 def zero_data_case(k, T_end, u0=None):
     """A heat-equation case with zero source and initial data u0(x, y), zero
     by default, whose exact solution is then u = 0.  Its u is u0 at every
-    time and its u_t and grad_u are zero: only u0 is read from them."""
+    time and its grad_u is zero, which is no solution of the PDE: only u0 is
+    read from them."""
     from dpgmarch.cases import PdeCase
 
-    u0 = (lambda x, y: np.zeros_like(x)) if u0 is None else u0
+    class ZeroDataCase(PdeCase):
+        def source_time(self, t):
+            return np.ones(1)
+
+        def source_space(self, x, y):
+            return np.zeros((1,) + np.shape(x))
+
+    def profile(x, y, order):
+        if order == 0:
+            return np.zeros_like(x) if u0 is None else u0(x, y)
+        return np.zeros_like(x), np.zeros_like(x)
+
     coeffs = PdeCoefficients(A=np.eye(2), beta=np.zeros(2), gamma=0.0, k=k, T_end=T_end)
-    return PdeCase(name="zero-data", coeffs=coeffs, u=lambda t, x, y: u0(x, y),
-                   grad_u=lambda t, x, y: np.zeros((2,) + np.shape(x)),
-                   u_t=lambda t, x, y: np.zeros_like(x), source_time=lambda t: np.ones(1),
-                   source_space=lambda x, y: np.zeros((1,) + np.shape(x)))
+    return ZeroDataCase(name="zero-data", coeffs=coeffs, profile=profile,
+                        T=lambda t: 1.0, T_dot=lambda t: 0.0)
 
 
 def block_rows(blocks, cols, n_cols):

@@ -5,6 +5,7 @@ lines and measured values.
 """
 
 import contextlib
+import dataclasses
 import time
 
 import numpy as np
@@ -40,12 +41,11 @@ def _stationary_study(k_for_h):
         k = k_for_h(mesh.h_max)
         case = make_case("stationary-adr", k, 5 * k)
         state = march(case, mesh, dofmap)
-        u_fn, grad_fn = case.spatial_u(state.time)
-        exact = SpatialFields(u=u_fn, grad_u=grad_fn)
+        exact = case.at(state.time)
         errs_l2.append(field_error(mesh, dofmap, state.current.field, exact, "L2"))
         errs_h1.append(field_error(mesh, dofmap, state.current.field, exact, "H1semi"))
         errs_tr.append(trace_dual_error(mesh, dofmap, case.coeffs, state.current.trace,
-                                        grad_fn))
+                                        exact.grad_u))
         hs.append(mesh.h_max)
     return errs_l2, errs_h1, errs_tr, hs
 
@@ -158,7 +158,7 @@ def test_linear_in_time_case_has_the_optimal_l2_rate_at_every_k(p, k):
                   if mesh.h_max / np.sqrt(k) > 10 else contextlib.nullcontext())
         with regime:  # at k = 1e-4, n = 4 and 8 are past h/sqrt(k) = 10
             state = march(case, mesh, dofmap)
-        exact = SpatialFields(*case.spatial_u(state.time))
+        exact = case.at(state.time)
         errs_l2.append(field_error(mesh, dofmap, state.current.field, exact, "L2"))
         errs_h1.append(field_error(mesh, dofmap, state.current.field, exact, "H1semi"))
         hs.append(mesh.h_max)
@@ -179,7 +179,7 @@ def test_trace_dual_rate_recovers_once_h_over_sqrt_k_nears_one():
         dofmap = build_dofmap(mesh, 0)
         case = make_case("adr-linear", k, 10 * k)
         state = march(case, mesh, dofmap)
-        exact = SpatialFields(*case.spatial_u(state.time))
+        exact = case.at(state.time)
         errs.append(trace_dual_error(mesh, dofmap, case.coeffs, state.current.trace,
                                      exact.grad_u))
         hs.append(mesh.h_max)
@@ -212,7 +212,7 @@ def test_the_march_error_is_mostly_the_projection_error(p, k):
                   if mesh.h_max / np.sqrt(k) > 10 else contextlib.nullcontext())
         with regime:
             state = march(case, mesh, dofmap)
-        exact = SpatialFields(*case.spatial_u(state.time))
+        exact = case.at(state.time)
         u_h = state.current.field
         error = field_error(mesh, dofmap, u_h, exact, "L2")
         theta_b = field_error(mesh, dofmap, project(mesh, dofmap, case.coeffs, exact).field - u_h,
@@ -244,8 +244,7 @@ def test_the_spatial_projection_is_nearer_the_march_than_the_full_form_one(p, k)
         T = 1.0 + state.time
         x, _ = cg_solve(system.S, system.blocks.F @ np.array([T / k, T]), system.precond)
         full_form = x[system.rank[:dofmap.n_field]]
-        spatial = project(mesh, dofmap, case.coeffs,
-                          SpatialFields(*case.spatial_u(state.time))).field
+        spatial = project(mesh, dofmap, case.coeffs, case.at(state.time)).field
         theta_a = field_error(mesh, dofmap, full_form - state.current.field, ZERO, "L2")
         theta_b = field_error(mesh, dofmap, spatial - state.current.field, ZERO, "L2")
         print(f"adr-linear, p={p}, k={k:g}, n={n}: theta_a {theta_a:.3e}, "
@@ -255,8 +254,7 @@ def test_the_spatial_projection_is_nearer_the_march_than_the_full_form_one(p, k)
 
 def test_criterion_7_projection_rates():
     case = make_case("adr-decay", 0.1, 1.0)
-    u_fn, grad_fn = case.spatial_u(0.0)
-    exact = SpatialFields(u=u_fn, grad_u=grad_fn)
+    exact = case.at(0.0)
     errs_h1, errs_l2, hs = [], [], []
     for n in (4, 8, 16, 32, 64):
         mesh = build_structured_mesh(n)
@@ -274,8 +272,7 @@ def test_criterion_7_projection_rates():
 
 def test_criterion_8_mixed_equivalence():
     case = make_case("adr-decay", 0.1, 1.0)
-    u_fn, grad_fn = case.spatial_u(0.0)
-    exact = SpatialFields(u=u_fn, grad_u=grad_fn)
+    exact = case.at(0.0)
     mesh = build_structured_mesh(8)
     dofmap = build_dofmap(mesh, 0)
 
@@ -300,8 +297,7 @@ def test_criterion_8_mixed_equivalence():
 
 def test_criterion_9_projection_orthogonality():
     case = make_case("adr-decay", 0.1, 1.0)
-    u_fn, grad_fn = case.spatial_u(0.0)
-    exact = SpatialFields(u=u_fn, grad_u=grad_fn)
+    exact = case.at(0.0)
     mesh = build_structured_mesh(8)
     dofmap = build_dofmap(mesh, 0)
     system = build_projection_system(mesh, dofmap, case.coeffs)
@@ -324,9 +320,8 @@ def test_criterion_10_structural_checks():
     heat = make_case("heat-decay", 0.02, 0.1)
     advected_coeffs = PdeCoefficients(A=np.eye(2), beta=np.array([1.0, 0.0]), gamma=0.0,
                                       k=0.02, T_end=0.1)
-    advected = type(heat)(name="control", coeffs=advected_coeffs, u=heat.u,
-                          grad_u=heat.grad_u, u_t=heat.u_t, source_time=heat.source_time,
-                          source_space=heat.source_space)
+    # the control marches the advected PDE with its own consistent source
+    advected = dataclasses.replace(heat, name="control", coeffs=advected_coeffs)
     state = march(advected, mesh, dofmap)
     oracle = list(galerkin_states(heat, mesh, dofmap))[-1]
     control = np.abs(state.current.field - oracle).max()

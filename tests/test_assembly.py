@@ -17,7 +17,6 @@ from dpgmarch.basis import lagrange_triangle, triangle_rule
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
 from dpgmarch.elliptic import build_projection_system, exact_b_load
-from dpgmarch.errors import SpatialFields
 from dpgmarch.linalg import SolverError
 from dpgmarch.mesh import build_structured_mesh, mesh_from_arrays
 
@@ -756,7 +755,7 @@ def test_condensations_match_a_dense_sum_over_the_elements(mesh, p):
     cls, cols, field_dofs = blocks.cls, blocks.cols, dofmap.element_field_dofs
     gram = element_grams(mesh, p, coeffs)
     sources = _source_loads(mesh, p, case.source_space)
-    loads = exact_b_load(mesh, dofmap, coeffs, SpatialFields(*case.spatial_u(0.3)))
+    loads = exact_b_load(mesh, dofmap, coeffs, case.at(0.3))
     n, n_field, m = dofmap.n_dof, dofmap.n_field, sources.shape[2]
     S, N, C = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n_field))
     F, r = np.zeros((n, m)), np.zeros(n)

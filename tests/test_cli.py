@@ -226,10 +226,25 @@ def test_config_types_are_not_coerced(tmp_path, override):
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_nan_source_exits_3(tmp_path, monkeypatch, capsys):
+def nan_profile_at(monkeypatch, nan_order):
+    """Make every case of the CLI return NaN from its profile at one
+    derivative order: 1 reaches only grad_u, 2 only the source terms."""
     make_case = cli.make_case
-    monkeypatch.setattr(cli, "make_case", lambda *args: dataclasses.replace(
-        make_case(*args), source_space=lambda x, y: np.full((2,) + np.shape(x), np.nan)))
+
+    def patched(*args):
+        case = make_case(*args)
+
+        def profile(x, y, order):
+            values = case.profile(x, y, order)
+            return np.full(np.shape(values), np.nan) if order == nan_order else values
+
+        return dataclasses.replace(case, profile=profile)
+
+    monkeypatch.setattr(cli, "make_case", patched)
+
+
+def test_nan_source_exits_3(tmp_path, monkeypatch, capsys):
+    nan_profile_at(monkeypatch, 2)
     config = base_config(tmp_path, command="run", case_id="heat-decay", levels=[4])
     assert main(["run", "--config", config]) == 3
     assert "non-finite" in capsys.readouterr().err
@@ -249,9 +264,7 @@ def test_mass_matrix_norm_off_the_quadrature_exits_3(tmp_path, monkeypatch, caps
 
 
 def test_nan_exact_gradient_in_projection_exits_3(tmp_path, monkeypatch, capsys):
-    make_case = cli.make_case
-    monkeypatch.setattr(cli, "make_case", lambda *args: dataclasses.replace(
-        make_case(*args), grad_u=lambda t, x, y: np.full((2,) + np.shape(x), np.nan)))
+    nan_profile_at(monkeypatch, 1)
     config = base_config(tmp_path, command="converge-projection", case_id="adr-decay",
                          levels=[4, 8], n_steps=None)
     assert main(["converge-projection", "--config", config]) == 3

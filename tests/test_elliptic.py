@@ -10,7 +10,7 @@ from dpgmarch.basis import lagrange_triangle, triangle_rule, triangle_table
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
 from dpgmarch.elliptic import build_projection_system, exact_b_load, project
-from dpgmarch.errors import SpatialFields, _trace_residuals, eoc, field_error, trace_dual_error
+from dpgmarch.errors import _trace_residuals, eoc, field_error, trace_dual_error
 from dpgmarch.linalg import lu_solve
 from dpgmarch.mesh import build_structured_mesh
 
@@ -20,8 +20,7 @@ from conftest import (b_orthogonality_residual, discrete_b_load, norm_in_test_sp
 
 def _adr_exact():
     case = make_case("adr-decay", 0.1, 1.0)
-    u_fn, grad_fn = case.spatial_u(0.0)
-    return case.coeffs, SpatialFields(u=u_fn, grad_u=grad_fn)
+    return case.coeffs, case.at(0.0)
 
 
 def test_projection_reproduces_discrete_data():
@@ -172,7 +171,7 @@ def test_projection_matches_a_default_splu_solve(case_id, p):
     mesh = build_structured_mesh(8)
     dofmap = build_dofmap(mesh, p)
     case = make_case(case_id, mesh.h_max, mesh.h_max)
-    exact = SpatialFields(*case.spatial_u(0.0))
+    exact = case.at(0.0)
     system = build_projection_system(mesh, dofmap, case.coeffs)
     rhs = projection_load(system, exact_b_load(mesh, dofmap, case.coeffs, exact))
     expected = spla.splu(system.N.tocsc()).solve(rhs)
@@ -201,7 +200,7 @@ def test_projection_frees_the_element_blocks_before_the_solve(monkeypatch):
 
     monkeypatch.setattr(elliptic, "build_projection_system", recording_build)
     monkeypatch.setattr(elliptic, "lu_solve", recording_solve)
-    project(mesh, dofmap, case.coeffs, SpatialFields(*case.spatial_u(0.0)))
+    project(mesh, dofmap, case.coeffs, case.at(0.0))
     assert alive == [False]
 
 
@@ -232,7 +231,7 @@ def test_reference_gradient_contractions_match_quadrature(p):
     mesh = perturbed_mesh(4, seed=8)
     dofmap = build_dofmap(mesh, p)
     case = make_case("aniso", 0.1, 1.0)
-    coeffs, exact = case.coeffs, SpatialFields(*case.spatial_u(0.3))
+    coeffs, exact = case.coeffs, case.at(0.3)
     rule = triangle_rule(2 * (p + 2) + 2)
     v = mesh.vertices[mesh.elements]
     J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
@@ -279,7 +278,7 @@ def test_a_projection_level_tabulates_no_edge_basis(monkeypatch):
     from dpgmarch import assembly
 
     case = make_case("aniso", 0.1, 1.0)
-    exact = SpatialFields(*case.spatial_u(0.0))
+    exact = case.at(0.0)
     calls = []
     for module, name in ((assembly, "lagrange_triangle"), (assembly, "lagrange_edge")):
         tabulate = getattr(module, name)

@@ -144,7 +144,7 @@ def test_exact_flux_is_evaluated_once_per_edge(p):
     mesh = perturbed_mesh(4, seed=3)
     dofmap = build_dofmap(mesh, p)
     case = make_case("aniso", 0.1, 1.0)
-    _, grad_u = case.spatial_u(0.3)
+    grad_u = case.at(0.3).grad_u
     points = []
 
     def counting(x, y):
@@ -245,7 +245,7 @@ def test_trace_dual_error_matches_a_gram_solve(p, mesh):
 
     dofmap = build_dofmap(mesh, p)
     case = make_case("aniso", 0.05, 1.0)
-    _, grad_u = case.spatial_u(0.2)
+    grad_u = case.at(0.2).grad_u
     sigma = np.random.default_rng(p).standard_normal(dofmap.n_trace)
     r = _trace_residuals(mesh, dofmap, case.coeffs, sigma, grad_u)
     W, detJ, _ = _element_weights(mesh, case.coeffs, np.arange(mesh.n_elements))

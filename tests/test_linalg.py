@@ -11,7 +11,6 @@ from dpgmarch.assembly import _build_blocks, assemble_condensed
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
 from dpgmarch.elliptic import build_projection_system, exact_b_load
-from dpgmarch.errors import SpatialFields
 from dpgmarch.linalg import SolverError, cg_solve, factor_spd, lu_solve, nested_dissection
 from dpgmarch.mesh import build_structured_mesh
 
@@ -564,7 +563,7 @@ def test_projection_matrices_are_far_from_singular(monkeypatch):
         mesh = build_structured_mesh(n)
         dofmap = build_dofmap(mesh, 1)
         case = make_case("aniso", 1.0 / n, 1.0 / n)
-        exact = SpatialFields(*case.spatial_u(0.0))
+        exact = case.at(0.0)
         system = build_projection_system(mesh, dofmap, case.coeffs)
         lu_solve(system.N, projection_load(
             system, exact_b_load(mesh, dofmap, case.coeffs, exact)))

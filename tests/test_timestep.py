@@ -252,15 +252,15 @@ def test_march_evaluates_the_source_once(monkeypatch):
     case = make_case("aniso", 0.1, 0.5)
     calls = {"space": 0, "times": []}
 
-    def source_space(x, y):
-        calls["space"] += 1
-        return case.source_space(x, y)
+    def profile(x, y, order):
+        calls["space"] += order == 2
+        return case.profile(x, y, order)
 
-    def source_time(t):
+    def T_dot(t):
         calls["times"].append(t)
-        return case.source_time(t)
+        return case.T_dot(t)
 
-    counted = dataclasses.replace(case, source_space=source_space, source_time=source_time)
+    counted = dataclasses.replace(case, profile=profile, T_dot=T_dot)
     final = march(counted, mesh, dofmap)
     assert calls["space"] == 1
     assert calls["times"] == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5], abs=1e-15)
