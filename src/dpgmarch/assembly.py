@@ -131,11 +131,12 @@ class PdeCoefficients:
 class LocalBlocks:
     """Blocks stacked per class of congruent elements (see `element_classes`),
     the set-up temporaries of a condensation; element e has the blocks of
-    class cls[e].
+    class cls[e].  The Cholesky factors L_K of the Gram blocks themselves are
+    kept by `gram_factors` alone.
 
-    chol / chol_inv: Cholesky factor L_K of G_K and its inverse,
-        (n_classes, nt, nt), the inverse by forward substitution.
-    B_a, B_b: trial-to-test blocks, (n_classes, nt, nc).
+    chol_inv: L_K^{-1}, (n_classes, nt, nt), by forward substitution.
+    B_b: trial-to-test block of b, (n_classes, nt, nc); that of a adds
+        mass_field / k to its field columns.
     Et: E_{a,K}^T = B_{a,K}^T L_K^{-T}, (n_classes, nc, nt), the left factor
         of every condensation.
     mass_field: test-against-field mass block, (n_classes, nt, nfl).
@@ -145,9 +146,7 @@ class LocalBlocks:
         -1 where eliminated.
     """
 
-    chol: np.ndarray
     chol_inv: np.ndarray
-    B_a: np.ndarray
     B_b: np.ndarray
     Et: np.ndarray
     mass_field: np.ndarray
@@ -198,26 +197,22 @@ def _affine(v: np.ndarray):
     return J, invJ, detJ
 
 
-def _geometry(mesh: Mesh):
-    v = mesh.vertices[mesh.elements]
-    return (v, *_affine(v))
-
-
 def volume_quadrature(mesh: Mesh, degree: int):
     """Triangle rule of the given degree mapped to every element.
 
-    Returns (rule, physical points (ne, nq, 2), weights times det J (ne, nq),
+    Returns (physical points (ne, nq, 2), weights times det J (ne, nq),
     J^{-1} (ne, 2, 2)).  Computed once per mesh and degree and kept in
     `mesh.quadrature`; every later call returns the same read-only arrays.
     """
     if degree not in mesh.quadrature:
         rule = triangle_rule(degree)
-        v, J, invJ, detJ = _geometry(mesh)
+        v = mesh.vertices[mesh.elements]
+        J, invJ, detJ = _affine(v)
         points = v[:, 0, None, :] + rule.points @ J.transpose(0, 2, 1)
         wdet = rule.weights[None, :] * detJ[:, None]
         for array in (points, wdet, invJ):
             array.flags.writeable = False
-        mesh.quadrature[degree] = (rule, points, wdet, invJ)
+        mesh.quadrature[degree] = (points, wdet, invJ)
     return mesh.quadrature[degree]
 
 
@@ -296,24 +291,28 @@ def _combine(weights: np.ndarray, tensors: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _edge_tables(p: int, rule_degree: int):
     """Edge rule of the given degree, the degree p trace basis at its points
-    and the degree p+2 test basis along each local edge, keyed by
-    (local_edge, sign); read-only and shared by every caller.  The trace
-    unknown lives in the global edge parametrization t in [0,1] (lower
-    vertex -> higher vertex); sign -1 means the element traverses the edge
-    the other way round."""
+    and the degree p+2 test basis along each local edge, tables (3, 2, nt, nq):
+    tables[l, 0] runs along local edge l from vertex l to vertex l+1 and
+    tables[l, 1] the other way round; read-only and shared by every caller.
+    The trace unknown lives in the global edge parametrization t in [0,1]
+    (lower vertex -> higher vertex), so an element reads side 0 of an edge of
+    sign +1 and side 1 of an edge of sign -1 (see `_sides`)."""
     rule = edge_rule(rule_degree)
-    tables = {}
-    for l in range(3):
-        a = TRIANGLE_VERTICES[l]
-        b = TRIANGLE_VERTICES[(l + 1) % 3]
-        for s in (1, -1):
-            start, end = (a, b) if s == 1 else (b, a)
-            pts = start[None, :] + rule.points[:, None] * (end - start)[None, :]
-            tables[(l, s)] = lagrange_triangle(p + 2, pts).values
+
+    def along(start, end):
+        return lagrange_triangle(p + 2, start + rule.points[:, None] * (end - start)).values
+
+    edges = zip(TRIANGLE_VERTICES, np.roll(TRIANGLE_VERTICES, -1, axis=0))  # vertices l, l+1
+    tables = np.array([[along(a, b), along(b, a)] for a, b in edges])
     trace = lagrange_edge(p, rule.points).values
-    for array in (trace, *tables.values()):
+    for array in (trace, tables):
         array.flags.writeable = False
     return rule, trace, tables
+
+
+def _sides(signs: np.ndarray) -> np.ndarray:
+    """Side of `_edge_tables` that each edge sign reads: 0 for +1, 1 for -1."""
+    return (signs < 0).astype(np.intp)
 
 
 class GramFactors(NamedTuple):
@@ -367,7 +366,7 @@ def _forward_substitution(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _build_blocks(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> LocalBlocks:
     p = dofmap.p
-    erule, trace, edge_tables = _edge_tables(p, 2 * p + 2)
+    erule, trace, tables = _edge_tables(p, 2 * p + 2)
 
     first, cls, W, detJ, b, chol = gram_factors(mesh, p, coeffs)
     n_classes, nt, _ = chol.shape
@@ -375,29 +374,24 @@ def _build_blocks(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients) -> LocalB
 
     ref = _reference_tensors(p + 2, p + 1)
     nfl = ref.shape[2]
-    n_per_edge = p + 1
-    nc = nfl + 3 * n_per_edge
     mass_field = detJ[:, None, None] * ref[4]
-    B_b = np.empty((n_classes, nt, nc))
+    B_b = np.empty((n_classes, nt, nfl + 3 * (p + 1)))
     B_b[:, :, :nfl] = _combine(np.column_stack([W, coeffs.gamma * detJ, b]), ref)
 
-    # trace pairing: column block of local edge l carries -sign * length * int_e tau psi
-    pair = {key: np.einsum("mq,rq,q->mr", table, trace, erule.weights)
-            for key, table in edge_tables.items()}
+    # trace pairing: column block of local edge l carries -sign * length * int_e tau psi,
+    # with psi read along the edge as the element traverses it
+    pair = np.einsum("lsmq,rq,q->lsmr", tables, trace, erule.weights)
+    s = mesh.element_edge_signs[first]
     lengths = mesh.edge_lengths()[mesh.element_edges[first]]
-    for l in range(3):
-        s = mesh.element_edge_signs[first, l]
-        block = np.where((s == 1)[:, None, None], pair[(l, 1)][None], pair[(l, -1)][None])
-        B_b[:, :, nfl + l * n_per_edge:nfl + (l + 1) * n_per_edge] = \
-            -(s * lengths[:, l])[:, None, None] * block
+    trace_cols = -(s * lengths)[:, :, None, None] * pair[np.arange(3), _sides(s)]
+    B_b[:, :, nfl:] = trace_cols.transpose(0, 2, 1, 3).reshape(n_classes, nt, -1)
 
     B_a = B_b.copy()
     B_a[:, :, :nfl] += (1.0 / coeffs.k) * mass_field
     cols = np.hstack([dofmap.element_field_dofs,
                       dofmap.n_field + dofmap.element_trace_dofs])
-    return LocalBlocks(chol=chol, chol_inv=chol_inv, B_a=B_a, B_b=B_b,
-                       Et=(chol_inv @ B_a).transpose(0, 2, 1), mass_field=mass_field,
-                       detJ=detJ, cls=cls, cols=cols)
+    return LocalBlocks(chol_inv=chol_inv, B_b=B_b, Et=(chol_inv @ B_a).transpose(0, 2, 1),
+                       mass_field=mass_field, detJ=detJ, cls=cls, cols=cols)
 
 
 def scatter(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape,
@@ -432,7 +426,7 @@ def _source_loads(mesh: Mesh, p: int, source_space) -> np.ndarray:
     """Element loads (g_s, psi)_K of the spatial source terms
     g_s = source_space(x, y)[s], stacked (ne, nt, m)."""
     rule_degree = 2 * (p + 2)
-    _, points, wdet, _ = volume_quadrature(mesh, rule_degree)
+    points, wdet, _ = volume_quadrature(mesh, rule_degree)
     values = np.asarray(source_space(points[..., 0], points[..., 1]), dtype=float)
     if values.ndim != 3 or values.shape[1:] != wdet.shape:
         raise ValueError(f"source_space must return shape (m, {wdet.shape[0]}, "

@@ -101,6 +101,9 @@ class RunConfig:
             raise ConfigError(f"{self.command} takes {need} k_policy 'list:...'")
         if list(self.k_policy.values) != sorted(set(self.k_policy.values), reverse=True):
             raise ConfigError("the steps of a k_policy 'list:...' must strictly decrease")
+        if self.k_ref is not None and not self.k_ref < min(self.k_policy.values):
+            raise ConfigError(f"k_ref={self.k_ref!r} must be below the smallest step "
+                              f"{min(self.k_policy.values)!r} of the k_policy")
 
 
 def _integer(key: str, value) -> int:
@@ -320,6 +323,10 @@ def cmd_converge_projection(cfg: RunConfig) -> int:
 
 
 def cmd_heat_identity(cfg: RunConfig) -> int:
+    # a case's coefficients do not depend on k or T_end
+    if not make_case(cfg.case_id, 1.0, 1.0).coeffs.is_heat():
+        raise ConfigError(f"heat-identity checks the heat equation (A = I, beta = 0, "
+                          f"gamma = 0); case {cfg.case_id!r} is not a heat case")
     mesh, dofmap, case = _level(cfg, cfg.levels[0])
     march_states = states(case, mesh, dofmap)
     # the oracle runs first and only its fields are kept, so its factor is freed

@@ -60,7 +60,7 @@ def exact_b_load(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     """Element test loads l_b[m] = b((u, A grad u . n), psi_m) for exact data."""
     p = dofmap.p
     rule_degree = _norm_rule_degree(p)
-    _, qp, wdet, invJ = volume_quadrature(mesh, rule_degree)
+    qp, wdet, invJ = volume_quadrature(mesh, rule_degree)
     table = triangle_table(p + 2, rule_degree)
     g = np.moveaxis(np.asarray(exact.grad_u(qp[..., 0], qp[..., 1])), 0, -1)
     # (A grad u, J^{-T} grad_ref psi) w det J: map the data, not the basis

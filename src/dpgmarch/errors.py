@@ -18,8 +18,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .assembly import PdeCoefficients, _edge_tables, _forward_substitution, gather, gram_factors, \
-    volume_quadrature
+from .assembly import PdeCoefficients, _edge_tables, _forward_substitution, _sides, gather, \
+    gram_factors, volume_quadrature
 from .basis import triangle_table
 from .dofmap import DofMap
 from .mesh import Mesh
@@ -73,7 +73,7 @@ def field_error(mesh: Mesh, dofmap: DofMap, coeffs_vector, exact: SpatialFields,
         raise ValueError(f"field coefficient vector must have shape ({dofmap.n_field},), "
                          f"got {coeffs_vector.shape}")
     rule_degree = _norm_rule_degree(dofmap.p)
-    _, qp, wdet, invJ = volume_quadrature(mesh, rule_degree)
+    qp, wdet, invJ = volume_quadrature(mesh, rule_degree)
     table = triangle_table(dofmap.p + 1, rule_degree)
     u_loc = gather(coeffs_vector, dofmap.element_field_dofs)
 
@@ -91,7 +91,7 @@ def _trace_residuals(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients, sigma_
                      grad_u) -> np.ndarray:
     """r_K[m] = <sigma - sigma_h, psi_m>_K with sigma = A grad_u . n."""
     p = dofmap.p
-    erule, trace, edge_tables = _edge_tables(p, min(2 * p + 4, 8))
+    erule, trace, tables = _edge_tables(p, min(2 * p + 4, 8))
 
     sigma_h = np.asarray(sigma_h, dtype=float)
     if sigma_h.shape != (dofmap.n_trace,):
@@ -105,12 +105,11 @@ def _trace_residuals(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients, sigma_
     diff = np.einsum("eqa,ea->eq", g @ coeffs.A.T, mesh.edge_normals()) - sig_vals
 
     lengths = mesh.edge_lengths()
-    r = np.zeros((mesh.n_elements, edge_tables[(0, 1)].shape[0]))
+    r = np.zeros((mesh.n_elements, tables.shape[2]))
     for l in range(3):
         edge_idx = mesh.element_edges[:, l]
         s = mesh.element_edge_signs[:, l]
-        psi = np.where((s == 1)[:, None, None], edge_tables[(l, 1)][None],
-                       edge_tables[(l, -1)][None])
+        psi = tables[l, _sides(s)]
         r += (s * lengths[edge_idx])[:, None] * np.einsum("emq,eq,q->em", psi, diff[edge_idx],
                                                           erule.weights)
     return r

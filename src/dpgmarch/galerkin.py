@@ -45,7 +45,7 @@ def build_galerkin_system(mesh: Mesh, dofmap: DofMap) -> GalerkinSystem:
     # load/mass quadrature exactness matches the DPG assembly so the heat-case
     # identity holds to solver tolerance even for non-polynomial sources
     rule_degree = 2 * (p + 2)
-    _, _, wdet, invJ = volume_quadrature(mesh, rule_degree)
+    _, wdet, invJ = volume_quadrature(mesh, rule_degree)
     table = triangle_table(p + 1, rule_degree)
     grads = _physical_gradients(invJ, table)
 
@@ -60,7 +60,7 @@ def build_galerkin_system(mesh: Mesh, dofmap: DofMap) -> GalerkinSystem:
 
 def _source_load(mesh: Mesh, dofmap: DofMap, f, t: float) -> np.ndarray:
     rule_degree = 2 * (dofmap.p + 2)
-    _, qp, wdet, _ = volume_quadrature(mesh, rule_degree)
+    qp, wdet, _ = volume_quadrature(mesh, rule_degree)
     table = triangle_table(dofmap.p + 1, rule_degree)
     loc = np.einsum("jq,eq->ej", table.values, wdet * f(t, qp[..., 0], qp[..., 1]))
     free = dofmap.element_field_dofs >= 0
@@ -83,7 +83,7 @@ def galerkin_states(case: PdeCase, mesh: Mesh, dofmap: DofMap):
     def fields():
         system = build_galerkin_system(mesh, dofmap)
         solver = spla.splu((system.mass / k + system.stiffness).tocsc())
-        u = initial_field(case.u0, dofmap, mesh).field
+        u = initial_field(case.u0, dofmap).field
         yield u
         for n in range(1, count + 1):
             u = solver.solve(_source_load(mesh, dofmap, case.f, n * k) + (system.mass @ u) / k)

@@ -65,7 +65,7 @@ def _field_norm(system: CondensedSystem, w: np.ndarray) -> float:
     return float(np.sqrt(w @ (system.mass @ w)))
 
 
-def initial_field(u0, dofmap: DofMap, mesh: Mesh) -> TrialVector:
+def initial_field(u0, dofmap: DofMap) -> TrialVector:
     """Nodal interpolant of u0 at the interior field nodes; zero traces."""
     coords = dofmap.field_dof_coords
     if coords.shape[0]:
@@ -131,7 +131,7 @@ def states(case: PdeCase, mesh: Mesh, dofmap: DofMap):
         if abs(l2 - reference) > _NORM_TOL * reference:
             raise SolverError(f"field norm {l2!r} from the mass matrix differs from "
                               f"{reference!r} by quadrature; assembly is inconsistent")
-        initial = initial_field(case.u0, dofmap, mesh)
+        initial = initial_field(case.u0, dofmap)
         state = MarchState(step_index=0, time=0.0, current=initial,
                            l2=_field_norm(system, initial.field))
         yield state

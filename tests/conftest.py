@@ -96,12 +96,12 @@ def refine_uniform(mesh):
 def field_quadratic_forms(mesh, dofmap, A):
     """Quadrature mass and A-weighted stiffness on the conforming field space,
     assembled independently of the production element blocks."""
-    from dpgmarch.assembly import _geometry
+    from dpgmarch.assembly import _affine
     from dpgmarch.basis import lagrange_triangle, triangle_rule
 
     rule = triangle_rule(2 * (dofmap.p + 2))
     table = lagrange_triangle(dofmap.p + 1, rule.points)
-    v, J, invJ, detJ = _geometry(mesh)
+    _, invJ, detJ = _affine(mesh.vertices[mesh.elements])
     wdet = rule.weights[None, :] * detJ[:, None]
     grads = np.einsum("eba,jqb->ejqa", invJ, table.gradients)
     a_grads = np.einsum("ab,ejqb->ejqa", np.asarray(A, dtype=float), grads)
@@ -120,13 +120,23 @@ def field_quadratic_forms(mesh, dofmap, A):
     return mass, stiff
 
 
-def norm_in_test_space(blocks, v):
-    """(V,k)-norm of an element-blocked test function, sqrt(sum_K v_K^T G_K v_K)."""
-    z = np.einsum("enm,en->em", blocks.chol[blocks.cls], v)
+def norm_in_test_space(factors, v):
+    """(V,k)-norm of an element-blocked test function, sqrt(sum_K v_K^T G_K v_K),
+    with the Cholesky factors of `assembly.gram_factors`."""
+    z = np.einsum("enm,en->em", factors.chol[factors.cls], v)
     return float(np.sqrt(np.sum(z * z)))
 
 
-def apply_trial_to_test(blocks, u):
+def a_blocks(blocks, coeffs):
+    """Trial-to-test blocks B_{a,K} of the time-step form a, per class: B_b
+    with mass_field / k added to its field columns, the two lines by which
+    `_build_blocks` forms them before it keeps only E_{a,K}^T."""
+    B_a = blocks.B_b.copy()
+    B_a[:, :, :blocks.mass_field.shape[2]] += (1.0 / coeffs.k) * blocks.mass_field
+    return B_a
+
+
+def apply_trial_to_test(blocks, coeffs, u):
     """Discrete optimal test function of a trial vector, element-blocked
     coefficients (ne, nt): v_K = G_K^{-1} B_{a,K} u_loc, applied through the
     Cholesky inverses of the element blocks."""
@@ -134,7 +144,7 @@ def apply_trial_to_test(blocks, u):
 
     u_loc = gather(np.asarray(u, dtype=float), blocks.cols)
     chol_inv = blocks.chol_inv[blocks.cls]
-    z = np.einsum("emn,enc,ec->em", chol_inv, blocks.B_a[blocks.cls], u_loc)
+    z = np.einsum("emn,enc,ec->em", chol_inv, a_blocks(blocks, coeffs)[blocks.cls], u_loc)
     return np.einsum("enm,en->em", chol_inv, z)
 
 
@@ -187,20 +197,20 @@ def discrete_b_load(mesh, dofmap, coeffs, coefficients):
     return np.einsum("emc,ec->em", blocks.B_b[blocks.cls], gather(coefficients, blocks.cols))
 
 
-def mixed_matrix(blocks, n_dof):
+def mixed_matrix(mesh, dofmap, coeffs):
     """Saddle matrix [[G, B_b], [B_a^T, 0]] of the mixed projection in CSC,
     scattered from G_K, B_{b,K} and B_{a,K} at test rows e*nt + m."""
     import scipy.sparse as sp
 
-    from dpgmarch.assembly import scatter
+    from dpgmarch.assembly import _build_blocks, scatter
 
-    cls = blocks.cls
-    ne, nt = len(cls), blocks.chol.shape[1]
+    blocks = _build_blocks(mesh, dofmap, coeffs)
+    cls, n_dof = blocks.cls, dofmap.n_dof
+    ne, nt = len(cls), blocks.chol_inv.shape[1]
     rows = np.arange(ne * nt).reshape(ne, nt)
-    G = scatter((blocks.chol @ blocks.chol.transpose(0, 2, 1))[cls], rows, rows,
-                (ne * nt,) * 2, "csr")
+    G = scatter(element_grams(mesh, dofmap.p, coeffs), rows, rows, (ne * nt,) * 2, "csr")
     Bb = scatter(blocks.B_b[cls], rows, blocks.cols, (ne * nt, n_dof), "csr")
-    Ba = scatter(blocks.B_a[cls], rows, blocks.cols, (ne * nt, n_dof), "csr")
+    Ba = scatter(a_blocks(blocks, coeffs)[cls], rows, blocks.cols, (ne * nt, n_dof), "csr")
     return sp.bmat([[G, Bb], [Ba.T, None]], format="csc")
 
 
@@ -216,15 +226,13 @@ def project_mixed(mesh, dofmap, coeffs, loads):
     projection residual in the test space, element-blocked as the loads."""
     import scipy.sparse.linalg as spla
 
-    from dpgmarch.assembly import _build_blocks
     from dpgmarch.timestep import TrialVector
 
-    blocks = _build_blocks(mesh, dofmap, coeffs)
+    saddle = mixed_matrix(mesh, dofmap, coeffs)
     loads = np.asarray(loads, dtype=float)
-    shape = (mesh.n_elements, blocks.chol.shape[1])
+    shape = (mesh.n_elements, (saddle.shape[0] - dofmap.n_dof) // mesh.n_elements)
     if loads.shape != shape:
         raise ValueError(f"element test loads must have shape {shape}, got {loads.shape}")
-    saddle = mixed_matrix(blocks, dofmap.n_dof)
     rhs = np.concatenate([loads.ravel(), np.zeros(dofmap.n_dof)])
     v, u = np.split(spla.splu(saddle).solve(rhs), [loads.size])
     return v.reshape(loads.shape), TrialVector.from_vector(u, dofmap.n_field)
@@ -241,20 +249,21 @@ def function_l2_norm(mesh, f, degree=8):
     """Quadrature L2 norm of a pointwise function over the mesh."""
     from dpgmarch.assembly import volume_quadrature
 
-    _, qp, wdet, _ = volume_quadrature(mesh, degree)
+    qp, wdet, _ = volume_quadrature(mesh, degree)
     vals = f(qp[..., 0], qp[..., 1])
     return float(np.sqrt(np.sum(wdet * vals**2)))
 
 
 def evaluate_field(mesh, dofmap, coeffs_vector, x, y):
     """Pointwise evaluation of the discrete field (brute-force element lookup)."""
-    from dpgmarch.assembly import _geometry, gather
+    from dpgmarch.assembly import _affine, gather
     from dpgmarch.basis import lagrange_triangle
 
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     pts = np.column_stack((x.ravel(), y.ravel()))
-    v, _, invJ, _ = _geometry(mesh)
+    v = mesh.vertices[mesh.elements]
+    _, invJ, _ = _affine(v)
     local = np.einsum("eab,epb->epa", invJ, pts[None, :, :] - v[:, None, 0, :])
     tol = 1e-12
     inside = (local[..., 0] >= -tol) & (local[..., 1] >= -tol) \

@@ -15,7 +15,7 @@ from dpgmarch.assembly import PdeCoefficients, assemble_condensed
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
 from dpgmarch.elliptic import build_projection_system, exact_b_load, project
-from dpgmarch.errors import SpatialFields, eoc, field_error, trace_dual_error
+from dpgmarch.errors import ZERO_FIELDS, eoc, field_error, trace_dual_error
 from dpgmarch.galerkin import galerkin_states
 from dpgmarch.linalg import cg_solve, lu_solve
 from dpgmarch.mesh import build_structured_mesh
@@ -23,9 +23,6 @@ from dpgmarch.timestep import march, states
 
 from conftest import (b_orthogonality_residual, discrete_b_load, field_quadratic_forms,
                       function_l2_norm, no_source, perturbed_mesh, project_mixed, projection_load)
-
-ZERO = SpatialFields(u=lambda x, y: np.zeros_like(x),
-                     grad_u=lambda x, y: np.zeros((2,) + np.shape(x)))
 
 
 def report(number, passed, detail):
@@ -91,11 +88,11 @@ def test_criterion_3_stability_bound():
     k = 0.05
     case = make_case("adr-decay", k, 1.0)  # 20 steps
     history = list(states(case, mesh, dofmap))
-    bound = field_error(mesh, dofmap, history[0].current.field, ZERO, "L2")
+    bound = field_error(mesh, dofmap, history[0].current.field, ZERO_FIELDS, "L2")
     worst = -np.inf
     for n in range(1, 21):
         bound += k * function_l2_norm(mesh, lambda x, y, t=n * k: case.f(t, x, y))
-        norm_n = field_error(mesh, dofmap, history[n].current.field, ZERO, "L2")
+        norm_n = field_error(mesh, dofmap, history[n].current.field, ZERO_FIELDS, "L2")
         worst = max(worst, norm_n - bound)
     report(3, worst <= 1e-8,
            f"stability margin max(||u^n|| - bound) = {worst:.3e} <= 1e-8 over 20 steps")
@@ -133,7 +130,7 @@ def test_criterion_6_temporal_rate():
     for k in (1 / 4, 1 / 8, 1 / 16, 1 / 32):
         state = march(make_case("heat-decay", k, 1.0), mesh, dofmap)
         diff = state.current.field - reference.current.field
-        errors.append(field_error(mesh, dofmap, diff, ZERO, "L2"))
+        errors.append(field_error(mesh, dofmap, diff, ZERO_FIELDS, "L2"))
         steps.append(k)
     rates = eoc(errors, steps)
     ok = all(0.85 <= rate <= 1.15 for rate in rates)
@@ -216,7 +213,7 @@ def test_the_march_error_is_mostly_the_projection_error(p, k):
         u_h = state.current.field
         error = field_error(mesh, dofmap, u_h, exact, "L2")
         theta_b = field_error(mesh, dofmap, project(mesh, dofmap, case.coeffs, exact).field - u_h,
-                              ZERO, "L2")
+                              ZERO_FIELDS, "L2")
         print(f"adr-linear, p={p}, k={k:g}, n=16 {label}: theta_b / ||e|| = {theta_b / error:.4f}")
         assert theta_b <= THETA_B_BOUNDS[p, k] * error
 
@@ -245,8 +242,8 @@ def test_the_spatial_projection_is_nearer_the_march_than_the_full_form_one(p, k)
         x, _ = cg_solve(system.S, system.blocks.F @ np.array([T / k, T]), system.precond)
         full_form = x[system.rank[:dofmap.n_field]]
         spatial = project(mesh, dofmap, case.coeffs, case.at(state.time)).field
-        theta_a = field_error(mesh, dofmap, full_form - state.current.field, ZERO, "L2")
-        theta_b = field_error(mesh, dofmap, spatial - state.current.field, ZERO, "L2")
+        theta_a = field_error(mesh, dofmap, full_form - state.current.field, ZERO_FIELDS, "L2")
+        theta_b = field_error(mesh, dofmap, spatial - state.current.field, ZERO_FIELDS, "L2")
         print(f"adr-linear, p={p}, k={k:g}, n={n}: theta_a {theta_a:.3e}, "
               f"theta_b {theta_b:.3e}, ratio {theta_a / theta_b:.2f}")
     assert theta_b < theta_a

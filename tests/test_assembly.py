@@ -20,7 +20,7 @@ from dpgmarch.elliptic import build_projection_system, exact_b_load
 from dpgmarch.linalg import SolverError
 from dpgmarch.mesh import build_structured_mesh, mesh_from_arrays
 
-from conftest import (apply_trial_to_test, block_rows, element_grams, embed_field_in_test,
+from conftest import (a_blocks, apply_trial_to_test, block_rows, element_grams, embed_field_in_test,
                       evaluate_field, field_quadratic_forms, integrate_on_reference_triangle,
                       no_source, perturbed_mesh, refine_uniform)
 
@@ -139,7 +139,7 @@ def test_trial_to_test_form_difference_is_mass():
     dofmap = build_dofmap(mesh, 0)
     coeffs = coeffs_with(beta=[1.0, 0.5], gamma=1.0, k=0.2)
     blocks = _build_blocks(mesh, dofmap, coeffs)
-    Ba, Bb = blocks.B_a[blocks.cls[2]], blocks.B_b[blocks.cls[2]]
+    Ba, Bb = a_blocks(blocks, coeffs)[blocks.cls[2]], blocks.B_b[blocks.cls[2]]
     diff = Ba - Bb
     assert np.abs(diff[:, 3:]).max() == 0.0  # trace columns unchanged
 
@@ -209,7 +209,8 @@ def test_factor_receives_S_permuted_by_its_order(n, p, monkeypatch):
     assert all(np.shares_memory(a, b) and np.array_equal(a, b)
                for a, b in zip((M.data, M.indices, M.indptr), (S.data, S.indices, S.indptr)))
     blocks = _build_blocks(mesh, dofmap, coeffs)
-    R = block_rows((blocks.chol_inv @ blocks.B_a)[blocks.cls], blocks.cols, dofmap.n_dof)
+    R = block_rows((blocks.chol_inv @ a_blocks(blocks, coeffs))[blocks.cls], blocks.cols,
+                   dofmap.n_dof)
     oracle = (R.T @ R).tocsr()
     assert sorted(rank) == list(range(dofmap.n_dof))
     assert abs(S[rank][:, rank] - oracle).max() <= 1e-14 * abs(oracle).max()
@@ -249,8 +250,9 @@ def test_cholesky_inverse_is_as_accurate_as_an_lu_solve():
     # ||X L - I|| than the general LU solve it replaced
     mesh = perturbed_mesh(6, seed=5)
     for p in (0, 1):
-        blocks = _build_blocks(mesh, build_dofmap(mesh, p), coeffs_with(**ANISO))
-        chol = blocks.chol
+        coeffs = coeffs_with(**ANISO)
+        blocks = _build_blocks(mesh, build_dofmap(mesh, p), coeffs)
+        chol = gram_factors(mesh, p, coeffs).chol
         eye = np.eye(chol.shape[1])
         lu_inverse = np.linalg.solve(chol, np.broadcast_to(eye, chol.shape))
         assert np.all(np.triu(blocks.chol_inv, 1) == 0.0)
@@ -292,7 +294,7 @@ def test_heat_case_theta_identity(heat_coeffs):
         rng = np.random.default_rng(5)
         x = np.zeros(dofmap.n_dof)
         x[:dofmap.n_field] = rng.standard_normal(dofmap.n_field)
-        theta = apply_trial_to_test(blocks, x)
+        theta = apply_trial_to_test(blocks, heat_coeffs, x)
         u_loc = gather(x, dofmap.element_field_dofs)
         embedded = np.einsum("ej,jm->em", u_loc, embed_field_in_test(p))
         assert np.abs(theta - embedded).max() <= 1e-11
@@ -392,9 +394,10 @@ def test_volume_quadrature_repeats_the_same_arrays():
     mesh = build_structured_mesh(3)
     first = volume_quadrature(mesh, 4)
     again = volume_quadrature(mesh, 4)
-    assert all(a is b for a, b in zip(first, again))
+    assert len(first) == 3 and all(a is b for a, b in zip(first, again))
     other_degree = volume_quadrature(mesh, 6)
     assert other_degree[1].shape[1] != first[1].shape[1]
+    points, wdet, _ = first
     # the march's source loads read the cached copy: the source is sampled at
     # its points and integrated with its weights
     sampled = []
@@ -404,15 +407,15 @@ def test_volume_quadrature_repeats_the_same_arrays():
         return np.stack([x, x * y])
 
     sources = _source_loads(mesh, 0, source_space)
-    test_values = lagrange_triangle(2, first[0].points).values
-    assert len(sampled) == 1 and sampled[0].base is first[1]
-    expected = np.einsum("nq,eq,seq->sen", test_values, first[2],
-                         source_space(first[1][..., 0], first[1][..., 1]))
+    test_values = lagrange_triangle(2, triangle_rule(4).points).values
+    assert len(sampled) == 1 and sampled[0].base is points
+    expected = np.einsum("nq,eq,seq->sen", test_values, wdet,
+                         source_space(points[..., 0], points[..., 1]))
     assert np.abs(sources - expected.transpose(1, 2, 0)).max() <= 1e-14 * np.abs(expected).max()
 
 
 def test_volume_quadrature_arrays_are_read_only():
-    _, points, wdet, invJ = volume_quadrature(build_structured_mesh(2), 4)
+    points, wdet, invJ = volume_quadrature(build_structured_mesh(2), 4)
     for array in (points, wdet, invJ):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
@@ -422,15 +425,15 @@ def test_volume_quadrature_is_never_shared_between_meshes():
     a = build_structured_mesh(3)
     b = build_structured_mesh(3)
     qa, qb = volume_quadrature(a, 4), volume_quadrature(b, 4)
-    assert qa[1] is not qb[1] and np.array_equal(qa[1], qb[1])
+    assert qa[0] is not qb[0] and np.array_equal(qa[0], qb[0])
     # a copy with other vertices starts with an empty cache
     moved = dataclasses.replace(a, vertices=0.5 * a.vertices)
     assert moved.quadrature == {}
-    assert np.array_equal(volume_quadrature(moved, 4)[1], 0.5 * qa[1])
+    assert np.array_equal(volume_quadrature(moved, 4)[0], 0.5 * qa[0])
     # meshes built and dropped in turn (whose ids may repeat) see their own geometry
     for n in (2, 3, 4, 5):
         mesh = build_structured_mesh(n)
-        _, points, wdet, _ = volume_quadrature(mesh, 4)
+        points, wdet, _ = volume_quadrature(mesh, 4)
         assert wdet.shape[0] == points.shape[0] == mesh.n_elements == 2 * n * n
 
 
@@ -458,8 +461,10 @@ def test_gather_is_a_take_with_zero_at_eliminated_slots(args):
 @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), degree=st.integers(1, 8))
 def test_volume_quadrature_points_are_the_affine_map_of_the_rule(n, seed, degree):
     mesh = perturbed_mesh(n, seed)
-    rule, points, wdet, _ = volume_quadrature(mesh, degree)
-    v, J, _, _ = assembly._geometry(mesh)
+    rule = triangle_rule(degree)
+    points, wdet, _ = volume_quadrature(mesh, degree)
+    v = mesh.vertices[mesh.elements]
+    J, _, _ = assembly._affine(v)
     # a rule of degree >= 1 integrates linear functions exactly, so its mean
     # point is the centroid
     centroid = rule.weights @ points / rule.weights.sum()
@@ -508,13 +513,12 @@ def test_tensor_blocks_match_quadrature(p):
         gram, mass, B_field = quadrature_blocks(mesh, p, coeffs)
         blocks = _build_blocks(mesh, build_dofmap(mesh, p), coeffs)
         cls = blocks.cls
-        assert len(blocks.chol) == n_classes
+        assert len(blocks.chol_inv) == n_classes
         nfl = mass.shape[2]
-        assert _relative_deviation((blocks.chol @ blocks.chol.transpose(0, 2, 1))[cls],
-                                   gram) <= 1e-13
+        assert _relative_deviation(element_grams(mesh, p, coeffs), gram) <= 1e-13
         assert _relative_deviation(blocks.mass_field[cls], mass) <= 1e-13
         assert _relative_deviation(blocks.B_b[cls][:, :, :nfl], B_field) <= 1e-13
-        assert _relative_deviation(blocks.B_a[cls][:, :, :nfl],
+        assert _relative_deviation(a_blocks(blocks, coeffs)[cls][:, :, :nfl],
                                    B_field + mass / coeffs.k) <= 1e-13
 
 
@@ -529,7 +533,9 @@ def test_build_blocks_evaluates_the_element_weights_once(p, monkeypatch):
     blocks = _build_blocks(mesh, build_dofmap(mesh, p), coeffs)
     assert len(calls) == 1
     # the Gram factors inside the build are bit for bit those of gram_factors
-    assert np.array_equal(blocks.chol, gram_factors(mesh, p, coeffs).chol)
+    chol = gram_factors(mesh, p, coeffs).chol
+    eye = np.broadcast_to(np.eye(chol.shape[1]), chol.shape)
+    assert np.array_equal(blocks.chol_inv, assembly._forward_substitution(chol, eye))
 
 
 def _class_keys(mesh):
@@ -759,8 +765,9 @@ def test_condensations_match_a_dense_sum_over_the_elements(mesh, p):
     n, n_field, m = dofmap.n_dof, dofmap.n_field, sources.shape[2]
     S, N, C = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n_field))
     F, r = np.zeros((n, m)), np.zeros(n)
+    a_blocks_of = a_blocks(blocks, coeffs)
     for e in range(mesh.n_elements):
-        B_a, B_b = blocks.B_a[cls[e]], blocks.B_b[cls[e]]
+        B_a, B_b = a_blocks_of[cls[e]], blocks.B_b[cls[e]]
         X = np.linalg.solve(gram[e], np.column_stack(
             [B_a, B_b, blocks.mass_field[cls[e]] / coeffs.k, sources[e], loads[e]]))
         Y = np.split(B_a.T @ X, np.cumsum([B_a.shape[1], B_b.shape[1], field_dofs.shape[1], m]),
@@ -789,7 +796,7 @@ def _nbytes(matrix):
 
 
 def test_march_retains_only_its_step_operators():
-    # the element blocks (chol, chol_inv, B_a, B_b, mass_field), their
+    # the element blocks (chol_inv, B_b, Et, mass_field), the Gram factors, their
     # products and the condensed source rows are set-up temporaries; the march
     # keeps S, F, C, the field mass matrix M, the quadrature points already
     # cached on the mesh, the float64 factor, which SuperLU allocates outside

@@ -336,6 +336,10 @@ def test_command_line_overrides_config_command(tmp_path):
     ("converge-time", ["levels=[4]", "n_steps=null", "k_policy=list:0.25,0"]),
     ("converge-time", ["levels=[4]", "n_steps=null", "k_policy=list:0.25,0.25"]),
     ("converge-time", ["levels=[4]", "n_steps=null", "k_policy=list:0.125,0.25"]),
+    ("converge-time", ["levels=[4]", "n_steps=null", "k_ref=0.125"]),
+    ("converge-time", ["levels=[4]", "n_steps=null", "k_ref=0.25"]),
+    ("converge-time", ["levels=[4]", "n_steps=null", "k_ref=0.5"]),
+    ("heat-identity", ["case_id=aniso"]),
 ])
 def test_ignored_config_input_exits_2_before_any_mesh(tmp_path, monkeypatch, capsys,
                                                       command, overrides):
@@ -343,7 +347,9 @@ def test_ignored_config_input_exits_2_before_any_mesh(tmp_path, monkeypatch, cap
     # marches to T_end, only converge-time reads k_ref, only run writes a
     # snapshot and heat-identity writes no file: such input would be dropped.
     # Nonpositive times, step counts and steps are rejected as they are parsed,
-    # and a 'list:' of steps that does not strictly decrease would give no rate.
+    # and a 'list:' of steps that does not strictly decrease would give no rate,
+    # as would a k_ref not below its smallest step.  heat-identity checks the
+    # heat equation only.
     calls = []
     monkeypatch.setattr(cli, "build_structured_mesh", lambda *args: calls.append("mesh"))
     config = command_config(tmp_path, command)
@@ -406,7 +412,8 @@ def test_unwritable_vtk_snapshot_exits_2(tmp_path, capsys):
        p=st.sampled_from([0, 1]),
        levels=st.lists(st.integers(1, 10**6), min_size=1, max_size=5, unique=True).map(sorted),
        T_end=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-       k_ref=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       # below the smallest step of command_config's 'list:0.25,0.125'
+       k_ref=st.floats(min_value=0.0, max_value=0.125, exclude_min=True, exclude_max=True),
        n_steps=st.none() | st.integers(1, 10**6),
        snapshot=st.booleans())
 def test_config_overrides_round_trip(tmp_path, command, p, levels, T_end, k_ref, n_steps,

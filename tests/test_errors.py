@@ -10,9 +10,6 @@ from dpgmarch.mesh import build_structured_mesh
 
 from conftest import evaluate_field, function_l2_norm, perturbed_mesh
 
-ZERO = SpatialFields(u=lambda x, y: np.zeros_like(x),
-                     grad_u=lambda x, y: np.zeros((2,) + np.shape(x)))
-
 
 def _sine_exact():
     pi = np.pi
@@ -58,11 +55,11 @@ def test_field_error_norm_properties():
     a = rng.standard_normal(dofmap.n_field)
     b = rng.standard_normal(dofmap.n_field)
     for mode in ("L2", "H1semi"):
-        norm = lambda c: field_error(mesh, dofmap, c, ZERO, mode)
+        norm = lambda c: field_error(mesh, dofmap, c, ZERO_FIELDS, mode)
         assert norm(2.5 * a) == pytest.approx(2.5 * norm(a), rel=1e-12)
         assert norm(a + b) <= norm(a) + norm(b) + 1e-13
     with pytest.raises(ValueError):
-        field_error(mesh, dofmap, a, ZERO, "Linf")
+        field_error(mesh, dofmap, a, ZERO_FIELDS, "Linf")
 
 
 def _edgewise_flux_projection(mesh, dofmap, coeffs, grad_u):
@@ -88,7 +85,7 @@ def test_trace_surrogate_zero_for_exact_projection_of_discrete():
     dofmap = build_dofmap(mesh, 0)
     coeffs = make_case("heat-decay", 0.1, 1.0).coeffs
     sigma = np.zeros(dofmap.n_trace)
-    assert trace_dual_error(mesh, dofmap, coeffs, sigma, ZERO.grad_u) == 0.0
+    assert trace_dual_error(mesh, dofmap, coeffs, sigma, ZERO_FIELDS.grad_u) == 0.0
 
 
 def test_trace_surrogate_homogeneity():
@@ -97,8 +94,8 @@ def test_trace_surrogate_homogeneity():
     coeffs = make_case("adr-decay", 0.1, 1.0).coeffs
     rng = np.random.default_rng(2)
     sigma = rng.standard_normal(dofmap.n_trace)
-    one = trace_dual_error(mesh, dofmap, coeffs, sigma, ZERO.grad_u)
-    three = trace_dual_error(mesh, dofmap, coeffs, 3.0 * sigma, ZERO.grad_u)
+    one = trace_dual_error(mesh, dofmap, coeffs, sigma, ZERO_FIELDS.grad_u)
+    three = trace_dual_error(mesh, dofmap, coeffs, 3.0 * sigma, ZERO_FIELDS.grad_u)
     assert three == pytest.approx(3.0 * one, rel=1e-12)
 
 
@@ -157,9 +154,9 @@ def test_exact_flux_is_evaluated_once_per_edge(p):
     assert sum(points) == mesh.n_edges * len(rule.weights)
 
     trace_tab = lagrange_edge(p, rule.points)
-    edge_tables = _edge_tables(p, rule.exact_degree)[2]
+    tables = _edge_tables(p, rule.exact_degree)[2]
     v = mesh.vertices[mesh.elements]
-    expected = np.zeros((mesh.n_elements, edge_tables[(0, 1)].shape[0]))
+    expected = np.zeros((mesh.n_elements, tables.shape[2]))
     for l in range(3):
         edge_idx = mesh.element_edges[:, l]
         s = mesh.element_edge_signs[:, l]
@@ -173,8 +170,7 @@ def test_exact_flux_is_evaluated_once_per_edge(p):
         pts = lo[:, None, :] + rule.points[None, :, None] * (hi - lo)[:, None, :]
         g = np.moveaxis(np.asarray(grad_u(pts[..., 0], pts[..., 1])), 0, -1)
         diff = np.einsum("eqa,ea->eq", g @ case.coeffs.A.T, normal) - sig_vals
-        psi = np.where((s == 1)[:, None, None], edge_tables[(l, 1)][None],
-                       edge_tables[(l, -1)][None])
+        psi = np.where((s == 1)[:, None, None], tables[l, 0], tables[l, 1])
         expected += (s * length)[:, None] * np.einsum("emq,eq,q->em", psi, diff, rule.weights)
     assert np.array_equal(got, expected)
 
@@ -185,9 +181,9 @@ def test_field_error_tabulates_its_basis_once():
     mesh = build_structured_mesh(3)
     dofmap = build_dofmap(mesh, 1)
     w = np.random.default_rng(5).standard_normal(dofmap.n_field)
-    before = field_error(mesh, dofmap, w, ZERO, "L2")
+    before = field_error(mesh, dofmap, w, ZERO_FIELDS, "L2")
     misses = triangle_table.cache_info().misses
-    first = field_error(mesh, dofmap, w, ZERO, "L2")
+    first = field_error(mesh, dofmap, w, ZERO_FIELDS, "L2")
     again = field_error(mesh, dofmap, w, _sine_exact(), "H1semi")
     assert triangle_table.cache_info().misses == misses
     assert first == before

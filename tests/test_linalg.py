@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dpgmarch import linalg
-from dpgmarch.assembly import _build_blocks, assemble_condensed
+from dpgmarch.assembly import assemble_condensed
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
 from dpgmarch.elliptic import build_projection_system, exact_b_load
@@ -571,7 +571,7 @@ def test_projection_matrices_are_far_from_singular(monkeypatch):
     for n, p in ((4, 0), (8, 0), (16, 0), (4, 1)):
         mesh = build_structured_mesh(n)
         dofmap = build_dofmap(mesh, p)
-        saddle = mixed_matrix(_build_blocks(mesh, dofmap, coeffs), dofmap.n_dof)
+        saddle = mixed_matrix(mesh, dofmap, coeffs)
         factor = splu(saddle)  # as the oracle `project_mixed` factors it
         inverse = spla.LinearOperator(saddle.shape, matvec=factor.solve, dtype=float,
                                       rmatvec=lambda r: factor.solve(r, trans="T"))

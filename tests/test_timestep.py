@@ -7,26 +7,22 @@ import scipy.sparse.linalg as spla
 from dpgmarch import timestep
 from dpgmarch.assembly import (_build_blocks, assemble_condensed, condense_load,
                                element_classes, volume_quadrature)
-from dpgmarch.basis import lagrange_triangle
+from dpgmarch.basis import lagrange_triangle, triangle_rule
 from dpgmarch.cases import make_case
 from dpgmarch.dofmap import build_dofmap
-from dpgmarch.errors import SpatialFields, field_error
+from dpgmarch.errors import ZERO_FIELDS, field_error
 from dpgmarch.galerkin import galerkin_states
 from dpgmarch.linalg import SolverError, cg_solve
 from dpgmarch.mesh import build_structured_mesh
 from dpgmarch.timestep import MarchState, initial_field, march, n_steps, states, step
 
-from conftest import block_rows, evaluate_field, function_l2_norm, perturbed_mesh, \
+from conftest import a_blocks, block_rows, evaluate_field, function_l2_norm, perturbed_mesh, \
     zero_data_case
-
-ZERO = SpatialFields(u=lambda x, y: np.zeros_like(x),
-                     grad_u=lambda x, y: np.zeros((2,) + np.shape(x)))
-
 
 def test_initial_field_zero():
     mesh = build_structured_mesh(3)
     dofmap = build_dofmap(mesh, 0)
-    state = initial_field(lambda x, y: np.zeros_like(x), dofmap, mesh)
+    state = initial_field(lambda x, y: np.zeros_like(x), dofmap)
     assert np.all(state.field == 0.0)
     assert np.all(state.trace == 0.0)
 
@@ -35,7 +31,7 @@ def test_initial_field_sine_center_node():
     # sin(pi/2)^2 = 1 at the single interior node (0.5, 0.5)
     mesh = build_structured_mesh(2)
     dofmap = build_dofmap(mesh, 0)
-    state = initial_field(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), dofmap, mesh)
+    state = initial_field(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), dofmap)
     assert state.field[0] == pytest.approx(1.0, abs=1e-15)
 
 
@@ -44,8 +40,7 @@ def test_initial_field_reproduces_discrete_functions():
     dofmap = build_dofmap(mesh, 0)
     rng = np.random.default_rng(0)
     coeffs = rng.standard_normal(dofmap.n_field)
-    state = initial_field(lambda x, y: evaluate_field(mesh, dofmap, coeffs, x, y),
-                          dofmap, mesh)
+    state = initial_field(lambda x, y: evaluate_field(mesh, dofmap, coeffs, x, y), dofmap)
     assert np.abs(state.field - coeffs).max() <= 1e-13
 
 
@@ -63,7 +58,7 @@ def test_single_step_equals_one_step_march():
     case = make_case("adr-decay", 0.25, 0.25)
     final = march(case, mesh, dofmap)
     system = assemble_condensed(mesh, dofmap, case.coeffs, case.source_space)
-    state0 = MarchState(0, 0.0, initial_field(case.u0, dofmap, mesh))
+    state0 = MarchState(0, 0.0, initial_field(case.u0, dofmap))
     manual = step(system, state0, case.source_time(0.25))
     assert final.step_index == 1
     assert np.array_equal(final.current.field, manual.current.field)
@@ -103,7 +98,7 @@ def test_march_time_grid():
     assert [state.step_index for state in history] == [0, 1, 2, 3, 4]
     for state in history:
         assert abs(state.time - state.step_index * 0.125) <= 1e-14
-        norm = field_error(mesh, dofmap, state.current.field, ZERO, "L2")
+        norm = field_error(mesh, dofmap, state.current.field, ZERO_FIELDS, "L2")
         assert state.l2 == pytest.approx(norm, rel=1e-14)
 
 
@@ -121,7 +116,7 @@ def test_every_state_norm_is_the_quadrature_norm(perturbed, case_id, p):
     history = list(states(make_case(case_id, 0.1, 0.4), mesh, dofmap))
     assert len(history) == 5
     for state in history:
-        norm = field_error(mesh, dofmap, state.current.field, ZERO, "L2")
+        norm = field_error(mesh, dofmap, state.current.field, ZERO_FIELDS, "L2")
         assert norm > 0.0
         assert state.l2 == pytest.approx(norm, rel=1e-14)
 
@@ -196,10 +191,10 @@ def test_stability_bound():
     k = 0.1
     case = make_case("adr-decay", k, 1.0)
     history = list(states(case, mesh, dofmap))
-    bound = field_error(mesh, dofmap, history[0].current.field, ZERO, "L2")
+    bound = field_error(mesh, dofmap, history[0].current.field, ZERO_FIELDS, "L2")
     for n in range(1, len(history)):
         bound += k * function_l2_norm(mesh, lambda x, y, t=n * k: case.f(t, x, y))
-        norm_n = field_error(mesh, dofmap, history[n].current.field, ZERO, "L2")
+        norm_n = field_error(mesh, dofmap, history[n].current.field, ZERO_FIELDS, "L2")
         assert norm_n <= bound + 1e-8
 
 
@@ -221,7 +216,7 @@ def test_temporal_self_convergence():
     for k in (1 / 4, 1 / 8):
         state = march(make_case("heat-decay", k, 1.0), mesh, dofmap)
         diff = state.current.field - reference.current.field
-        errors.append(field_error(mesh, dofmap, diff, ZERO, "L2"))
+        errors.append(field_error(mesh, dofmap, diff, ZERO_FIELDS, "L2"))
     assert errors[1] < 0.75 * errors[0]
 
 
@@ -236,7 +231,7 @@ def test_march_matches_direct_solves():
     final = np.concatenate([final.field, final.trace])
     system = assemble_condensed(mesh, dofmap, case.coeffs, case.source_space)
     S = system.S.tocsc()
-    field = initial_field(case.u0, dofmap, mesh).field
+    field = initial_field(case.u0, dofmap).field
     for n in range(1, 5):
         rhs = condense_load(system.blocks, case.source_time(n * k), field)
         direct = spla.spsolve(S, rhs)[system.rank]  # back to the numbering of the dofmap
@@ -282,12 +277,13 @@ def test_march_load_matches_the_pointwise_source(case_id, monkeypatch):
         case = make_case(case_id, k, 4 * k)
         blocks = _build_blocks(mesh, dofmap, case.coeffs)
         chol_inv = blocks.chol_inv[blocks.cls]
-        R = block_rows(chol_inv @ blocks.B_a[blocks.cls], blocks.cols, dofmap.n_dof)
+        R = block_rows(chol_inv @ a_blocks(blocks, case.coeffs)[blocks.cls], blocks.cols,
+                       dofmap.n_dof)
         W_w = block_rows(chol_inv @ blocks.mass_field[blocks.cls] / k,
                          dofmap.element_field_dofs, dofmap.n_field)
-        rule, points, wdet, _ = volume_quadrature(mesh, 2 * (p + 2))
+        points, wdet, _ = volume_quadrature(mesh, 2 * (p + 2))
         W_f = np.einsum("emn,nq,eq->emq", chol_inv,
-                        lagrange_triangle(p + 2, rule.points).values, wdet)
+                        lagrange_triangle(p + 2, triangle_rule(2 * (p + 2)).points).values, wdet)
         loads = []
 
         def recording(ops, a, w):
