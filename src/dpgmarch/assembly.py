@@ -435,6 +435,14 @@ def _source_loads(mesh: Mesh, p: int, source_space) -> np.ndarray:
     return loads.transpose(1, 2, 0)
 
 
+def element_order(mesh: Mesh, cols: np.ndarray, n: int) -> np.ndarray:
+    """`nested_dissection` order of the n unknowns held at the element slots
+    cols (ne, nc), by the elements' centroids: the numbering in which S and
+    the projection's N are factored."""
+    v, e = mesh.vertices, mesh.elements
+    return nested_dissection((v[e[:, 0]] + v[e[:, 1]] + v[e[:, 2]]) / 3, cols, n)
+
+
 def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
                        source_space) -> CondensedSystem:
     """Assemble S = sum_K E_K^T E_K, E_K = L_K^{-1} B_{a,K}, and the step
@@ -449,8 +457,7 @@ def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
         )
     blocks = _build_blocks(mesh, dofmap, coeffs)
     n = dofmap.n_dof
-    v, e = mesh.vertices, mesh.elements
-    order = nested_dissection((v[e[:, 0]] + v[e[:, 1]] + v[e[:, 2]]) / 3, blocks.cols, n)
+    order = element_order(mesh, blocks.cols, n)
     rank = np.empty_like(order)
     rank[order] = np.arange(n)  # the inverse permutation, without a sort
     cols = np.append(rank, -1)[blocks.cols]  # the element slots in the numbering of S

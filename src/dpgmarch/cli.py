@@ -36,7 +36,7 @@ from .errors import ZERO_FIELDS, ErrorReport, eoc, field_error, trace_dual_error
 from .galerkin import galerkin_states
 from .linalg import SolverError
 from .mesh import build_structured_mesh
-from .timestep import TrialVector, march, states
+from .timestep import TrialVector, march, n_steps, states
 
 HEAT_IDENTITY_TOL = 1e-9
 # a plain decimal or scientific numeral: no spaces, underscores, non-ASCII
@@ -104,6 +104,18 @@ class RunConfig:
         if self.k_ref is not None and not self.k_ref < min(self.k_policy.values):
             raise ConfigError(f"k_ref={self.k_ref!r} must be below the smallest step "
                               f"{min(self.k_policy.values)!r} of the k_policy")
+        if row.list_policy:  # converge-time marches to T_end with each step and k_ref
+            for k in (*self.k_policy.values, self.reference_step):
+                try:
+                    n_steps(k, self.T_end)
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from exc
+
+    @property
+    def reference_step(self) -> float:
+        """The reference step of converge-time: k_ref, by default the smallest
+        listed step / 16."""
+        return self.k_ref if self.k_ref is not None else min(self.k_policy.values) / 16.0
 
 
 def _integer(key: str, value) -> int:
@@ -299,9 +311,7 @@ def cmd_converge_time(cfg: RunConfig) -> int:
     mesh = build_structured_mesh(n)
     dofmap = build_dofmap(mesh, cfg.p)
     k_values = cfg.k_policy.values
-    k_ref = cfg.k_ref if cfg.k_ref is not None else min(k_values) / 16.0
-
-    ref_state = march(make_case(cfg.case_id, k_ref, cfg.T_end), mesh, dofmap)
+    ref_state = march(make_case(cfg.case_id, cfg.reference_step, cfg.T_end), mesh, dofmap)
     reports = []
     for level, k in enumerate(k_values):
         case = make_case(cfg.case_id, k, cfg.T_end)

@@ -17,6 +17,12 @@ load condensation `assembly.condensed_loads`.  E_{a,K}^T comes with the
 element blocks and the products E_{a,K}^T E_{b,K} are formed once per class
 of congruent elements.
 
+N has the pattern of S, and `project` factors it in S's numbering.  It
+builds N in the numbering of the dofmap, as `build_projection_system` returns
+it, copies it to P N P^T, with P the nested-dissection order of
+`assembly.element_order`, and solves P N P^T y = P r by `linalg.lu_solve`,
+which keeps the order it is given: x = P^T y.
+
 Note that the projection depends on the time step k through the optimal test
 functions and the (V,k) inner product; rate studies must fix the same k
 policy as the march they accompany.
@@ -29,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import LocalBlocks, PdeCoefficients, _build_blocks, condensed_loads, scatter, \
-    volume_quadrature
+from .assembly import LocalBlocks, PdeCoefficients, _build_blocks, condensed_loads, \
+    element_order, scatter, volume_quadrature
 from .basis import triangle_table
 from .dofmap import DofMap
 from .errors import SpatialFields, _norm_rule_degree, _trace_residuals
@@ -83,8 +89,15 @@ def project(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     from grad_u and is single-valued for smooth u."""
     system = build_projection_system(mesh, dofmap, coeffs)
     loads = exact_b_load(mesh, dofmap, coeffs, exact)[..., None]
-    rhs = condensed_loads(system.blocks, loads, system.blocks.cols, dofmap.n_dof)[:, 0]
-    N = system.N
-    del system, loads  # free the element blocks and loads before the factorization
-    return TrialVector.from_vector(lu_solve(N, rhs), dofmap.n_field)
+    cols, n = system.blocks.cols, dofmap.n_dof
+    rhs = condensed_loads(system.blocks, loads, cols, n)[:, 0]
+    order = element_order(mesh, cols, n)
+    N = system.N[order][:, order]  # P N P^T, with (P v)[i] = v[order[i]]
+    N.sort_indices()
+    # free N in the dofmap's numbering, the element blocks and the loads
+    # before the factorization
+    del system, loads
+    x = np.empty(n)
+    x[order] = lu_solve(N, rhs[order])
+    return TrialVector.from_vector(x, dofmap.n_field)
 

@@ -11,14 +11,15 @@ another matrix.  `cg_solve` first takes x = precond(rhs): one product S x gives
 both the curvature check and the true residual, and x is accepted when that
 residual is at most 1e-12 times the right-hand side, as it is with the float64
 factor; otherwise CG continues from x, and raises after 50 iterations.
-`lu_solve` factors every matrix, the condensed projection matrix N (the
-pattern of S, a strong diagonal) among them, in one regime, SuperLU's
-symmetric mode: minimum degree ordering on M + M^T with threshold pivoting
-that keeps a diagonal pivot within a factor 10 of its column's largest entry
-and otherwise, a zero diagonal entry included, takes an off-diagonal one
-(X. S. Li, "An overview of SuperLU", ACM TOMS 31, 2005).  A matrix is
-singular to working precision when its 1-norm condition estimate is 1e14 or
-more; the estimate of ||M^{-1}||_1 is `scipy.sparse.linalg.onenormest`
+`lu_solve` factors every matrix in one regime, SuperLU's symmetric mode
+(X. S. Li, "An overview of SuperLU", ACM TOMS 31, 2005), in the natural
+order: the caller orders, as the elliptic projection orders N, which has the
+pattern of S, by S's nested dissection.  Threshold pivoting keeps a diagonal
+pivot within a factor 10 of its column's largest entry and otherwise, a zero
+diagonal entry included, takes an off-diagonal one.  So both factors factor
+a matrix in the numbering they are given.  A matrix is singular to working
+precision when its 1-norm condition estimate is 1e14 or more; the estimate
+of ||M^{-1}||_1 is `scipy.sparse.linalg.onenormest`
 (Higham & Tisseur, SIAM J. Matrix Anal. Appl. 21, 2000) on the factor's
 solves with M and M^T, as in LAPACK's dgecon, so no copy of the factor's L or
 U is ever made.  Every direct solve is checked afterwards for a small
@@ -81,9 +82,10 @@ def nested_dissection(points, cols, n):
     np.minimum.at(first, unknowns, leaves)
     np.maximum.at(last, unknowns, leaves)
     height = np.frexp(first ^ last)[1]  # levels from the leaves up to that part
-    # postorder: parts by the last leaf they hold, a part after its descendants
+    # postorder: parts by the last leaf they hold, a part after its descendants,
+    # and the unknowns of a part by number: a unique key, so any sort is stable
     end = first | ((1 << height) - 1)
-    return np.argsort(end * (depth + 1) + height, kind="stable")
+    return np.argsort((end * (depth + 1) + height) * n + np.arange(n))
 
 
 def factor_spd(S):
@@ -168,9 +170,10 @@ def lu_solve(M, rhs):
     """Direct solve of M x = rhs by SuperLU's pivoted sparse LU; M may be any
     matrix that `scipy.sparse.csc_matrix` accepts.
 
-    Every M is factored in SuperLU's symmetric mode: minimum degree ordering
-    on M + M^T, a diagonal pivot kept unless it is below 0.1 times its
-    column's largest entry, so that a zero diagonal entry is pivoted away.
+    Every M is factored in SuperLU's symmetric mode, in its natural order:
+    the caller orders M for a small fill (see `nested_dissection`), and a
+    diagonal pivot is kept unless it is below 0.1 times its column's largest
+    entry, so that a zero diagonal entry is pivoted away.
     Only the factor's own solves are used: no copy of its L or U is made.  M
     is singular to working precision, and SolverError is raised, when its
     condition number estimate ||M||_1 est(||M^{-1}||_1) is 1e14 or more, est
@@ -194,7 +197,7 @@ def lu_solve(M, rhs):
         raise SolverError("matrix is singular to working precision")
 
     try:
-        factor = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+        factor = spla.splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.1,
                            options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(f"sparse LU factorization failed: {exc}") from exc

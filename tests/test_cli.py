@@ -361,6 +361,23 @@ def test_ignored_config_input_exits_2_before_any_mesh(tmp_path, monkeypatch, cap
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    ["T_end=0.3"],  # 1.2 steps of 0.25
+    ["T_end=1.0", "k_ref=0.03"],
+    ["T_end=1.0", "k_policy=list:0.3,0.125"],
+    ["T_end=1e5"],  # 1.28e7 steps of the default k_ref 0.125 / 16
+])
+def test_converge_time_rejects_a_T_end_off_its_steps_before_any_mesh(tmp_path, monkeypatch,
+                                                                    capsys, overrides):
+    # every step of converge-time and its k_ref are known when the config is
+    # validated, so a T_end that is not a whole number of one of them, or that
+    # takes more than 10^6 steps, exits 2 before the first mesh is built
+    config = command_config(tmp_path, "converge-time")
+    err = _rejected_before_any_mesh(tmp_path, monkeypatch, capsys, "converge-time", config,
+                                    overrides)
+    assert "integer multiple" in err or "time steps" in err
+
+
 def test_load_config_roundtrip(tmp_path):
     config = base_config(tmp_path)
     cfg = load_config(config)
@@ -415,12 +432,17 @@ def test_unwritable_vtk_snapshot_exits_2(tmp_path, capsys):
        # below the smallest step of command_config's 'list:0.25,0.125'
        k_ref=st.floats(min_value=0.0, max_value=0.125, exclude_min=True, exclude_max=True),
        n_steps=st.none() | st.integers(1, 10**6),
-       snapshot=st.booleans())
+       snapshot=st.booleans(),
+       # converge-time: T_end = 0.25 multiple, and k_ref = T_end / ref_steps below 0.125
+       multiple=st.integers(1, 1000), ref_steps=st.integers(8001, 10**6))
 def test_config_overrides_round_trip(tmp_path, command, p, levels, T_end, k_ref, n_steps,
-                                     snapshot):
+                                     snapshot, multiple, ref_steps):
     # valid values of the keys a command reads, passed as key=<json> overrides,
     # arrive unchanged in the RunConfig
     row = cli.COMMAND_TABLE[command]
+    if row.list_policy:  # T_end must be a whole number of each step and of k_ref
+        T_end = 0.25 * multiple
+        k_ref = T_end / ref_steps
     values = dict(p=p, levels=levels[:1] if row.single_level else levels, T_end=T_end,
                   k_ref=k_ref, n_steps=n_steps, snapshot=snapshot)
     values = {key: value for key, value in values.items() if key in row.reads}

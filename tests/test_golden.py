@@ -11,6 +11,11 @@ tensors, or the sparse LU changes its ordering and pivoting).
 Re-record with
 
     PYTHONPATH=src python tests/test_golden.py tests/golden
+
+and print the largest relative difference of the error and rate cells of two
+CSVs of one config with
+
+    PYTHONPATH=src python tests/test_golden.py --diff GOT.csv WANT.csv
 """
 
 import json
@@ -62,6 +67,36 @@ def _cells_match(column, got, want, rtol):
     return math.isclose(float(got), float(want), rel_tol=rtol, abs_tol=0.0)
 
 
+def largest_relative_difference(got: Path, want: Path) -> float:
+    """The largest |g - w| / |w| over the error and rate cells g of got and w
+    of want; inf when the headers, the row counts or another cell differ."""
+    got_rows, want_rows = ([line.split(",") for line in path.read_text("utf-8").splitlines()]
+                           for path in (got, want))
+    if got_rows[0] != want_rows[0] or len(got_rows) != len(want_rows):
+        return math.inf
+    largest = 0.0
+    for got_row, want_row in zip(got_rows[1:], want_rows[1:]):
+        if len(got_row) != len(want_row):
+            return math.inf
+        for column, g, w in zip(want_rows[0], got_row, want_row):
+            if g == w:
+                continue
+            if column in EXACT_COLUMNS or "" in (g, w) or float(w) == 0.0:
+                return math.inf
+            largest = max(largest, abs(float(g) - float(w)) / abs(float(w)))
+    return largest
+
+
+def test_largest_relative_difference(tmp_path):
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    want.write_text("level,err_L2,eoc_L2\n0,0.5,\n1,0.125,2\n", encoding="utf-8")
+    got.write_text("level,err_L2,eoc_L2\n0,0.5,\n1,0.125,2.000002\n", encoding="utf-8")
+    assert largest_relative_difference(want, want) == 0.0
+    assert largest_relative_difference(got, want) == pytest.approx(1e-6)
+    got.write_text("level,err_L2,eoc_L2\n0,0.5,\n2,0.125,2\n", encoding="utf-8")
+    assert largest_relative_difference(got, want) == math.inf
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_cli_reproduces_golden_csv(name, tmp_path):
     out = run_config(name, tmp_path)
@@ -79,6 +114,9 @@ def test_cli_reproduces_golden_csv(name, tmp_path):
 
 
 if __name__ == "__main__":
+    if sys.argv[1] == "--diff":
+        print(f"{largest_relative_difference(Path(sys.argv[2]), Path(sys.argv[3])):.3e}")
+        sys.exit(0)
     target = Path(sys.argv[1])
     target.mkdir(parents=True, exist_ok=True)
     for config_name in CONFIGS:

@@ -542,9 +542,10 @@ def test_lu_rejects_an_ill_conditioned_matrix_with_unit_pivots():
 
 def test_projection_matrices_are_far_from_singular(monkeypatch):
     # N of the projection workload, aniso, p=1, k=h at n=12, 24 and 48
-    # (kappa_1 about 2.0e5, 7.8e5 and 3.1e6), through lu_solve, and the
-    # mixed saddle-point matrices of the projection tests, which the test
-    # oracle factors with scipy's default splu: far below the threshold 1e14
+    # (kappa_1 about 2.0e5, 7.8e5 and 3.1e6), through lu_solve in the
+    # nested-dissection order that `project` gives it, and the mixed
+    # saddle-point matrices of the projection tests, which the test oracle
+    # factors with scipy's default splu: far below the threshold 1e14
     norms, kappas = [], []
     splu, estimate = spla.splu, spla.onenormest
 
@@ -565,8 +566,11 @@ def test_projection_matrices_are_far_from_singular(monkeypatch):
         case = make_case("aniso", 1.0 / n, 1.0 / n)
         exact = case.at(0.0)
         system = build_projection_system(mesh, dofmap, case.coeffs)
-        lu_solve(system.N, projection_load(
-            system, exact_b_load(mesh, dofmap, case.coeffs, exact)))
+        rhs = projection_load(system, exact_b_load(mesh, dofmap, case.coeffs, exact))
+        # in the numbering of the dofmap, lu_solve's natural order fills N 61 times
+        # more at n=24 (30 309 166 against 494 742)
+        order = _element_order(mesh, dofmap)
+        lu_solve(system.N[order][:, order], rhs[order])
     coeffs = make_case("adr-decay", 0.1, 1.0).coeffs
     for n, p in ((4, 0), (8, 0), (16, 0), (4, 1)):
         mesh = build_structured_mesh(n)
