@@ -79,9 +79,10 @@ def step(system: CondensedSystem, state: MarchState, a) -> MarchState:
     """One backward Euler step; a must be the source time weights at the new
     time level, case.source_time(t_n).
 
-    CG is preconditioned by the float64 factor of S built once per march and
-    stops after one iteration.  The new field w and trace are gathered from
-    S's numbering, and the new state carries its norm sqrt(w^T M w).
+    The step is one solve with the float64 factor of S built once per march,
+    checked against S by `cg_solve`, which refines once if the residual
+    misses.  The new field w and trace are gathered from S's numbering, and
+    the new state carries its norm sqrt(w^T M w).
     """
     rhs = condense_load(system.blocks, a, state.current.field)
     x, _ = cg_solve(system.S, rhs, system.precond)

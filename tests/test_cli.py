@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dpgmarch
-from dpgmarch import cli, timestep
+from dpgmarch import assembly, cli, timestep
 from dpgmarch.cli import KPolicy, load_config, main
 from dpgmarch.linalg import SolverError
 
@@ -249,6 +249,38 @@ def test_nan_source_exits_3(tmp_path, monkeypatch, capsys):
     assert main(["run", "--config", config]) == 3
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("scale,exit_code", [(1.001, 3), (1 + 1e-9, 0)])
+def test_a_step_solve_exits_3_only_when_its_refinement_misses(tmp_path, monkeypatch, capsys,
+                                                               scale, exit_code):
+    # a factor 1e-3 off leaves the refined solve 1e-6 short, a failure; one
+    # 1e-9 off is refined to the unpatched run's solution
+    reference = tmp_path / "reference.csv"
+    config = base_config(tmp_path, command="run", case_id="heat-decay", levels=[4])
+    assert main(["run", "--config", config, f"output_path={reference}"]) == 0
+    factor_spd = assembly.factor_spd
+
+    def scaled_factor(S):
+        solve = factor_spd(S)
+        return lambda r: scale * solve(r)
+
+    monkeypatch.setattr(assembly, "factor_spd", scaled_factor)
+    capsys.readouterr()
+    output = tmp_path / "patched" / "out.csv"
+    output.parent.mkdir()
+    assert main(["run", "--config", config, f"output_path={output}"]) == exit_code
+    if exit_code:
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure [run / heat-decay]: ") and err.count("\n") == 1
+        assert "residual" in err
+        assert not output.exists()
+    else:
+        (header, [got]), (want_header, [want]) = read_csv(output), read_csv(reference)
+        assert header == want_header
+        for cell, want_cell in zip(got, want, strict=True):  # an EOC cell is empty
+            assert cell == want_cell or abs(float(cell) - float(want_cell)) <= 1e-12 * abs(
+                float(want_cell))
 
 
 def test_mass_matrix_norm_off_the_quadrature_exits_3(tmp_path, monkeypatch, capsys):

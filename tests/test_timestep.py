@@ -221,8 +221,8 @@ def test_temporal_self_convergence():
 
 
 def test_march_matches_direct_solves():
-    # CG against the direct solve: each step of the factor-preconditioned march
-    # equals a march that solves the same step with a sparse direct factorization
+    # each step of the march, solved with the float64 factor of S and checked by
+    # cg_solve, equals a march that solves it with scipy's spsolve
     mesh = build_structured_mesh(8)
     dofmap = build_dofmap(mesh, 1)
     k = 1 / 64
@@ -309,21 +309,22 @@ def test_march_load_matches_the_pointwise_source(case_id, monkeypatch):
 
 
 def test_factored_march_takes_few_cg_iterations(monkeypatch):
-    iterations = []
+    solves = []
 
     def counting(S, rhs, precond):
         x, count = cg_solve(S, rhs, precond)
-        iterations.append(count)
+        solves.append(count)
         return x, count
 
-    # the float64 factor solves S to rounding, so CG's first iterate passes
+    # the float64 factor solves S to rounding, so its first solve passes the
+    # residual check and no step refines
     monkeypatch.setattr(timestep, "cg_solve", counting)
     mesh = build_structured_mesh(8)
     march(make_case("heat-decay", 1 / 64, 8 / 64), mesh, build_dofmap(mesh, 0))
-    assert iterations == [1] * 8
-    iterations.clear()
+    assert solves == [1] * 8
+    solves.clear()
     march(make_case("aniso", 1 / 64, 4 / 64), mesh, build_dofmap(mesh, 1))
-    assert iterations == [1] * 4
+    assert solves == [1] * 4
 
 
 def test_step_count_is_capped():
