@@ -169,9 +169,9 @@ class StepOperators:
 class CondensedSystem:
     """Global condensed system S = sum_K E_K^T E_K and the operators of the
     step load, numbered by nested dissection: unknown i of the dofmap is
-    unknown rank[i] of S.  precond applies the inverse of a factor of S.
-    mass is the field mass matrix M = sum_K det J M_ff, (n_field, n_field)
-    in the numbering of the dofmap: a field w has L2 norm sqrt(w^T M w)."""
+    unknown rank[i] of S.  precond applies the inverse of a factor of S, and
+    S_norm is ||S||_inf.  mass is the field mass matrix M = sum_K det J M_ff,
+    (n_field, n_field) in the dofmap's numbering: w has L2 norm sqrt(w^T M w)."""
 
     S: sp.csr_matrix
     blocks: StepOperators
@@ -179,6 +179,7 @@ class CondensedSystem:
     dofmap: DofMap
     coeffs: PdeCoefficients
     precond: Callable[[np.ndarray], np.ndarray]
+    S_norm: float
     rank: np.ndarray
 
 
@@ -482,8 +483,11 @@ def assemble_condensed(mesh: Mesh, dofmap: DofMap, coeffs: PdeCoefficients,
     scale = max(S.data.max(initial=0.0), -S.data.min(initial=0.0))
     if np.abs(S @ x - S.T @ x).max(initial=0.0) > 2.0 * _SYM_TOL * scale:
         raise SolverError("condensed system lost symmetry; assembly is inconsistent")
+    # ||S||_inf for cg_solve, once per march; its nnz-sized temporary is freed
+    # before the factor.  No row of S is empty: every unknown lies in an element
+    S_norm = np.add.reduceat(np.abs(S.data), S.indptr[:-1]).max()
     return CondensedSystem(S=S, blocks=ops, mass=mass, dofmap=dofmap, coeffs=coeffs,
-                           precond=factor_spd(S), rank=rank)
+                           precond=factor_spd(S), S_norm=S_norm, rank=rank)
 
 
 def condense_load(ops: StepOperators, a, w_field: np.ndarray) -> np.ndarray:

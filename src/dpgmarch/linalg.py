@@ -2,27 +2,21 @@
 with a float64 sparse factor of it, and a pivoted sparse LU for the
 nonsymmetric projection system.
 
-Matrix storage is scipy CSR/CSC.  `factor_spd` factors S in its own numbering,
-which the march assembles in the midpoint (Morton) order of
-`nested_dissection`, and solves through SuperLU's transposed path (S^T x = r,
-the same system for a symmetric S), which is faster than the plain one on S's
-small supernodes; `lu_solve` keeps the plain path, since a nonsymmetric N^T is
-another matrix.  `cg_solve` checks the factor's solve against S itself, and
-refines it once on a miss (Higham, "Accuracy and Stability of Numerical
-Algorithms", 2nd ed., 2002, ch. 12).
-`lu_solve` factors every matrix in one regime, SuperLU's symmetric mode
-(X. S. Li, "An overview of SuperLU", ACM TOMS 31, 2005), in the natural
-order: the caller orders, as the elliptic projection orders N, which has the
-pattern of S, by S's nested dissection.  Threshold pivoting keeps a diagonal
-pivot within a factor 10 of its column's largest entry and otherwise, a zero
-diagonal entry included, takes an off-diagonal one.  So both factors factor
-a matrix in the numbering they are given.  A matrix is singular to working
-precision when its 1-norm condition estimate is 1e14 or more; the estimate
-of ||M^{-1}||_1 is `scipy.sparse.linalg.onenormest`
-(Higham & Tisseur, SIAM J. Matrix Anal. Appl. 21, 2000) on the factor's
-solves with M and M^T, as in LAPACK's dgecon, so no copy of the factor's L or
-U is ever made.  Every direct solve is checked afterwards for a small
-backward error.
+Matrix storage is scipy CSR/CSC.  Both factor in SuperLU's symmetric mode
+(X. S. Li, "An overview of SuperLU", ACM TOMS 31, 2005) in the numbering
+they are given: the march assembles S, and the elliptic projection orders N,
+which has the pattern of S, in the midpoint (Morton) order of
+`nested_dissection`.
+
+Both accept a solution x of M x = b by one rule, its normwise backward error
+eta = ||M x - b||_inf / (||M||_inf ||x||_inf + ||b||_inf), the least relative
+change of M and b that makes x exact (Rigal & Gaches; Higham, "Accuracy and
+Stability of Numerical Algorithms", 2nd ed., 2002, Thm. 7.1).  A
+backward-stable solve leaves eta near the unit roundoff however
+ill-conditioned M is, where its residual relative to ||b|| alone grows with
+||M|| ||x|| / ||b||.  `cg_solve` refines once on a miss (ibid., ch. 12),
+which recovers a factor slightly off, such as one of (1 + 1e-9) S; `lu_solve`
+has no refinement.
 """
 
 from __future__ import annotations
@@ -31,9 +25,15 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-_REL_TOL = 1e-12  # residual of an accepted `cg_solve`, relative to ||rhs||
 _COND_TOL = 1e14  # ||M||_1 ||M^{-1}||_1 at which M is singular to working precision
-_BACKWARD_TOL = 1e-10
+# Backward errors at which a solve is accepted.  The march's exact float64
+# factor of S leaves at most 4.3e-16 (p = 0 and 1, n up to 160).  The step
+# solve refines on a miss, so its tolerance is tight enough that an inexact
+# factor is refined rather than accepted.  The LU solve pivots with a relaxed
+# threshold and has no refinement to fall back on, so it accepts what that
+# pivoting allows.
+_STEP_TOL = 1e-14
+_LU_TOL = 1e-10
 
 
 class SolverError(RuntimeError):
@@ -88,7 +88,8 @@ def nested_dissection(points, cols, n):
 
 def factor_spd(S):
     """Sparse float64 factor of a symmetric positive definite S, as the
-    solve r -> S^{-1} r that `cg_solve` checks.
+    solve r -> S^{-1} r whose results `cg_solve` accepts by their backward
+    error against S.
 
     SuperLU factors S's own arrays in symmetric mode with its NATURAL column
     order and diagonal pivots, so the fill is the one S's numbering gives
@@ -118,19 +119,26 @@ def factor_spd(S):
     return lambda r: factor.solve(r, trans="T")
 
 
-def cg_solve(S, rhs, precond):
-    """Direct solve of the SPD system S x = rhs by precond: r -> S^{-1} r (see
-    `factor_spd`), checked against S itself.
+def _backward_error(r, M_norm, x, b):
+    """The backward error eta of x for M x = b (see above), from its residual
+    r and M_norm = ||M||_inf: 0 when r = 0, NaN when r has a NaN."""
+    residual = np.abs(r).max(initial=0.0)
+    return residual / (M_norm * np.abs(x).max() + np.abs(b).max()) if residual else 0.0
 
-    x = precond(rhs) is accepted when one product S x gives both a positive
-    curvature x.(S x) and a residual ||rhs - S x|| <= 1e-12 ||rhs||; on a miss,
-    one step of iterative refinement, x + precond(rhs - S x), is checked the
-    same way.  Returns (x, solves): solves is 0 for rhs = 0, otherwise 1, or 2
-    after a refinement.  Raises SolverError, before any product with S, when
-    ||rhs|| is not finite (an entry is NaN or Inf, or the norm overflows), on
-    nonpositive or NaN curvature (S not positive definite), and when the
-    refined x still misses the residual tolerance.  It keeps the name of the
-    conjugate gradient solver it replaced, which the benchmark hooks.
+
+def cg_solve(S, rhs, precond, S_norm):
+    """Direct solve of the SPD system S x = rhs by precond: r -> S^{-1} r (see
+    `factor_spd`), checked against S itself and S_norm = ||S||_inf.
+
+    x = precond(rhs) is accepted when one product S x gives a positive
+    curvature x.(S x) and a backward error of at most 1e-14; on a miss, such
+    as a slightly inexact factor leaves, one step of iterative refinement,
+    x + precond(rhs - S x), is checked the same way.  Returns (x, solves),
+    solves 0 for rhs = 0, otherwise 1, or 2 after a refinement.  Raises SolverError, before any product with S, when
+    ||rhs||_2 is not finite (an entry is NaN or Inf, or the norm overflows),
+    on nonpositive or NaN curvature, and when the refined x still misses.  It
+    keeps the name of the conjugate gradient solver it replaced, which the
+    benchmark hooks.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.shape[0]
@@ -150,12 +158,13 @@ def cg_solve(S, rhs, precond):
             raise SolverError(f"nonpositive or NaN curvature {curvature:.3e} after solve "
                               f"{solves}; matrix is not positive definite")
         r = rhs - Sx
-        if np.linalg.norm(r) <= _REL_TOL * b_norm:
+        eta = _backward_error(r, S_norm, x, rhs)
+        if eta <= _STEP_TOL:
             return x, solves
         if solves == 1:
             x = x + precond(r)
-    raise SolverError(f"solve missed its residual check after one refinement (residual "
-                      f"{np.linalg.norm(r) / b_norm:.3e} relative, tolerance {_REL_TOL:.0e})")
+    raise SolverError(f"solve failed the backward-error check after one refinement "
+                      f"(residual at backward error {eta:.3e}, tolerance {_STEP_TOL:.0e})")
 
 
 def lu_solve(M, rhs):
@@ -171,10 +180,9 @@ def lu_solve(M, rhs):
     condition number estimate ||M||_1 est(||M^{-1}||_1) is 1e14 or more, est
     the t = 1 estimate of `scipy.sparse.linalg.onenormest` on the factor's
     solves, usually four after the one of rhs.  SolverError is also raised
-    when M or rhs has entries that are not finite, and when the result fails
-    the backward-error check
-    ||M x - rhs||_inf <= 1e-10 (||M||_inf ||x||_inf + ||rhs||_inf),
-    so that relaxed pivoting can never quietly return a wrong solution.
+    when M or rhs has entries that are not finite, and when x has a backward
+    error eta above 1e-10 (see the module docstring), so that relaxed
+    pivoting can never quietly return a wrong solution.
     """
     rhs = np.asarray(rhs, dtype=float)
     if M.shape[0] != M.shape[1]:
@@ -193,7 +201,9 @@ def lu_solve(M, rhs):
                            options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(f"sparse LU factorization failed: {exc}") from exc
-    x = factor.solve(rhs)
+    x = factor.solve(rhs)  # the plain path: unlike S, a nonsymmetric M^T is another matrix
+    # ||M^{-1}||_1 by onenormest (Higham & Tisseur, SIAM J. Matrix Anal. Appl. 21,
+    # 2000) on the factor's solves with M and M^T, as LAPACK's dgecon does
     inverse = spla.LinearOperator((n, n), matvec=factor.solve, dtype=float,
                                   rmatvec=lambda r: factor.solve(r, trans="T"))
     abs_data = np.abs(M.data)
@@ -203,10 +213,8 @@ def lu_solve(M, rhs):
         raise SolverError("matrix is singular to working precision")
     if not np.all(np.isfinite(x)):
         raise SolverError("direct solve produced non-finite values")
-    residual = np.abs(M @ x - rhs).max()
-    row_sums = np.bincount(M.indices, abs_data, minlength=n)
-    bound = _BACKWARD_TOL * (row_sums.max() * np.abs(x).max() + np.abs(rhs).max())
-    if not residual <= bound:
-        raise SolverError(f"direct solve failed the backward-error check: residual "
-                          f"{residual:.3e} exceeds {bound:.3e}")
+    eta = _backward_error(rhs - M @ x, np.bincount(M.indices, abs_data).max(), x, rhs)
+    if not eta <= _LU_TOL:
+        raise SolverError(f"direct solve failed the backward-error check (backward error "
+                          f"{eta:.3e}, tolerance {_LU_TOL:.0e})")
     return x

@@ -80,12 +80,13 @@ def step(system: CondensedSystem, state: MarchState, a) -> MarchState:
     time level, case.source_time(t_n).
 
     The step is one solve with the float64 factor of S built once per march,
-    checked against S by `cg_solve`, which refines once if the residual
-    misses.  The new field w and trace are gathered from S's numbering, and
-    the new state carries its norm sqrt(w^T M w).
+    accepted by `cg_solve` at a backward error of at most 1e-14.  A miss, as
+    a slightly inexact factor would leave, is refined once, and a second miss
+    raises SolverError.  The new field w and trace are gathered from S's
+    numbering; the new state carries its norm sqrt(w^T M w).
     """
     rhs = condense_load(system.blocks, a, state.current.field)
-    x, _ = cg_solve(system.S, rhs, system.precond)
+    x, _ = cg_solve(system.S, rhs, system.precond, system.S_norm)
     rank, n_field = system.rank, system.dofmap.n_field
     w = x[rank[:n_field]]
     return MarchState(

@@ -239,7 +239,8 @@ def test_the_spatial_projection_is_nearer_the_march_than_the_full_form_one(p, k)
             state = march(case, mesh, dofmap)
             system = assemble_condensed(mesh, dofmap, case.coeffs, case.source_space)
         T = 1.0 + state.time
-        x, _ = cg_solve(system.S, system.blocks.F @ np.array([T / k, T]), system.precond)
+        x, _ = cg_solve(system.S, system.blocks.F @ np.array([T / k, T]), system.precond,
+                        system.S_norm)
         full_form = x[system.rank[:dofmap.n_field]]
         spatial = project(mesh, dofmap, case.coeffs, case.at(state.time)).field
         theta_a = field_error(mesh, dofmap, full_form - state.current.field, ZERO_FIELDS, "L2")

@@ -365,11 +365,11 @@ def test_cg_converges_on_condensed_system():
     system = assemble_condensed(mesh, dofmap, coeffs_with(beta=[1.0, 0.5], gamma=1.0), no_source)
     rng = np.random.default_rng(17)
     rhs = rng.standard_normal(dofmap.n_dof)
-    # a Jacobi solve sees positive curvature but misses the residual check,
-    # also after one refinement
-    with pytest.raises(SolverError, match="missed its residual check"):
-        cg_solve(system.S, rhs, lambda r: r / system.S.diagonal())
-    x, solves = cg_solve(system.S, rhs, system.precond)  # the march's factor
+    # a Jacobi solve sees positive curvature but fails the backward-error
+    # check, also after one refinement
+    with pytest.raises(SolverError, match="failed the backward-error check after one"):
+        cg_solve(system.S, rhs, lambda r: r / system.S.diagonal(), system.S_norm)
+    x, solves = cg_solve(system.S, rhs, system.precond, system.S_norm)  # the march's factor
     assert solves == 1
     assert np.linalg.norm(system.S @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 

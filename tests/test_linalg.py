@@ -27,6 +27,18 @@ def jacobi(S):
     return lambda r: r / diagonal
 
 
+def inf_norm(S):
+    """||S||_inf, the norm `cg_solve` takes as its fourth argument."""
+    return abs(S).sum(axis=1).max()
+
+
+def backward_error(M, x, rhs):
+    """||M x - rhs||_inf / (||M||_inf ||x||_inf + ||rhs||_inf): the normwise
+    backward error by which `cg_solve` and `lu_solve` accept x, recomputed."""
+    M = sp.csr_matrix(M)
+    return np.abs(M @ x - rhs).max() / (inf_norm(M) * np.abs(x).max() + np.abs(rhs).max())
+
+
 def laplacian_1d(n):
     """tridiag(-1, 2, -1): condition number about 4 n^2 / pi^2, so a diagonal
     preconditioner leaves a solve far from its residual check."""
@@ -37,35 +49,39 @@ def test_cg_identity_single_iteration():
     S = sp.identity(6, format="csr")
     rhs = np.zeros(6)
     rhs[0] = 1.0
-    x, solves = cg_solve(S, rhs, unpreconditioned)
+    x, solves = cg_solve(S, rhs, unpreconditioned, 1.0)
     assert np.allclose(x, rhs)
     assert solves == 1
 
 
 def test_cg_zero_rhs():
     S = sp.identity(4, format="csr")
-    x, solves = cg_solve(S, np.zeros(4), unpreconditioned)
+    x, solves = cg_solve(S, np.zeros(4), unpreconditioned, 1.0)
     assert solves == 0
     assert np.all(x == 0.0)
 
 
 def test_cg_reports_iteration_count():
     # the count is of solves with precond: one with the exact factor, two
-    # when the first misses the residual check and one refinement passes it
+    # when the first misses the backward-error check and one refinement
+    # passes it.  A factor of (1 + 1e-9) S leaves x 1e-9 short, a backward
+    # error of about 1e-9 ||rhs|| / (||S|| ||x|| + ||rhs||), far above 1e-14
+    # on this well-conditioned S
     rng = np.random.default_rng(1)
     A = rng.standard_normal((15, 15))
     S = sp.csr_matrix(A.T @ A + 10 * np.eye(15))
     rhs = rng.standard_normal(15)
     for factor, expected in ((factor_spd(S), 1), (factor_spd(S * (1 + 1e-9)), 2)):
         counting = CountingMatrix(S)  # one product with S per solve
-        _, solves = cg_solve(counting, rhs, factor)
+        x, solves = cg_solve(counting, rhs, factor, inf_norm(S))
         assert solves == counting.products == expected
+        assert backward_error(S, x, rhs) <= 1e-14
 
 
 def test_cg_negative_curvature_surfaces():
     S = sp.diags([1.0, -1.0]).tocsr()
     with pytest.raises(SolverError, match="curvature|definite"):
-        cg_solve(S, np.array([1.0, 1.0]), jacobi(S))
+        cg_solve(S, np.array([1.0, 1.0]), jacobi(S), 1.0)
 
 
 class CountingMatrix:
@@ -91,32 +107,32 @@ def _spd(seed, n=20):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("bad", ["rhs-nan", "rhs-inf", "rhs-overflow"])
 def test_cg_nonfinite_data_raises_before_iterating(bad):
-    # an rhs whose norm overflows would make the tolerance inf and accept any x
+    # an rhs whose 2-norm overflows is rejected with the non-finite ones
     S, rng = _spd(5)
     rhs = rng.standard_normal(20)
     rhs[3] = {"rhs-nan": np.nan, "rhs-inf": np.inf, "rhs-overflow": 1e300}[bad]
     counting = CountingMatrix(S)
     with pytest.raises(SolverError, match="non-finite"):
-        cg_solve(counting, rhs, unpreconditioned)
+        cg_solve(counting, rhs, unpreconditioned, inf_norm(S))
     assert counting.products == 0
 
 
 def test_cg_nan_curvature_is_breakdown():
     S = sp.csr_matrix(np.array([[1.0, np.nan], [np.nan, 1.0]]))
     with pytest.raises(SolverError, match="NaN curvature nan after solve 1;"):
-        cg_solve(S, np.array([1.0, 1.0]), unpreconditioned)
+        cg_solve(S, np.array([1.0, 1.0]), unpreconditioned, inf_norm(S))
 
 
 def test_cg_rejects_misshapen_rhs():
     with pytest.raises(ValueError, match="shape mismatch"):
-        cg_solve(sp.identity(3, format="csr"), np.ones(2), unpreconditioned)
+        cg_solve(sp.identity(3, format="csr"), np.ones(2), unpreconditioned, 1.0)
 
 
 def test_factor_spd_preconditions_cg_to_full_accuracy():
     S, rng = _spd(9, n=40)
     saved = [S.data.copy(), S.indices.copy(), S.indptr.copy()]
     rhs = rng.standard_normal(40)
-    x, solves = cg_solve(S, rhs, factor_spd(S))
+    x, solves = cg_solve(S, rhs, factor_spd(S), inf_norm(S))
     assert solves == 1
     assert np.linalg.norm(S @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
     # the factor reads S's own arrays and writes nothing back to them
@@ -125,12 +141,13 @@ def test_factor_spd_preconditions_cg_to_full_accuracy():
 
 def test_factor_spd_cg_raises_within_the_cap():
     # the factor of S's diagonal is a poor solve for the Laplacian: its first
-    # x and one refinement both miss, and the error names the residual
+    # x and one refinement both miss, and the error names the backward error
     S = laplacian_1d(400)
     counting = CountingMatrix(S)
-    with pytest.raises(SolverError, match=r"after one refinement \(residual .* relative"):
+    with pytest.raises(SolverError, match=r"after one refinement \(residual at backward "
+                                          r"error \S+, tolerance 1e-14\)"):
         cg_solve(counting, np.random.default_rng(10).standard_normal(400),
-                 factor_spd(sp.diags(S.diagonal()).tocsr()))
+                 factor_spd(sp.diags(S.diagonal()).tocsr()), inf_norm(S))
     # one product with S per solve, and no third solve
     assert counting.products == 2
 
@@ -194,9 +211,9 @@ def test_cg_with_the_transposed_factor_solves_an_S_asymmetric_below_the_check():
     S.data[entry] += 1e-13 * np.abs(S.data).max()
     assert (S != S.T).nnz == 2
     rhs = np.random.default_rng(19).standard_normal(S.shape[0])
-    x, solves = cg_solve(S, rhs, factor_spd(S))
+    x, solves = cg_solve(S, rhs, factor_spd(S), inf_norm(S))
     assert solves <= 2
-    assert np.linalg.norm(S @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    assert backward_error(S, x, rhs) <= 1e-14
 
 
 @pytest.mark.parametrize("bad", ["csc", "duplicates", "unsorted"])
@@ -218,17 +235,19 @@ def test_factor_spd_rejects_S_that_is_not_canonical_csr(bad):
 
 
 def test_cg_falls_back_to_iterating_from_the_first_iterate():
-    # a factor of (1 + 1e-9) S leaves precond(rhs) 1e-9 short: one step of
-    # iterative refinement from it, x + precond(rhs - S x), passes the check
+    # a factor of (1 + 1e-9) S leaves precond(rhs) 1e-9 short, a backward
+    # error of about 3e-10 on this S of condition 5: one step of iterative
+    # refinement from it, x + precond(rhs - S x), passes the check
     S = (laplacian_1d(20) + sp.identity(20, format="csr")).tocsr()
     rhs = np.random.default_rng(14).standard_normal(20)
     solve = factor_spd(S * (1 + 1e-9))
     counting = CountingMatrix(S)
-    x, solves = cg_solve(counting, rhs, solve)
+    x, solves = cg_solve(counting, rhs, solve, inf_norm(S))
     assert solves == 2
     first = solve(rhs)
+    assert backward_error(S, first, rhs) > 1e-11
     assert np.array_equal(x, first + solve(rhs - S @ first))
-    assert np.linalg.norm(S @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    assert backward_error(S, x, rhs) <= 1e-14
     # one product with S per solve: the residual and the curvature share it
     assert counting.products == 2
 
@@ -242,31 +261,32 @@ def _symmetric(Q, eigenvalues):
 @given(n=st.integers(2, 30), log_cond=st.floats(1.0, 6.0), seed=st.integers(0, 2**32 - 1))
 def test_cg_solve_accepts_refines_or_raises_on_random_spd_matrices(n, log_cond, seed):
     # S = Q diag(lambda) Q^T, lambda log-spaced over [1, 10^log_cond]; rhs = S x
-    # for a random x, so that a backward-stable solve leaves a residual of
-    # about eps ||S|| ||x|| ~ eps ||rhs|| (a rhs along the lowest eigenvector
-    # could leave eps cond(S) ||rhs||, beyond the 1e-12 check at cond 1e6)
+    # for a random x.  An exact factor is backward stable at once.  A factor
+    # 1e-9 short leaves a backward error of about 1e-9 ||rhs|| / (||S|| ||x||
+    # + ||rhs||): refined, unless ||S|| ||x|| / ||rhs|| passes about 1e5,
+    # when the short solve is itself backward stable and accepted at once
     rng = np.random.default_rng(seed)
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     eigenvalues = np.geomspace(1.0, 10**log_cond, n)
     S = _symmetric(Q, eigenvalues)
     rhs = S @ rng.standard_normal(n)
+    S_norm = inf_norm(S)
 
-    def residual(x):
-        return np.linalg.norm(S @ x - rhs) / np.linalg.norm(rhs)
-
-    x, solves = cg_solve(S, rhs, factor_spd(S))  # an exact factor
-    assert solves == 1 and residual(x) <= 1e-12
-    x, solves = cg_solve(S, rhs, factor_spd(S * (1 + 1e-9)))  # 1e-9 short
-    assert solves == 2 and residual(x) <= 1e-12
-    with pytest.raises(SolverError, match=r"residual \S+ relative"):
-        cg_solve(S, rhs, jacobi(S))
+    x, solves = cg_solve(S, rhs, factor_spd(S), S_norm)  # an exact factor
+    assert solves == 1 and backward_error(S, x, rhs) <= 1e-14
+    short = factor_spd(S * (1 + 1e-9))
+    x, solves = cg_solve(S, rhs, short, S_norm)
+    assert solves == (1 if backward_error(S, short(rhs), rhs) <= 1e-14 else 2)
+    assert backward_error(S, x, rhs) <= 1e-14
+    with pytest.raises(SolverError, match=r"residual at backward error \S+, tolerance"):
+        cg_solve(S, rhs, jacobi(S), S_norm)
     # an indefinite S, its upper half of eigenvalues negated, and a rhs whose
     # solution lies in their eigenspace: the curvature x.(S x) is negative
     negative = np.arange(n) >= n // 2
     S = _symmetric(Q, np.where(negative, -eigenvalues, eigenvalues))
     rhs = S @ (Q[:, negative] @ rng.standard_normal(negative.sum()))
     with pytest.raises(SolverError, match="curvature .* not positive definite"):
-        cg_solve(S, rhs, lambda r: np.linalg.solve(S.toarray(), r))
+        cg_solve(S, rhs, lambda r: np.linalg.solve(S.toarray(), r), inf_norm(S))
 
 
 @pytest.mark.parametrize("case_id,p", [("aniso", 1), ("heat-decay", 0)])
@@ -279,7 +299,7 @@ def test_cg_solve_agrees_with_scipy_jacobi_cg_on_the_condensed_system(case_id, p
     system = assemble_condensed(mesh, dofmap, case.coeffs, case.source_space)
     rhs = condense_load(system.blocks, case.source_time(case.coeffs.k),
                         initial_field(case.u0, dofmap).field)
-    x, solves = cg_solve(system.S, rhs, system.precond)
+    x, solves = cg_solve(system.S, rhs, system.precond, system.S_norm)
     assert solves == 1
     n = system.S.shape[0]
     diagonal = system.S.diagonal()
@@ -419,14 +439,6 @@ def test_lu_rejects_nonsquare():
         lu_solve(np.ones((2, 3)), np.ones(2))
 
 
-def _backward_error(M, x, rhs):
-    """||M x - rhs||_inf / (||M||_inf ||x||_inf + ||rhs||_inf), the quantity
-    that lu_solve bounds by 1e-10."""
-    M = sp.csr_matrix(M)
-    return (np.abs(M @ x - rhs).max()
-            / (abs(M).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max()))
-
-
 @pytest.mark.parametrize("sparse", [False, True])
 @pytest.mark.parametrize("bad", ["matrix-nan", "matrix-inf", "rhs-nan"])
 def test_lu_rejects_non_finite_data(sparse, bad):
@@ -454,7 +466,7 @@ def test_lu_sparse_zero_diagonal_permutation():
     assert np.all(M.diagonal() == 0.0)
     rhs = np.arange(12.0) - 5.5
     x = lu_solve(M, rhs)
-    assert _backward_error(M, x, rhs) <= 1e-15
+    assert backward_error(M, x, rhs) <= 1e-15
     assert np.allclose(x, np.linalg.solve(M.toarray(), rhs), rtol=1e-14, atol=0.0)
 
 
@@ -471,7 +483,7 @@ def test_lu_sparse_tiny_diagonal_needs_threshold_pivoting():
     M = M.tocsr()
     rhs = rng.standard_normal(n)
     x = lu_solve(M, rhs)
-    assert _backward_error(M, x, rhs) <= 1e-15
+    assert backward_error(M, x, rhs) <= 1e-15
     expected = np.linalg.solve(M.toarray(), rhs)
     assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -481,6 +493,12 @@ class PerturbedFactor:
 
     def __init__(self, factor):
         self.solve = lambda b, trans="N": factor.solve(b, trans) * (1.0 + 1e-6)
+
+
+def test_lu_zero_rhs_gives_zero():
+    # x = 0 leaves no residual: its backward error is 0, not 0 / 0
+    x = lu_solve(sp.csr_matrix(_spd(17)[0]), np.zeros(20))
+    assert np.array_equal(x, np.zeros(20))
 
 
 def test_lu_backward_error_guard_trips_on_a_wrong_sparse_solution(monkeypatch):
@@ -540,7 +558,7 @@ def test_lu_solve_makes_no_copy_of_the_factor(monkeypatch, matrix):
     monkeypatch.setattr(spla, "splu", wrapped)
     x = lu_solve(M, rhs)
     assert modes == [True]
-    assert _backward_error(M, x, rhs) <= 1e-15
+    assert backward_error(M, x, rhs) <= 1e-15
 
 
 def _near_singular_2x2(delta):
@@ -564,7 +582,7 @@ def test_lu_rejects_a_near_singular_matrix_and_solves_a_better_one(matrix):
         lu_solve(matrix(1e-15), rhs)
     M = matrix(1e-13)
     x = lu_solve(M, rhs)
-    assert _backward_error(M, x, rhs) <= 1e-15
+    assert backward_error(M, x, rhs) <= 1e-15
 
 
 def test_lu_rejects_an_ill_conditioned_matrix_with_unit_pivots():
@@ -660,3 +678,43 @@ def test_lu_solves_dominant_matrices_and_rejects_a_dependent_row(system):
     M[i] = M[j] + M[k]
     with pytest.raises(SolverError):
         lu_solve(sp.csr_matrix(M), rhs)
+
+
+@pytest.mark.parametrize("case_id,p,n", [("heat-decay", 1, 8), ("aniso", 1, 8),
+                                         ("heat-decay", 0, 16)])
+def test_cg_solve_accepts_the_march_factor_where_a_residual_relative_to_rhs_misses(
+        case_id, p, n):
+    # rhs = S v for v near the lowest eigenvector of the march's own S (eight
+    # inverse iterations with its factor, from ones), at k = 1e3: then
+    # ||S|| ||x|| / ||rhs|| is about 1e7, and the factor's backward-stable
+    # solve leaves a residual far above 1e-12 ||rhs||, the test cg_solve
+    # applied before it accepted by backward error
+    mesh = build_structured_mesh(n)
+    dofmap = build_dofmap(mesh, p)
+    case = make_case(case_id, 1e3, 1e3)
+    system = assemble_condensed(mesh, dofmap, case.coeffs, case.source_space)
+    assert system.S_norm == pytest.approx(inf_norm(system.S), rel=1e-14)
+    v = np.ones(system.S.shape[0])
+    for _ in range(8):
+        v = system.precond(v)
+        v /= np.abs(v).max()
+    rhs = system.S @ v
+    x, solves = cg_solve(system.S, rhs, system.precond, system.S_norm)
+    assert solves == 1
+    assert system.S_norm * np.abs(x).max() >= 1e6 * np.abs(rhs).max()
+    assert np.linalg.norm(system.S @ x - rhs) > 1e-11 * np.linalg.norm(rhs)
+    assert backward_error(system.S, x, rhs) <= 1e-14
+
+
+def test_cg_solve_accepts_an_exact_factor_on_ill_conditioned_spd_matrices():
+    # 200 random 30 x 30 SPD matrices of condition 1e6, rhs along the lowest
+    # eigenvector: the exact factor leaves a residual of up to about
+    # 1e-10 ||rhs||, since ||S|| ||x|| = 1e6 ||rhs||, and its backward error
+    # at rounding level
+    eigenvalues = np.geomspace(1.0, 1e6, 30)
+    for seed in range(200):
+        Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((30, 30)))[0]
+        S = _symmetric(Q, eigenvalues)
+        x, solves = cg_solve(S, Q[:, 0], factor_spd(S), inf_norm(S))
+        assert solves == 1
+        assert backward_error(S, x, Q[:, 0]) <= 1e-14

@@ -311,13 +311,13 @@ def test_march_load_matches_the_pointwise_source(case_id, monkeypatch):
 def test_factored_march_takes_few_cg_iterations(monkeypatch):
     solves = []
 
-    def counting(S, rhs, precond):
-        x, count = cg_solve(S, rhs, precond)
+    def counting(S, rhs, precond, S_norm):
+        x, count = cg_solve(S, rhs, precond, S_norm)
         solves.append(count)
         return x, count
 
     # the float64 factor solves S to rounding, so its first solve passes the
-    # residual check and no step refines
+    # backward-error check and no step refines
     monkeypatch.setattr(timestep, "cg_solve", counting)
     mesh = build_structured_mesh(8)
     march(make_case("heat-decay", 1 / 64, 8 / 64), mesh, build_dofmap(mesh, 0))
